@@ -11,8 +11,7 @@ significant digits, LF line endings) and ``<prefix>.summary.json``.
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (conditioning, non-convergence, enumeration caps) with partial artifacts
 preserved.  Execution is sequential, hence deterministic for a fixed
-config; the EXPWALK_WORKERS environment variable is accepted for forward
-compatibility but does not change results.
+config.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -504,12 +502,6 @@ def run(config: dict) -> int:
         prefix = config.get("output")
         if not prefix:
             raise ConfigError("an output prefix is required")
-        # worker count is the only environment knob; any value yields the
-        # same bytes since sub-tasks are merged in index order (currently
-        # executed sequentially)
-        workers = os.environ.get("EXPWALK_WORKERS", "1")
-        if not workers.isdigit() or int(workers) < 1:
-            raise ConfigError(f"EXPWALK_WORKERS must be a positive integer, got {workers!r}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

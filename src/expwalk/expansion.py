@@ -7,6 +7,10 @@ by a positive constant uniformly on the unit sphere.  The sphere minimum
 is located heuristically (dense random sampling plus Nelder-Mead descent
 from the best samples), so a positive result is reported as
 "PASS (heuristic min > 0)" while a negative witness is a proof of failure.
+The N-step words come from the one word-product engine in
+:mod:`expwalk.measures`, and :func:`_sphere_minimize` is the one sphere
+optimizer: the certificate minimizes the mean of log|gv|, the moment
+contraction estimate the mean of -|gv|^(-delta).
 
 Also decides membership in the expanding cone of a block parabolic of
 sl_d via a small linear program, and checks a-expansion of the unipotent
@@ -19,10 +23,10 @@ from math import comb
 
 import numpy as np
 from scipy.optimize import linprog, minimize
-from scipy.stats import norm as _normal
+from scipy.special import ndtri
 
 from . import linalg
-from .measures import GroupMeasure, sample_indices
+from .measures import GroupMeasure, _word_products, sample_indices
 from .rng import substream
 
 CONE_TOL = 1e-9
@@ -120,56 +124,34 @@ class ExpansionCertificate:
         return "FAIL (witness v with negative integral)"
 
 
-class ConvolutionOverflow(ValueError):
-    """Exact word enumeration not feasible; caller should fall back to MC."""
+def _objective_factory(word_mats, word_wts, transform=np.log):
+    """v -> sum_w weight * transform(|W v| / |v|) over the word matrices W."""
 
-
-def _word_matrices_exact(rep_atoms, weights, N, cap, merge_tol=1e-10):
-    d = rep_atoms.shape[1]
-    if len(rep_atoms) ** N > cap:
-        raise ConvolutionOverflow(
-            f"{len(rep_atoms)}^{N} words exceed the exact cap {cap}"
-        )
-    mats = np.eye(d)[None, :, :]
-    wts = np.array([1.0])
-    from .measures import _merge_atoms
-
-    for _ in range(N):
-        mats = np.einsum("aij,bjk->abik", rep_atoms, mats).reshape(-1, d, d)
-        wts = (weights[:, None] * wts[None, :]).reshape(-1)
-        mats, wts = _merge_atoms(mats, wts, merge_tol)
-    return mats, wts / wts.sum()
-
-
-def _word_matrices_mc(rep_atoms, weights, N, n_words, rng):
-    d = rep_atoms.shape[1]
-    idx = rng.choice(len(rep_atoms), size=(n_words, N), p=weights)
-    mats = np.tile(np.eye(d), (n_words, 1, 1))
-    for step in range(N):
-        mats = rep_atoms[idx[:, step]] @ mats
-    return mats, np.full(n_words, 1.0 / n_words)
-
-
-def _objective_factory(word_mats, word_wts):
     def objective(v):
         nrm = np.linalg.norm(v)
         if nrm < 1e-300 or not np.isfinite(nrm):
             return 1e6
         u = v / nrm
         images = word_mats @ u
-        return float(word_wts @ np.log(np.linalg.norm(images, axis=-1)))
+        return float(word_wts @ transform(np.linalg.norm(images, axis=-1)))
 
     return objective
 
 
-def _sphere_minimize(word_mats, word_wts, dim, sphere_samples, n_descent, rng):
+def _sphere_minimize(word_mats, word_wts, sphere_samples, n_descent, rng, transform=np.log):
+    """Minimum over the unit sphere of the objective of :func:`_objective_factory`.
+
+    The objective is evaluated on ``sphere_samples`` random directions in
+    one batch, then Nelder-Mead descends from the ``n_descent`` best.
+    Returns (minimum, unit witness direction).
+    """
+    dim = word_mats.shape[-1]
     dirs = rng.normal(size=(sphere_samples, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # batch evaluation of the objective over all sampled directions
     images = np.einsum("wij,sj->wsi", word_mats, dirs)
-    vals = word_wts @ np.log(np.linalg.norm(images, axis=-1))
+    vals = word_wts @ transform(np.linalg.norm(images, axis=-1))
     order = np.argsort(vals)
-    objective = _objective_factory(word_mats, word_wts)
+    objective = _objective_factory(word_mats, word_wts, transform)
 
     best_val = float(vals[order[0]])
     best_v = dirs[order[0]]
@@ -204,23 +186,14 @@ def certificate_from_rep_atoms(
     weights = np.asarray(weights, dtype=float)
     if N < 1:
         raise ValueError("word length N must be at least 1")
-    if mode not in ("auto", "exact", "mc", "monte-carlo"):
-        raise ValueError(f"unknown certificate mode {mode!r}")
-    dim = rep_atoms.shape[1]
-
-    use_exact = mode == "exact" or (mode == "auto" and len(rep_atoms) ** N <= cap)
-    if use_exact:
-        word_mats, word_wts = _word_matrices_exact(rep_atoms, weights, N, cap)
-    else:
-        rng = substream(seed, 0)
-        word_mats, word_wts = _word_matrices_mc(rep_atoms, weights, N, mc_words, rng)
-
-    rng_sphere = substream(seed, 1)
+    word_mats, word_wts, exact = _word_products(
+        rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
+    )
     best_val, best_v = _sphere_minimize(
-        word_mats, word_wts, dim, sphere_samples, n_descent, rng_sphere
+        word_mats, word_wts, sphere_samples, n_descent, substream(seed, 1)
     )
 
-    if use_exact:
+    if exact:
         return ExpansionCertificate(
             N=N,
             C_lower=best_val,
@@ -232,7 +205,7 @@ def certificate_from_rep_atoms(
         )
     per_word = np.log(np.linalg.norm(word_mats @ best_v, axis=-1))
     stderr = float(per_word.std(ddof=1) / np.sqrt(len(per_word)))
-    z = float(_normal.ppf(confidence))
+    z = float(ndtri(confidence))
     return ExpansionCertificate(
         N=N,
         C_lower=float(per_word.mean() - z * stderr),
@@ -285,41 +258,18 @@ def moment_contraction_estimate(
     if delta <= 0.0:
         raise ValueError("moment exponent delta must be positive")
     rep_atoms = np.array([rep_matrix(rep, g) for g in mu.matrices])
-    use_exact = mode == "exact" or (mode == "auto" and len(rep_atoms) ** N <= cap)
-    if use_exact:
-        word_mats, word_wts = _word_matrices_exact(rep_atoms, mu.weights, N, cap)
-    else:
-        word_mats, word_wts = _word_matrices_mc(
-            rep_atoms, mu.weights, N, mc_words, substream(seed, 2)
-        )
-
-    def ratio(v):
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-300 or not np.isfinite(nrm):
-            return -1e6
-        u = v / nrm
-        return float(word_wts @ np.linalg.norm(word_mats @ u, axis=-1) ** (-delta))
-
-    dim = rep_atoms.shape[1]
-    rng = substream(seed, 3)
-    dirs = rng.normal(size=(sphere_samples, dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    images = np.einsum("wij,sj->wsi", word_mats, dirs)
-    vals = word_wts @ np.linalg.norm(images, axis=-1) ** (-delta)
-    order = np.argsort(-vals)
-    best_val = float(vals[order[0]])
-    best_v = dirs[order[0]]
-    for i in order[:n_descent]:
-        res = minimize(
-            lambda v: -ratio(v),
-            dirs[i],
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 300 * dim},
-        )
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_v = np.asarray(res.x, dtype=float)
-    return best_val, best_v / np.linalg.norm(best_v)
+    word_mats, word_wts, _ = _word_products(
+        rep_atoms, mu.weights, N, mode, cap, mc_words, substream(seed, 2)
+    )
+    neg_ratio, best_v = _sphere_minimize(
+        word_mats,
+        word_wts,
+        sphere_samples,
+        n_descent,
+        substream(seed, 3),
+        transform=lambda norms: -(norms ** (-delta)),
+    )
+    return -neg_ratio, best_v
 
 
 def _fixed_subspace_complement(rep_elements, svd_tol=1e-8):

@@ -15,7 +15,7 @@ from math import log
 import numpy as np
 
 from .kau import ParabolicProfile, WeightPair, unipotent
-from .measures import GroupMeasure
+from .measures import GroupMeasure, _word_products
 from .rng import substream
 
 
@@ -196,39 +196,23 @@ def ifs_validate(
     Evaluates the expected log spectral norm of random N-fold products of
     the linear operators (on the mn-dimensional matrix space) for
     N = 1..n_max, exactly while symbol_count**N stays below ``cap`` and by
-    Monte Carlo beyond (flagged in the result).  Contracting once the
-    expectation goes negative.
+    Monte Carlo beyond, with ``mc_samples`` fresh words for each N (flagged
+    in the result).  Contracting once the expectation goes negative.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     ops = np.array([phi.linear_operator() for phi in ifs.symbols])
-    k = len(ops)
-    dim = ops.shape[1]
-    values = []
-    mode = "exact"
-    exact_products = np.eye(dim)[None, :, :]
-    exact_weights = np.array([1.0])
+    # exact products are also held to symbol_count**N * dim**2 <= 5e7 floats
+    cap = min(cap, int(5e7) // ops.shape[1] ** 2)
     rng = substream(seed, 23)
-    mc_products = None
+    values = []
     for n in range(1, n_max + 1):
-        if mode == "exact" and k**n <= cap and k**n * dim * dim <= 5e7:
-            exact_products = np.einsum(
-                "aij,bjk->abik", ops, exact_products
-            ).reshape(-1, dim, dim)
-            exact_weights = (ifs.weights[:, None] * exact_weights[None, :]).reshape(-1)
-            norms = np.linalg.svd(exact_products, compute_uv=False)[:, 0]
-            values.append(float(exact_weights @ np.log(norms)))
-        else:
-            if mode == "exact":
-                mode = "monte-carlo"
-                idx = rng.choice(k, size=(mc_samples, n - 1), p=ifs.weights)
-                mc_products = np.tile(np.eye(dim), (mc_samples, 1, 1))
-                for step in range(n - 1):
-                    mc_products = ops[idx[:, step]] @ mc_products
-            step_idx = rng.choice(k, size=mc_samples, p=ifs.weights)
-            mc_products = ops[step_idx] @ mc_products
-            norms = np.linalg.svd(mc_products, compute_uv=False)[:, 0]
-            values.append(float(np.mean(np.log(norms))))
+        products, wts, exact = _word_products(
+            ops, ifs.weights, n, "auto", cap, mc_samples, rng
+        )
+        norms = np.linalg.svd(products, compute_uv=False)[:, 0]
+        values.append(float(wts @ np.log(norms)))
+        mode = "exact" if exact else "monte-carlo"
         if values[-1] < 0.0:
             return IFSValidation(True, n, values, mode)
     return IFSValidation(False, None, values, mode)

@@ -212,11 +212,6 @@ def kau_factorize(g, profile: ParabolicProfile, tol: float = 1e-7) -> KAUFactors
     return KAUFactors(k=k, t=t, u=-u[:m, m:].copy(), profile=profile)
 
 
-def lam(g, profile: ParabolicProfile) -> float:
-    """The diagonal-flow parameter lambda(g) = t of the factorization."""
-    return kau_factorize(g, profile).t
-
-
 def word_factors(word, profile: ParabolicProfile) -> list[KAUFactors]:
     """Factors of every prefix product g_n .. g_1 of the word.
 

@@ -599,11 +599,7 @@ def _cusp_ladder_points(mu, d, count, seed, cusp_decades, burst_len, walk_burst)
     return pts
 
 
-def _averaged_height(mu, x, height, m, mc_trials, exact_cap, seed, tag):
-    try:
-        conv = convolution_support(mu, m, cap=exact_cap)
-    except ConvolutionCapError:
-        conv = None
+def _averaged_height(mu, conv, x, height, m, mc_trials, seed, tag):
     if conv is not None:
         vals = []
         for g, w in zip(conv.matrices, conv.weights):
@@ -649,12 +645,14 @@ def contraction_fit(
             mu, d, sample_points, seed, cusp_decades, burst_len, walk_burst
         )
     beta = np.array([margulis_height(x, height) for x in points])
+    try:
+        conv = convolution_support(mu, m, cap=exact_cap)
+    except ConvolutionCapError:
+        conv = None
     averaged = np.empty(len(points))
     stderr = np.empty(len(points))
     for i, x in enumerate(points):
-        averaged[i], stderr[i] = _averaged_height(
-            mu, x, height, m, mc_trials, exact_cap, seed, i
-        )
+        averaged[i], stderr[i] = _averaged_height(mu, conv, x, height, m, mc_trials, seed, i)
 
     order = np.argsort(beta)
     q50 = beta[order[len(order) // 2]]

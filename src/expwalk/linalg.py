@@ -14,7 +14,6 @@ from itertools import combinations
 import numpy as np
 
 # Module-wide default tolerances.  Functions take overrides where it matters.
-REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
@@ -25,15 +24,6 @@ def as_square(g) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
-    return g
-
-
-def check_special_linear(g, tol: float = REL_TOL) -> np.ndarray:
-    """Validate |det g| = 1 within ``tol`` and return the matrix."""
-    g = as_square(g)
-    det = np.linalg.det(g)
-    if abs(abs(det) - 1.0) >= tol:
-        raise ValueError(f"matrix is not special linear: |det| = {abs(det)!r}")
     return g
 
 

@@ -6,6 +6,12 @@ summing to one.  Sampling is driven by the splittable streams in
 Continuous laws can be plugged in behind the same sampling interface by
 passing generators to the word-based routines; atoms are the first-class
 representation.
+
+:func:`_word_products` is the one builder of N-letter word products, exact
+(enumerated and merged) or Monte Carlo.  :func:`convolution_support`
+wraps it, and the expansion certificate, the moment contraction estimate,
+the averaged heights of the contraction fit and the IFS validation all
+integrate over its output.
 """
 from __future__ import annotations
 
@@ -116,21 +122,59 @@ def _merge_atoms(mats: np.ndarray, wts: np.ndarray, tol: float):
     # Grid quantization at resolution tol: atoms in the same cell merge
     # (they differ by at most tol per entry).  Near-duplicates straddling a
     # cell boundary stay separate, which is harmless: the measure is the
-    # same, only its support list is longer.
-    buckets: dict[bytes, int] = {}
-    keep_mats = []
-    keep_wts = []
-    keys = np.round(mats.reshape(len(mats), -1) / tol).astype(np.int64)
-    for i in range(len(mats)):
-        key = keys[i].tobytes()
-        j = buckets.get(key)
-        if j is None:
-            buckets[key] = len(keep_mats)
-            keep_mats.append(mats[i])
-            keep_wts.append(wts[i])
-        else:
-            keep_wts[j] += wts[i]
-    return np.array(keep_mats), np.array(keep_wts)
+    # same, only its support list is longer.  The cell keys stay floats:
+    # an int64 cast fails past 2**63 * tol (~9.2e8) and merged distinct
+    # products there.  Adding 0.0 maps -0.0 to 0.0.  Atoms keep the order of
+    # their first occurrence and bincount adds each cell's weights in input
+    # order, as a loop over the atoms would.
+    keys = np.round(mats.reshape(len(mats), -1) / tol) + 0.0
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    cell = np.empty_like(order)
+    cell[order] = np.arange(len(order))
+    return mats[first[order]], np.bincount(cell[inverse], weights=wts)
+
+
+def _word_products(
+    atoms: np.ndarray,
+    weights: np.ndarray,
+    n: int,
+    mode: str = "exact",
+    cap: int = 10**6,
+    n_words: int = 4000,
+    rng=None,
+    merge_tol: float = MERGE_TOL,
+):
+    """The n-letter word products of weighted atoms: (products, weights, exact).
+
+    This is the one place that builds the n-fold convolution of an atomic
+    measure.  ``mode="exact"`` enumerates all atom_count**n products
+    (raising :class:`ConvolutionCapError` above ``cap``), merging products
+    that coincide within ``merge_tol`` after each step; ``"auto"`` does so
+    while atom_count**n stays within ``cap``; ``"mc"`` (or ``"monte-carlo"``)
+    samples ``n_words`` i.i.d. words from ``rng`` with equal weights.
+    Letter i of a word multiplies on the left of letters 1..i-1.
+    """
+    if mode not in ("auto", "exact", "mc", "monte-carlo"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'auto', 'exact' or 'mc'")
+    k, d = atoms.shape[0], atoms.shape[1]
+    exact = k**n <= cap if mode == "auto" else mode == "exact"
+    if exact:
+        if k**n > cap:
+            raise ConvolutionCapError(f"{k}^{n} products exceed the cap {cap}; use Monte Carlo")
+        mats = np.eye(d)[None, :, :]
+        wts = np.array([1.0])
+        for _ in range(n):
+            mats = np.einsum("aij,bjk->abik", atoms, mats).reshape(-1, d, d)
+            wts = (weights[:, None] * wts[None, :]).reshape(-1)
+            mats, wts = _merge_atoms(mats, wts, merge_tol)
+        return mats, wts / wts.sum(), True
+    idx = rng.choice(k, size=(n_words, n), p=weights)
+    mats = np.tile(np.eye(d), (n_words, 1, 1))
+    for step in range(n):
+        mats = atoms[idx[:, step]] @ mats
+    return mats, np.full(n_words, 1.0 / n_words), False
 
 
 def convolution_support(
@@ -144,19 +188,8 @@ def convolution_support(
     """
     if n < 0:
         raise ValueError("convolution order must be nonnegative")
-    if mu.natoms**n > cap:
-        raise ConvolutionCapError(
-            f"{mu.natoms}^{n} products exceed the cap {cap}; use Monte Carlo"
-        )
-    d = mu.dim
-    mats = np.eye(d)[None, :, :]
-    wts = np.array([1.0])
-    for _ in range(n):
-        mats = np.einsum("aij,bjk->abik", mu.matrices, mats).reshape(-1, d, d)
-        wts = (mu.weights[:, None] * wts[None, :]).reshape(-1)
-        mats, wts = _merge_atoms(mats, wts, merge_tol)
-    out = GroupMeasure(mats, wts / wts.sum(), seed=mu.seed, profile=mu.profile)
-    return out
+    mats, wts, _ = _word_products(mu.matrices, mu.weights, n, cap=cap, merge_tol=merge_tol)
+    return GroupMeasure(mats, wts, seed=mu.seed, profile=mu.profile)
 
 
 def exp_moment_estimate(mu: GroupMeasure, delta: float) -> float:

@@ -302,18 +302,29 @@ def test_recur_success_config(tmp_path):
     assert rows[0] == "n,mass" and len(rows) == 3
 
 
-def test_worker_env_var_validated_and_inert(tmp_path, monkeypatch):
+def test_rerun_is_byte_identical(tmp_path):
     doc = {
         "kind": "cone",
         "parameters": {"blocks": [2, 2], "logs": [1, 1, -1, -1]},
         "output": str(tmp_path / "w"),
     }
     cfg = write_config(tmp_path, "w", doc)
-    monkeypatch.setenv("EXPWALK_WORKERS", "4")
     assert cli.main(["cone", "--config", cfg]) == 0
     first = (tmp_path / "w.data.csv").read_bytes()
-    monkeypatch.setenv("EXPWALK_WORKERS", "1")
     assert cli.main(["cone", "--config", cfg, "--out", str(tmp_path / "w2")]) == 0
     assert (tmp_path / "w2.data.csv").read_bytes() == first
-    monkeypatch.setenv("EXPWALK_WORKERS", "zero")
-    assert cli.main(["cone", "--config", cfg]) == 2
+
+
+def test_expand_cert_exact_cap_is_numerical_failure(tmp_path):
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    doc = {
+        "kind": "expand-cert",
+        "parameters": {"measure": str(mpath), "N": 30, "mode": "exact"},
+        "output": str(tmp_path / "cap"),
+    }
+    cfg = write_config(tmp_path, "cap", doc)
+    assert cli.main(["expand-cert", "--config", cfg]) == 3
+    summary = json.loads((tmp_path / "cap.summary.json").read_text())
+    assert summary["error"].startswith("expand-cert: ConvolutionCapError: 2^30 products")
+    assert not (tmp_path / "cap.data.csv").exists()

@@ -12,7 +12,7 @@ from expwalk.expansion import (
     relative_expansion_sweep,
     _objective_factory,
 )
-from expwalk.measures import GroupMeasure
+from expwalk.measures import ConvolutionCapError, GroupMeasure
 
 
 def test_fk_deterministic_diagonal():
@@ -184,11 +184,18 @@ def test_cone_membership_implies_a_expansion_all_grades(seed):
 
 
 def test_certificate_exact_mode_signals_fallback():
-    from expwalk.expansion import ConvolutionOverflow
-
     mu = catalog.positive_pair_sl2()
-    with pytest.raises(ConvolutionOverflow):
+    with pytest.raises(ConvolutionCapError):
         expansion_certificate(mu, "std", N=30, mode="exact", cap=10**6)
+
+
+def test_certificate_exact_on_large_commuting_products():
+    # the minimum of the mean of log|gv| over 30-letter words is the
+    # contracted axis: -15 log 3 - 15 log 2, attained at v = e_2
+    mu = GroupMeasure.uniform([np.diag([3.0, 1 / 3]), np.diag([2.0, 0.5])])
+    cert = expansion_certificate(mu, "std", N=30, mode="exact", cap=10**12, seed=0)
+    assert cert.mode == "exact" and not cert.passed
+    assert abs(cert.C_lower + 15 * np.log(6)) < 1e-9
 
 
 def test_relative_sweep_dimension_cap():
@@ -205,6 +212,8 @@ def test_moment_contraction_positive_pair():
         for n in (1, 4, 8)
     ]
     assert ratios[-1] < 1.0
+    with pytest.raises(ValueError, match="unknown mode"):
+        moment_contraction_estimate(mu, "std", delta=0.3, N=2, mode="exakt")
     # the identity walk cannot contract any moment
     flat, _ = moment_contraction_estimate(
         GroupMeasure.dirac(np.eye(2)), "std", delta=0.3, N=4, seed=0

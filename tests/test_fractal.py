@@ -1,4 +1,4 @@
-from itertools import cycle
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -90,6 +90,32 @@ def test_ifs_validate_scalar_mix():
     res2 = ifs_validate(swapped, n_max=5)
     assert not res2.contracting
     assert all(v > 0 for v in res2.values)
+
+
+def test_ifs_validate_monte_carlo_branch():
+    # cap 4 keeps N = 1, 2 exact and samples N = 3..5
+    up = MatrixAffinity([[3.0]], [[1.0]], [[0.0]])
+    down = MatrixAffinity([[1 / 3.0]], [[1.0]], [[0.1]])
+    ifs = AffineIFS((up, down), np.array([0.6, 0.4]))
+    exact = ifs_validate(ifs, n_max=5)
+    assert exact.mode == "exact"
+    res = ifs_validate(ifs, n_max=5, cap=4, mc_samples=2000, seed=5)
+    assert res.mode == "monte-carlo" and not res.contracting
+    assert res.values[:2] == exact.values[:2]
+    assert ifs_validate(ifs, n_max=5, cap=4, mc_samples=2000, seed=5).values == res.values
+    ops = [phi.linear_operator() for phi in ifs.symbols]
+    for n in (3, 4, 5):
+        # the exact law of the log norm over all 2^n words
+        logs, probs = [], []
+        for word in product(range(2), repeat=n):
+            g = np.eye(1)
+            for i in word:
+                g = ops[i] @ g
+            logs.append(np.log(np.linalg.norm(g, 2)))
+            probs.append(np.prod(ifs.weights[list(word)]))
+        logs, probs = np.array(logs), np.array(probs)
+        sd = np.sqrt(probs @ (logs - probs @ logs) ** 2)
+        assert abs(res.values[n - 1] - exact.values[n - 1]) < 4 * sd / np.sqrt(2000)
 
 
 def test_coding_forced_words():
@@ -271,7 +297,7 @@ def test_ifs_json_roundtrip(tmp_path):
 
 def test_coding_depth_cap_on_expanding_ifs():
     from expwalk.fractal import CodingDepthError
-    from itertools import cycle
+    from itertools import cycle, product
 
     a = np.array([[1.1]])
     grow = AffineIFS(

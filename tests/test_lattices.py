@@ -232,10 +232,19 @@ def test_contraction_identity_reports_violations():
     assert fit.violation_count > 0
 
 
-def test_contraction_positive_pair_ok():
+def test_contraction_positive_pair_ok(monkeypatch):
+    from expwalk import lattices
+
+    calls = []
+    real = lattices.convolution_support
+    monkeypatch.setattr(
+        lattices, "convolution_support", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
     height = HeightSpec(epsilon=0.1, delta=0.3)
     fit = contraction_fit(catalog.positive_pair_sl2(), height, m=6, sample_points=120, seed=0)
     assert fit.ok and fit.a_hat < 1.0 and fit.violation_count == 0
+    # the exact 6-step convolution is built once per fit, not once per point
+    assert len(calls) == 1
 
 
 def test_contraction_divergent_geodesic_fails_on_its_direction():

@@ -7,6 +7,7 @@ from expwalk.kau import ParabolicProfile, flow_element, unipotent
 from expwalk.measures import (
     ConvolutionCapError,
     GroupMeasure,
+    _merge_atoms,
     convolution_support,
     exp_moment_estimate,
     lambda_average,
@@ -90,6 +91,43 @@ def test_convolution_cap_error_mentions_monte_carlo():
     mu = catalog.positive_pair_sl2()
     with pytest.raises(ConvolutionCapError, match="Monte Carlo"):
         convolution_support(mu, 30, cap=10**6)
+
+
+def test_convolution_keeps_distinct_large_products(recwarn):
+    # products of diag(3, 1/3) and diag(2, 1/2) reach entries of 3^30 ~ 2e14,
+    # far past where merge keys at resolution 1e-10 leave the int64 range;
+    # the 31 distinct products (j factors of 3, 30 - j of 2) must stay apart
+    mu = GroupMeasure.uniform([np.diag([3.0, 1 / 3]), np.diag([2.0, 0.5])])
+    nu = convolution_support(mu, 30, cap=10**12)
+    assert nu.natoms == 31
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _merge_reference(mats, wts, tol):
+    # the loop definition: first-occurrence order, weights added in order
+    cells, keep_mats, keep_wts = {}, [], []
+    for g, w in zip(mats, wts):
+        key = (np.round(g.ravel() / tol) + 0.0).tobytes()
+        if key in cells:
+            keep_wts[cells[key]] += w
+        else:
+            cells[key] = len(keep_mats)
+            keep_mats.append(g)
+            keep_wts.append(w)
+    return np.array(keep_mats), np.array(keep_wts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+def test_merge_matches_loop_definition_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    base = rng.choice([-1.0, -0.0, 0.0, 0.5, 3.0, 1e12], size=(6, 2, 2))
+    mats = base[rng.integers(0, 6, size=40)] + rng.choice([0.0, 1e-13], size=(40, 2, 2))
+    wts = rng.uniform(0.1, 1.0, size=40)
+    got_mats, got_wts = _merge_atoms(mats, wts, 1e-10)
+    ref_mats, ref_wts = _merge_reference(mats, wts, 1e-10)
+    assert np.array_equal(got_mats, ref_mats)
+    assert got_wts.tobytes() == ref_wts.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
