@@ -207,8 +207,9 @@ def ifs_validate(
     rng = substream(seed, 23)
     values = []
     for n in range(1, n_max + 1):
+        # no merging: an absolute grid would pool small products of any norm
         products, wts, exact = _word_products(
-            ops, ifs.weights, n, "auto", cap, mc_samples, rng
+            ops, ifs.weights, n, "auto", cap, mc_samples, rng, merge_tol=None
         )
         norms = np.linalg.svd(products, compute_uv=False)[:, 0]
         values.append(float(wts @ np.log(norms)))

@@ -144,14 +144,15 @@ def _word_products(
     cap: int = 10**6,
     n_words: int = 4000,
     rng=None,
-    merge_tol: float = MERGE_TOL,
+    merge_tol: float | None = MERGE_TOL,
 ):
     """The n-letter word products of weighted atoms: (products, weights, exact).
 
     This is the one place that builds the n-fold convolution of an atomic
     measure.  ``mode="exact"`` enumerates all atom_count**n products
     (raising :class:`ConvolutionCapError` above ``cap``), merging products
-    that coincide within ``merge_tol`` after each step; ``"auto"`` does so
+    that coincide within ``merge_tol`` after each step (no merging when
+    ``merge_tol`` is None); ``"auto"`` does so
     while atom_count**n stays within ``cap``; ``"mc"`` (or ``"monte-carlo"``)
     samples ``n_words`` i.i.d. words from ``rng`` with equal weights.
     Letter i of a word multiplies on the left of letters 1..i-1.
@@ -168,7 +169,8 @@ def _word_products(
         for _ in range(n):
             mats = np.einsum("aij,bjk->abik", atoms, mats).reshape(-1, d, d)
             wts = (weights[:, None] * wts[None, :]).reshape(-1)
-            mats, wts = _merge_atoms(mats, wts, merge_tol)
+            if merge_tol is not None:
+                mats, wts = _merge_atoms(mats, wts, merge_tol)
         return mats, wts / wts.sum(), True
     idx = rng.choice(k, size=(n_words, n), p=weights)
     mats = np.tile(np.eye(d), (n_words, 1, 1))

@@ -118,6 +118,18 @@ def test_ifs_validate_monte_carlo_branch():
         assert abs(res.values[n - 1] - exact.values[n - 1]) < 4 * sd / np.sqrt(2000)
 
 
+def test_ifs_validate_keeps_small_products_apart():
+    # 1e-22 and 3e-11 share a cell of the 1e-10 merge grid; merged, the
+    # expectation at N = 2 would read -1.95 and claim contraction
+    down = MatrixAffinity([[1e-11]], [[1.0]], [[0.0]])
+    up = MatrixAffinity([[3.0]], [[1.0]], [[0.0]])
+    w = np.array([0.04, 0.96])
+    res = ifs_validate(AffineIFS((down, up), w), n_max=4)
+    assert not res.contracting and res.n_witness is None
+    for n, value in enumerate(res.values, start=1):
+        assert value == pytest.approx(n * (w @ np.log([1e-11, 3.0])))
+
+
 def test_coding_forced_words():
     ifs = catalog.cantor_ifs()
     assert abs(coding_limit(ifs, cycle([0]), 1e-12)[0, 0]) < 1e-11
@@ -297,7 +309,7 @@ def test_ifs_json_roundtrip(tmp_path):
 
 def test_coding_depth_cap_on_expanding_ifs():
     from expwalk.fractal import CodingDepthError
-    from itertools import cycle, product
+    from itertools import cycle
 
     a = np.array([[1.1]])
     grow = AffineIFS(
