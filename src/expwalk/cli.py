@@ -3,7 +3,8 @@
 Usage: ``expwalk <subcommand> --config FILE [--seed N] [--out PREFIX]``.
 
 The config is a single JSON document {"kind", "parameters", "seed",
-"output"}; unknown keys are rejected and the fully resolved config is
+"output"}; unknown keys and the non-finite constants NaN, Infinity and
+-Infinity are rejected, and the fully resolved config is
 recorded next to the results, so every artifact carries its provenance.
 Each run writes ``<prefix>.config.json``, ``<prefix>.data.csv`` (17
 significant digits, LF line endings) and ``<prefix>.summary.json``.
@@ -544,6 +545,10 @@ def _write_failure(prefix, kind, err) -> int:
     return 3
 
 
+def _reject_constant(name):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="expwalk", description="config-driven experiment runner"
@@ -558,8 +563,8 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            config = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as err:
         print(f"config error: cannot read {args.config}: {err}", file=sys.stderr)
         return 2
     if not isinstance(config, dict):

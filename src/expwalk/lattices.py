@@ -5,14 +5,22 @@ the lattice) together with an LLL-reduced basis of the same lattice and
 the integer change of basis relating them.  Reduction is applied at every
 random-walk step so representatives stay numerically tame over long runs.
 
-Provides exact shortest vectors (Fincke-Pohst enumeration seeded by the
-reduced basis), membership in the Mahler sets K_eps, Siegel lattice-point
-counts, the cusp height built from wedge norms of basis subsets, and the
-random-walk harnesses checking its contraction under averaging.
+Provides exact shortest vectors, membership in the Mahler sets K_eps,
+Siegel lattice-point counts, the cusp height built from wedge norms of
+basis subsets, and the random-walk harnesses checking its contraction
+under averaging.
+
+Shortest vectors and Siegel counts share one depth-first Fincke-Pohst
+enumerator on the cached R-factor of the reduced basis, in every
+dimension.  Its node cap counts integer coordinates visited at every
+level, leaves included: each level's whole range is charged before it is
+walked, so a range past the cap (deep in the cusp) fails at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import ceil, floor, sqrt
 
 import numpy as np
 
@@ -156,70 +164,52 @@ def lll_reduce(
     return UnimodularLattice(basis=b, reduced=work, transform=t)
 
 
-def _enumeration_bound(r_diag: np.ndarray, radius: float) -> float:
-    return float(np.prod(1.0 + 2.0 * radius / r_diag))
+def _enumerate(r: np.ndarray, radius: float, cap: int, rows: bool):
+    """Depth-first Fincke-Pohst walk over the integer z with |R z|_2 <= radius.
 
-
-def _integer_pairs_2d(r: np.ndarray, radius: float):
-    """Integer (z1, z2) ranges with |R z|_2 <= radius: (z2, lo1, hi1) arrays."""
-    r11, r12, r22 = r[0, 0], r[0, 1], r[1, 1]
-    z2max = int(np.floor(radius / r22 + 1e-12))
-    z2 = np.arange(-z2max, z2max + 1, dtype=np.int64)
-    rem = radius * radius - (r22 * z2.astype(float)) ** 2
-    h = np.sqrt(np.maximum(rem, 0.0))
-    shift = r12 * z2.astype(float)
-    lo = np.ceil((-h - shift) / r11 - 1e-12).astype(np.int64)
-    hi = np.floor((h - shift) / r11 + 1e-12).astype(np.int64)
-    return z2, lo, hi
-
-
-def _enumerate_vectors(reduced: np.ndarray, radius: float, cap: int, bound_cap: float = 1e12):
-    """Yield (z, v, |v|_2) over nonzero integer vectors with |v|_2 <= radius."""
-    d = reduced.shape[0]
-    q, r = np.linalg.qr(reduced)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    r = signs[:, None] * r
-    r_diag = np.abs(np.diag(r))
-    if np.any(r_diag <= 0.0) or not np.all(np.isfinite(r_diag)):
-        raise ConditioningError("reduced basis degenerate in enumeration")
-    if _enumeration_bound(r_diag, radius) > bound_cap:
-        raise ConditioningError(
-            "enumeration radius blowup: the search tree bound exceeds 1e12"
-        )
-
-    z = np.zeros(d, dtype=np.int64)
-    partial = np.zeros(d + 1)  # squared norm accumulated from the bottom rows
+    Levels run from d - 1 down to 0; each level's integer range is added
+    to the node count before it is visited, and the count passing ``cap``
+    raises CountCapError.  Returns the number of nonzero z, or with
+    ``rows`` the nonzero z themselves as integer lists.
+    """
+    r = r.tolist()
+    d = len(r)
     rad2 = radius * radius
-    count = 0
+    z = [0] * d
+    found = []
+    nodes = count = 0
+    too_many = f"enumeration exceeded the cap of {cap} nodes"
 
-    def rec(level):
-        nonlocal count
-        if level < 0:
-            if np.any(z != 0):
-                v = reduced @ z.astype(float)
-                yield z.copy(), v, float(np.linalg.norm(v))
+    def visit(level, partial):
+        nonlocal nodes, count
+        # row `level` of R: sum over j > level of R[level][j] z_j
+        shift = sum(r[level][j] * z[j] for j in range(level + 1, d))
+        half = sqrt(rad2 - partial)
+        try:
+            lo = ceil((-half - shift) / r[level][level] - 1e-12)
+            hi = floor((half - shift) / r[level][level] + 1e-12)
+        except OverflowError:  # an infinite range
+            raise CountCapError(too_many) from None
+        nodes += hi - lo + 1
+        if nodes > cap:
+            raise CountCapError(too_many)
+        if level == 0:
+            origin = lo <= 0 <= hi and not any(z)
+            if rows:
+                found.extend([zi] + z[1:] for zi in range(lo, hi + 1) if zi or not origin)
+            else:
+                count += hi - lo + 1 - origin
             return
-        rem = rad2 - partial[level + 1]
-        if rem < 0.0:
-            return
-        # row `level` of R: sum over j >= level of R[level, j] z_j
-        shift = sum(r[level, j] * z[j] for j in range(level + 1, d))
-        half = np.sqrt(rem)
-        lo = int(np.ceil((-half - shift) / r[level, level] - 1e-12))
-        hi = int(np.floor((half - shift) / r[level, level] + 1e-12))
         for zi in range(lo, hi + 1):
-            count += 1
-            if count > cap:
-                raise CountCapError(f"enumeration exceeded the cap of {cap} nodes")
             z[level] = zi
-            val = r[level, level] * zi + shift
-            partial[level] = partial[level + 1] + val * val
-            if partial[level] <= rad2 * (1.0 + 1e-12):
-                yield from rec(level - 1)
+            val = r[level][level] * zi + shift
+            below = partial + val * val
+            if below <= rad2:
+                visit(level - 1, below)
         z[level] = 0
 
-    yield from rec(d - 1)
+    visit(d - 1, 0.0)
+    return found if rows else count
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -229,30 +219,14 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _candidate_matrix_2d(x: UnimodularLattice, radius: float) -> np.ndarray:
-    """All nonzero lattice vectors with Euclidean norm <= radius, as rows."""
-    r = x.rfactor()
-    if _enumeration_bound(np.diag(r), radius) > 1e7:
-        raise ConditioningError("enumeration radius blowup in the planar fast path")
-    z2, lo, hi = _integer_pairs_2d(r, radius)
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty((0, 2))
-    z2_rep = np.repeat(z2, counts)
-    offsets = np.concatenate([np.arange(c) for c in counts])
-    z1_rep = np.repeat(lo, counts) + offsets
-    zs = np.stack([z1_rep, z2_rep], axis=1)
-    zs = zs[np.any(zs != 0, axis=1)]
-    return zs.astype(float) @ x.reduced.T
-
-
 def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
     """Exact shortest nonzero lattice vector in the sup or Euclidean norm.
 
     Enumeration is seeded by the reduced basis: its best vector gives the
     initial radius (scaled by sqrt(d) for the sup norm, since any sup-norm
     minimizer has Euclidean length at most sqrt(d) times its sup norm).
+    Ties within 1e-15 of the minimum go to the sparsest, then the
+    lexicographically smallest sign-canonical vector.
     """
     if norm not in ("sup", "euclid"):
         raise ValueError(f"unknown norm {norm!r}")
@@ -264,45 +238,31 @@ def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
     else:
         seed = float(np.min(np.abs(b).max(axis=0)))
         radius = seed * np.sqrt(d) * (1.0 + 1e-12)
-
-    if d == 2:
-        cands = _candidate_matrix_2d(x, radius)
-        if len(cands) == 0:
-            raise LatticeError("enumeration returned no vectors; radius too small")
-        lengths = (
-            np.linalg.norm(cands, axis=1)
-            if norm == "euclid"
-            else np.abs(cands).max(axis=1)
-        )
-        best_len = float(lengths.min())
-        best_vec = None
-        best_key = None
-        for i in np.nonzero(lengths <= best_len + 1e-15)[0]:
-            v = _canonical_sign(cands[i])
-            key = (
-                sum(1 for t in v if abs(t) > 1e-12),
-                tuple(round(float(t), 12) for t in v),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_vec = v
-        return best_vec, best_len
-
-    best_vec = None
-    best_len = np.inf
-    best_key = None
-    for _, v, l2 in _enumerate_vectors(b, radius, cap=10**7):
-        length = l2 if norm == "euclid" else float(np.abs(v).max())
-        v = _canonical_sign(v)
-        # ties broken toward sparser, lexicographically smaller representatives
-        key = (length, int(np.sum(np.abs(v) > 1e-12)), tuple(np.round(v, 12)))
-        if length < best_len - 1e-15 or (abs(length - best_len) <= 1e-15 and key < best_key):
-            best_len = length
-            best_vec = v
-            best_key = key
-    if best_vec is None:
+    r = x.rfactor()
+    if np.prod(1.0 + 2.0 * radius / np.diag(r)) > 1e12:
+        raise ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12")
+    zs = _enumerate(r, radius, cap=10**7, rows=True)
+    if not zs:
         raise LatticeError("enumeration returned no vectors; radius too small")
-    return best_vec, float(best_len)
+    cands = np.array(zs, dtype=float) @ b.T
+    if norm == "euclid":
+        # per vector: norm(cands, axis=1) sums in another order (last-bit changes)
+        lengths = np.array([np.linalg.norm(v) for v in cands])
+    else:
+        lengths = np.abs(cands).max(axis=1)
+    best_len = float(lengths.min())
+    best_vec = None
+    best_key = None
+    for i in np.nonzero(lengths <= best_len + 1e-15)[0]:
+        v = _canonical_sign(cands[i])
+        key = (
+            sum(1 for t in v if abs(t) > 1e-12),
+            tuple(round(float(t), 12) for t in v),
+        )
+        if best_key is None or key < best_key:
+            best_key = key
+            best_vec = v
+    return best_vec, best_len
 
 
 def mahler_member(x: UnimodularLattice, epsilon: float) -> bool:
@@ -322,22 +282,7 @@ def siegel_count(x: UnimodularLattice, radius: float, cap: int = 10**7) -> int:
     """Number of nonzero lattice vectors of Euclidean norm <= radius."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    slack = radius * (1.0 + 1e-9)
-    if x.dim == 2:
-        r = x.rfactor()
-        if _enumeration_bound(np.diag(r), slack) > cap:
-            raise CountCapError(f"enumeration exceeded the cap of {cap} nodes")
-        z2, lo, hi = _integer_pairs_2d(r, slack)
-        total = int(np.maximum(hi - lo + 1, 0).sum())
-        if total > cap:
-            raise CountCapError(f"enumeration exceeded the cap of {cap} nodes")
-        origin = int(np.any((z2 == 0) & (lo <= 0) & (hi >= 0)))
-        return total - origin
-    count = 0
-    for _, _, l2 in _enumerate_vectors(x.reduced, slack, cap=cap):
-        if l2 <= slack:
-            count += 1
-    return count
+    return _enumerate(x.rfactor(), radius * (1.0 + 1e-9), cap, rows=False)
 
 
 @dataclass(frozen=True)
@@ -387,6 +332,20 @@ class HeightSpec:
         return delta_i.astype(float), delta_lambda
 
 
+def _subset_phis(x: UnimodularLattice, spec: HeightSpec):
+    """Yield (subset, grade, phi) over the proper nonempty basis subsets."""
+    d = x.dim
+    delta_i, delta_lambda = spec.grade_exponents(d)
+    gram = x.reduced.T @ x.reduced
+    for i in range(1, d):
+        expo_eps = delta_i[i - 1] / delta_lambda[i - 1]
+        expo_norm = -1.0 / delta_lambda[i - 1]
+        for subset in combinations(range(d), i):
+            gram_det = float(np.linalg.det(gram[np.ix_(subset, subset)]))
+            gram_det = max(gram_det, 1e-300)  # roundoff guard near degeneracy
+            yield subset, i, spec.epsilon**expo_eps * gram_det ** (0.5 * expo_norm)
+
+
 def margulis_height(x: UnimodularLattice, spec: HeightSpec) -> float:
     """Cusp height: the max over basis-subset wedges of the scaled norms.
 
@@ -396,43 +355,18 @@ def margulis_height(x: UnimodularLattice, spec: HeightSpec) -> float:
     for the contraction and properness experiments.  Finite for SL_d since
     no nonzero monomial in an intermediate grade is fixed by the group.
     """
-    d = x.dim
-    delta_i, delta_lambda = spec.grade_exponents(d)
-    gram = x.reduced.T @ x.reduced
     best = 0.0
-    from itertools import combinations
-
-    for i in range(1, d):
-        expo_eps = delta_i[i - 1] / delta_lambda[i - 1]
-        expo_norm = -1.0 / delta_lambda[i - 1]
-        for subset in combinations(range(d), i):
-            sub = gram[np.ix_(subset, subset)]
-            gram_det = float(np.linalg.det(sub))
-            gram_det = max(gram_det, 1e-300)  # roundoff guard near degeneracy
-            phi = spec.epsilon**expo_eps * gram_det ** (0.5 * expo_norm)
-            if phi > best:
-                best = phi
+    for _, _, phi in _subset_phis(x, spec):
+        if phi > best:
+            best = phi
     return float(best**spec.delta)
 
 
 def margulis_height_profile(x: UnimodularLattice, spec: HeightSpec):
     """Per-subset contributions to the height: rows (subset, grade, phi)."""
-    d = x.dim
-    delta_i, delta_lambda = spec.grade_exponents(d)
-    gram = x.reduced.T @ x.reduced
-    from itertools import combinations
-
-    labels, grades, phis = [], [], []
-    for i in range(1, d):
-        expo_eps = delta_i[i - 1] / delta_lambda[i - 1]
-        expo_norm = -1.0 / delta_lambda[i - 1]
-        for subset in combinations(range(d), i):
-            sub = gram[np.ix_(subset, subset)]
-            gram_det = max(float(np.linalg.det(sub)), 1e-300)
-            labels.append("+".join(str(s) for s in subset))
-            grades.append(i)
-            phis.append(spec.epsilon**expo_eps * gram_det ** (0.5 * expo_norm))
-    return np.array(labels), np.array(grades), np.array(phis)
+    rows = list(_subset_phis(x, spec))
+    labels = np.array(["+".join(str(s) for s in subset) for subset, _, _ in rows])
+    return labels, np.array([i for _, i, _ in rows]), np.array([phi for _, _, phi in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,14 @@ def test_criterion_04_fk_exponent_centered():
 def test_criterion_05_siegel_haar_average():
     static_ok = siegel_count(standard_lattice(2), 3.0) == 28
     haar = np.pi * 9.0
+    # Z^2 is fixed by both SL2(Z) atoms of the pair, so the walk starts at a
+    # non-arithmetic point, whose orbit equidistributes (Benoist-Quint)
+    x0 = lll_reduce([[1.0, np.sqrt(2.0)], [0.0, 1.0]])
     finals = []
     for seed in range(5):
         rec = walk_simulate(
             catalog.positive_pair_sl2(),
-            standard_lattice(2),
+            x0,
             10**5,
             ["siegel:3.0"],
             seed=seed,

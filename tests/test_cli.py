@@ -78,6 +78,25 @@ def test_seed_determinism_byte_identical(tmp_path):
     assert (tmp_path / "a.data.csv").read_bytes() == (tmp_path / "b.data.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        # before the check these exited 3 ("reduced basis degenerate in
+        # enumeration", "empty search box") or escaped as an OverflowError
+        ("dioph-flow", {"M": [[float("nan")]], "r": [1.0], "s": [1.0], "t_max": 2.0}),
+        ("dioph-brute", {"M": [[float("nan")]], "r": [1.0], "s": [1.0], "T_max": 10.0}),
+        ("dioph-flow", {"M": [[0.5]], "r": [1.0], "s": [1.0], "t_max": float("inf")}),
+    ],
+)
+def test_non_finite_config_numbers_are_exit_2(tmp_path, capsys, kind, params):
+    cfg = write_config(
+        tmp_path, "nonfinite", {"kind": kind, "parameters": params, "output": str(tmp_path / "o")}
+    )
+    assert cli.main([kind, "--config", cfg]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
 def test_unknown_parameter_is_exit_2(tmp_path):
     cfg = write_config(
         tmp_path,

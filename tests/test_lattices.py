@@ -285,8 +285,23 @@ def test_recurrence_positive_pair_masses():
 def test_siegel_cap_error():
     from expwalk.lattices import CountCapError
 
+    for d in (2, 3):
+        with pytest.raises(CountCapError):
+            siegel_count(standard_lattice(d), 100.0, cap=100)
+        for radius in (1e200, np.inf):  # ranges too wide for a float or an int
+            with pytest.raises(CountCapError):
+                siegel_count(standard_lattice(d), radius)
+
+
+def test_siegel_deep_cusp_hits_node_cap_not_conditioning():
+    # one level range of ~6e13 leaves: charged before it is walked, so the
+    # count fails at once on the node cap (a tree-bound pre-check would
+    # raise ConditioningError here and end a flow trace instead of saturating)
+    from expwalk.lattices import CountCapError
+
+    x = lll_reduce(np.diag([np.exp(-30.0), np.exp(30.0)]))
     with pytest.raises(CountCapError):
-        siegel_count(standard_lattice(2), 100.0, cap=100)
+        siegel_count(x, 3.0, cap=10**5)
 
 
 def test_lll_orthogonal_diag_reduces_to_same_vectors():
@@ -296,26 +311,31 @@ def test_lll_orthogonal_diag_reduces_to_same_vectors():
     assert cols == {(5.0, 0.0), (0.0, 0.2)}
 
 
-def test_enumeration_matches_brute_force_d4():
-    # recursion-based shortest vectors against an exhaustive integer box
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_enumeration_matches_brute_force(d):
+    # shortest vectors and Siegel counts against an exhaustive integer box
+    # that provably holds every vector of the searched length
     rng = np.random.default_rng(77)
-    for _ in range(5):
-        b = rng.normal(size=(4, 4))
+    radius = 1.8
+    checked = 0
+    while checked < 5:
+        b = rng.normal(size=(d, d))
         det = np.linalg.det(b)
         if abs(det) < 0.05:
             continue
-        x = lll_reduce(b / abs(det) ** 0.25)
-        grid = np.array(
-            [z for z in np.ndindex(9, 9, 9, 9)]
-        ) - 4
+        x = lll_reduce(b / abs(det) ** (1 / d))
+        # |z_i| <= |row i of B^-1|_2 |v|_2, and the sup minimizer has |v|_2 <= sqrt(d) sup
+        reach = max(radius, np.sqrt(d) * x.shortest("sup")[1])
+        k = int(np.ceil(np.linalg.norm(np.linalg.inv(x.reduced), axis=1).max() * reach))
+        assert k <= 8
+        grid = np.array(list(np.ndindex(*([2 * k + 1] * d)))) - k
+        grid = grid[np.any(grid != 0, axis=1)]
         vecs = grid.astype(float) @ x.reduced.T
-        nz = np.any(grid != 0, axis=1)
-        brute_euclid = np.linalg.norm(vecs[nz], axis=1).min()
-        brute_sup = np.abs(vecs[nz]).max(axis=1).min()
-        # brute box is a lower-bound certificate only if the true shortest
-        # fits inside; LLL guarantees coordinates this small at d = 4
-        assert abs(x.shortest("euclid")[1] - brute_euclid) < 1e-9
-        assert abs(x.shortest("sup")[1] - brute_sup) < 1e-9
+        euclid = np.linalg.norm(vecs, axis=1)
+        assert abs(x.shortest("euclid")[1] - euclid.min()) < 1e-9
+        assert abs(x.shortest("sup")[1] - np.abs(vecs).max(axis=1).min()) < 1e-9
+        assert siegel_count(x, radius) == int(np.sum(euclid <= radius))
+        checked += 1
 
 
 def test_shortest_not_longer_than_any_reduced_vector():
