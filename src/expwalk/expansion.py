@@ -10,7 +10,9 @@ from the best samples), so a positive result is reported as
 The N-step words come from the one word-product engine in
 :mod:`expwalk.measures`, and :func:`_sphere_minimize` is the one sphere
 optimizer: the certificate minimizes the mean of log|gv|, the moment
-contraction estimate the mean of -|gv|^(-delta).
+contraction estimate the mean of -|gv|^(-delta).  Its descents run in
+lockstep as one batch (:func:`_nelder_mead_batch`), which reproduces
+scipy's Nelder-Mead bit for bit without its per-start Python loop.
 
 Also decides membership in the expanding cone of a block parabolic of
 sl_d via a small linear program, and checks a-expansion of the unipotent
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
+from scipy.optimize import minimize  # noqa: F401  unused; perfbench's tracer patches this name
 from scipy.special import ndtri
 
 from . import linalg
@@ -138,12 +141,112 @@ def _objective_factory(word_mats, word_wts, transform=np.log):
     return objective
 
 
+def _batch_objective_factory(word_mats, word_wts, transform, chunk):
+    """Rows of points -> :func:`_objective_factory` values, bit for bit.
+
+    Every step mirrors the scalar objective on one row: the norm is a
+    per-row dot, the images per-item matvecs and the weighting a per-row
+    dot, so each row goes through the same BLAS kernels.  At most ``chunk``
+    rows are evaluated per batched call, which bounds the rows x words x dim
+    image buffer.
+    """
+    wts_row = word_wts[None, None, :]
+
+    def objective(points):
+        out = np.full(len(points), 1e6)
+        for lo in range(0, len(points), chunk):
+            pts = points[lo : lo + chunk]
+            nrm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+            good = np.isfinite(nrm) & (nrm >= 1e-300)
+            u = pts[good] / nrm[good, None]
+            images = (word_mats[None] @ u[:, None, :, None])[..., 0]
+            vals = transform(np.linalg.norm(images, axis=-1))
+            out[lo : lo + chunk][good] = (wts_row @ vals[:, :, None])[:, 0, 0]
+        return out
+
+    return objective
+
+
+def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
+    """scipy's Nelder-Mead (non-adaptive, unbounded) from every row of ``x0`` at once.
+
+    The simplices of all starts are one (B, dim+1, dim) array; each
+    iteration advances every running start with at most three batched
+    objective calls (reflections, then expansions or contractions, then
+    shrink vertices).  ``objective`` maps (P, dim) points to P values.  A
+    start leaves the batch on scipy's convergence test or at ``maxiter``.
+    Returns (x, fun) per start, equal bit for bit to
+    ``scipy.optimize.minimize(..., method="Nelder-Mead")`` with the same
+    xatol, fatol and maxiter.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    b, n = x0.shape
+    diag = np.arange(n)
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt)
+    fsim = objective(sim.reshape(-1, n)).reshape(b, n + 1)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim, axis=1)
+        return (np.take_along_axis(sim, ind[:, :, None], axis=1),
+                np.take_along_axis(fsim, ind, axis=1))
+
+    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts the first simplex twice
+    x_out, f_out = np.empty((b, n)), np.empty(b)
+    ids = np.arange(b)
+    iterations = 1
+    while ids.size and iterations < maxiter:
+        done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            x_out[ids[done]] = sim[done, 0]
+            f_out[ids[done]] = fsim[done].min(axis=1)
+            ids, sim, fsim = ids[~done], sim[~done], fsim[~done]
+        worst = sim[:, -1]
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = objective(xr)
+
+        expand = fxr < fsim[:, 0]
+        accept_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~accept_r & (fxr < fsim[:, -1])
+        inside = ~expand & ~accept_r & ~outside
+        xe = (1 + rho * chi) * xbar - rho * chi * worst
+        xc = (1 + psi * rho) * xbar - psi * rho * worst
+        xcc = (1 - psi) * xbar + psi * worst
+        x2 = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
+        f2 = np.full(ids.size, np.nan)
+        f2[~accept_r] = objective(x2[~accept_r])
+
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        take_r = accept_r | (expand & ~take2)
+        shrink = (outside | inside) & ~take2
+        sim[take_r, -1], fsim[take_r, -1] = xr[take_r], fxr[take_r]
+        sim[take2, -1], fsim[take2, -1] = x2[take2], f2[take2]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + sigma * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = objective(s[:, 1:].reshape(-1, n)).reshape(-1, n)
+        iterations += 1
+        sim, fsim = ordered(sim, fsim)
+    x_out[ids] = sim[:, 0]
+    f_out[ids] = fsim.min(axis=1)
+    return x_out, f_out
+
+
 def _sphere_minimize(word_mats, word_wts, sphere_samples, n_descent, rng, transform=np.log):
     """Minimum over the unit sphere of the objective of :func:`_objective_factory`.
 
     The objective is evaluated on ``sphere_samples`` random directions in
-    one batch, then Nelder-Mead descends from the ``n_descent`` best.
-    Returns (minimum, unit witness direction).
+    one batch, then Nelder-Mead descends from the ``n_descent`` best, all
+    descents in lockstep (:func:`_nelder_mead_batch`, scipy's algorithm
+    bit for bit).  No batched call evaluates more than ``sphere_samples``
+    points, so the descents never outgrow the sample batch's memory.
+    Returns (minimum, unit witness direction); a descent replaces the
+    running best only when strictly lower, in sample order.
     """
     dim = word_mats.shape[-1]
     dirs = rng.normal(size=(sphere_samples, dim))
@@ -151,20 +254,15 @@ def _sphere_minimize(word_mats, word_wts, sphere_samples, n_descent, rng, transf
     images = np.einsum("wij,sj->wsi", word_mats, dirs)
     vals = word_wts @ transform(np.linalg.norm(images, axis=-1))
     order = np.argsort(vals)
-    objective = _objective_factory(word_mats, word_wts, transform)
+    objective = _batch_objective_factory(word_mats, word_wts, transform, sphere_samples)
+    xs, funs = _nelder_mead_batch(objective, dirs[order[:n_descent]], 1e-8, 1e-13, 300 * dim)
 
     best_val = float(vals[order[0]])
     best_v = dirs[order[0]]
-    for i in order[:n_descent]:
-        res = minimize(
-            objective,
-            dirs[i],
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-13, "maxiter": 300 * dim},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_v = np.asarray(res.x, dtype=float)
+    for x, fun in zip(xs, funs):
+        if fun < best_val:
+            best_val = float(fun)
+            best_v = x
     return best_val, best_v / np.linalg.norm(best_v)
 
 

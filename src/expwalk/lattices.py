@@ -72,8 +72,14 @@ class UnimodularLattice:
             if self.dim == 2:
                 n1 = float(np.hypot(b[0, 0], b[1, 0]))
                 r12 = float(b[:, 0] @ b[:, 1]) / n1
-                sq = float(b[:, 1] @ b[:, 1]) - r12 * r12
-                r22 = np.sqrt(max(sq, 0.0))
+                col = b[:, 1]
+                big = max(abs(col[0]), abs(col[1]))
+                if big < 9e153:  # |b_1|^2 stays below the float maximum
+                    r22 = np.sqrt(max(float(col @ col) - r12 * r12, 0.0))
+                else:  # square b_1 / 2^e instead; power-of-two scaling is exact
+                    e = int(np.frexp(big)[1])
+                    c, t = np.ldexp(col, -e), np.ldexp(r12, -e)
+                    r22 = np.ldexp(np.sqrt(max(float(c @ c) - t * t, 0.0)), e)
                 r = np.array([[n1, r12], [0.0, r22]])
             else:
                 _, r = np.linalg.qr(b)
@@ -381,12 +387,13 @@ def parse_observable(spec: str, height: HeightSpec | None = None):
         if height is None:
             raise ValueError("height observable requires a HeightSpec")
         return spec, lambda x: margulis_height(x, height)
-    if name == "mahler":
-        eps = float(arg)
-        return spec, lambda x: float(mahler_member(x, eps))
-    if name == "siegel":
-        radius = float(arg)
-        return spec, lambda x: float(siegel_count(x, radius))
+    if name in ("mahler", "siegel"):
+        value = float(arg)
+        if np.isnan(value):
+            raise ValueError(f"observable {spec!r}: argument is NaN")
+        if name == "mahler":
+            return spec, lambda x: float(mahler_member(x, value))
+        return spec, lambda x: float(siegel_count(x, value))
     if name == "shortest":
         norm = arg or "sup"
         return spec, lambda x: x.shortest(norm)[1]

@@ -97,6 +97,19 @@ def test_non_finite_config_numbers_are_exit_2(tmp_path, capsys, kind, params):
     assert not (tmp_path / "o.summary.json").exists()
 
 
+@pytest.mark.parametrize("observable", ["mahler:nan", "siegel:nan"])
+def test_nan_observable_argument_is_exit_2(tmp_path, capsys, observable):
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "n_steps": 5, "observables": [observable]}
+    cfg = write_config(
+        tmp_path, "nan", {"kind": "walk", "parameters": params, "output": str(tmp_path / "o")}
+    )
+    assert cli.main(["walk", "--config", cfg]) == 2
+    assert f"observable '{observable}': argument is NaN" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
 def test_unknown_parameter_is_exit_2(tmp_path):
     cfg = write_config(
         tmp_path,

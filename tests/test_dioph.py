@@ -63,6 +63,12 @@ def test_flow_zero_matrix_is_exact_exponential():
     assert np.abs(tr.minima - np.exp(-tr.t_grid)).max() < 1e-9
 
 
+def test_flow_zero_matrix_deep_cusp_past_square_overflow():
+    # at t=360 the long reduced basis vector e^t has a square past the float range
+    tr = flow_trace(0.0, UNIT, 360.0, dt=1.0)
+    assert np.all(np.abs(tr.minima / np.exp(-tr.t_grid) - 1.0) < 1e-12)
+
+
 def test_flow_golden_stays_compact():
     tr = flow_trace(GOLDEN_STR, UNIT, 30.0, dt=0.05)
     assert tr.inf_minima >= 0.4

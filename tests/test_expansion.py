@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from expwalk import catalog
 from expwalk.expansion import (
@@ -10,6 +11,8 @@ from expwalk.expansion import (
     expansion_certificate,
     fk_exponent_estimate,
     relative_expansion_sweep,
+    _batch_objective_factory,
+    _nelder_mead_batch,
     _objective_factory,
 )
 from expwalk.measures import ConvolutionCapError, GroupMeasure
@@ -65,6 +68,48 @@ def test_certificate_objective_scale_invariant_exactly():
         v = rng.normal(size=2)
         assert f(v) == f(2.0 * v)
         assert f(v) == f(0.25 * v)
+
+
+def _moment(norms):
+    return -(norms ** (-0.3))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6, 15])
+@pytest.mark.parametrize("transform", [np.log, _moment], ids=["log", "moment"])
+def test_nelder_mead_batch_matches_scipy_bit_for_bit(dim, transform):
+    rng = np.random.default_rng(dim)
+    n_words = 5 if dim == 15 else 12
+    word_mats = rng.normal(size=(n_words, dim, dim))
+    word_wts = rng.dirichlet(np.ones(n_words))
+    x0 = rng.normal(size=(4, dim))
+    x0[1, dim // 2] = 0.0  # initial simplex takes scipy's zdelt step there
+    options = {"xatol": 1e-8, "fatol": 1e-13, "maxiter": 300 * dim}
+
+    scalar = _objective_factory(word_mats, word_wts, transform)
+    batch = _batch_objective_factory(word_mats, word_wts, transform, chunk=7)
+    points = np.vstack([x0, np.zeros(dim), np.full(dim, np.nan)])
+    assert batch(points).tolist() == [scalar(p) for p in points]
+
+    xs, funs = _nelder_mead_batch(batch, x0, *options.values())
+    shrinks = 0
+    for x, fun, start in zip(xs, funs, x0):
+        evals = [0]
+
+        def counted(v):
+            evals[0] += 1
+            return scalar(v)
+
+        per_iter = []
+        res = minimize(
+            counted, start, method="Nelder-Mead", options=options,
+            callback=lambda _: per_iter.append(evals[0]),
+        )
+        assert x.tobytes() == np.asarray(res.x).tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        # more than two evaluations in one iteration means a shrink step
+        shrinks += int(np.any(np.diff(per_iter) > 2))
+    if dim < 15:  # these descents reach the shrink step; the 15-dim ones do not
+        assert shrinks > 0
 
 
 def test_monte_carlo_certificate_confidence_invariant():

@@ -33,6 +33,20 @@ FIVE_MC_8 = (
     "[-5.57496922271004e-07, -1.316244524130026e-06, -1.0791299251365174e-05, "
     "0.9999999999407522]",
 )
+# 15-dimensional adjoint, every Nelder-Mead start runs to maxiter
+FIVE_ADJ_EXACT_1 = (
+    "-0.48315524142061533",
+    "[0.0005258186098152647, 0.00012561571046261464, -3.8190494857525324e-05, "
+    "-2.9275303621320996e-06, -6.677102293109703e-05, -1.5794759108013548e-05, "
+    "-0.02887553211143863, -0.019955994819733577, -0.000851443508424597, "
+    "0.8283230028498225, 0.5569548902222872, 0.048688478320314456, "
+    "0.0006390577626931695, -0.008833246010285598, -0.000434944623573681]",
+)
+FIVE_WEDGE2_MC_2 = (
+    "-0.48585227171738",
+    "[-0.008926349044479706, 0.041781745610741855, -0.514129266704971, "
+    "-0.0641105054499156, 0.8339447533274035, -0.18512615869324453]",
+)
 MOMENT = {
     1: ("1.1423783917163095", "[0.5525171276010225, -0.8335015439142963]"),
     4: ("0.9090686788382106", "[0.850586287430911, -0.5258354948408291]"),
@@ -83,6 +97,16 @@ def test_five_generator_certificates_golden():
         mu, "std", N=8, mode="mc", mc_words=100, sphere_samples=200, seed=0
     )
     assert _reprs(cert.C_lower, cert.witness) == FIVE_MC_8
+
+
+def test_five_generator_adjoint_and_wedge_certificates_golden():
+    mu = catalog.sl4_five_generator_measure()
+    cert = expansion_certificate(mu, "adj", N=1, mode="exact", sphere_samples=100, seed=0)
+    assert _reprs(cert.C_lower, cert.witness) == FIVE_ADJ_EXACT_1
+    cert = expansion_certificate(
+        mu, "wedge:2", N=2, mode="mc", mc_words=40, sphere_samples=100, seed=0
+    )
+    assert _reprs(cert.C_lower, cert.witness) == FIVE_WEDGE2_MC_2
 
 
 def test_moment_contraction_golden():
