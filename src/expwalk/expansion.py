@@ -284,6 +284,8 @@ def certificate_from_rep_atoms(
     weights = np.asarray(weights, dtype=float)
     if N < 1:
         raise ValueError("word length N must be at least 1")
+    if sphere_samples < 1:
+        raise ValueError("sphere_samples must be at least 1")
     word_mats, word_wts, exact = _word_products(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
     )
@@ -355,6 +357,8 @@ def moment_contraction_estimate(
     """
     if delta <= 0.0:
         raise ValueError("moment exponent delta must be positive")
+    if sphere_samples < 1:
+        raise ValueError("sphere_samples must be at least 1")
     rep_atoms = np.array([rep_matrix(rep, g) for g in mu.matrices])
     word_mats, word_wts, _ = _word_products(
         rep_atoms, mu.weights, N, mode, cap, mc_words, substream(seed, 2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import ceil, floor, sqrt
+from math import ceil, floor, frexp, ldexp, sqrt
 
 import numpy as np
 
@@ -72,14 +72,10 @@ class UnimodularLattice:
             if self.dim == 2:
                 n1 = float(np.hypot(b[0, 0], b[1, 0]))
                 r12 = float(b[:, 0] @ b[:, 1]) / n1
-                col = b[:, 1]
-                big = max(abs(col[0]), abs(col[1]))
-                if big < 9e153:  # |b_1|^2 stays below the float maximum
-                    r22 = np.sqrt(max(float(col @ col) - r12 * r12, 0.0))
-                else:  # square b_1 / 2^e instead; power-of-two scaling is exact
-                    e = int(np.frexp(big)[1])
-                    c, t = np.ldexp(col, -e), np.ldexp(r12, -e)
-                    r22 = np.ldexp(np.sqrt(max(float(c @ c) - t * t, 0.0)), e)
+                # square b_1 / 2^e so |b_1|^2 cannot overflow; the scaling is exact
+                e = frexp(max(abs(b[0, 1]), abs(b[1, 1])))[1]
+                c, t = np.ldexp(b[:, 1], -e), ldexp(r12, -e)
+                r22 = ldexp(sqrt(max(float(c @ c) - t * t, 0.0)), e)
                 r = np.array([[n1, r12], [0.0, r22]])
             else:
                 _, r = np.linalg.qr(b)

@@ -347,6 +347,21 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "w2.data.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_expand_cert_without_sphere_samples_is_exit_2(tmp_path, capsys, samples):
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    doc = {
+        "kind": "expand-cert",
+        "parameters": {"measure": str(mpath), "N": 1, "sphere_samples": samples},
+        "output": str(tmp_path / "o"),
+    }
+    cfg = write_config(tmp_path, "samples", doc)
+    assert cli.main(["expand-cert", "--config", cfg]) == 2
+    assert "sphere_samples must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
 def test_expand_cert_exact_cap_is_numerical_failure(tmp_path):
     mpath = tmp_path / "pair.json"
     save_measure(catalog.positive_pair_sl2(), str(mpath))

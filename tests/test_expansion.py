@@ -259,6 +259,8 @@ def test_moment_contraction_positive_pair():
     assert ratios[-1] < 1.0
     with pytest.raises(ValueError, match="unknown mode"):
         moment_contraction_estimate(mu, "std", delta=0.3, N=2, mode="exakt")
+    with pytest.raises(ValueError, match="sphere_samples must be at least 1"):
+        moment_contraction_estimate(mu, "std", delta=0.3, N=2, sphere_samples=0)
     # the identity walk cannot contract any moment
     flat, _ = moment_contraction_estimate(
         GroupMeasure.dirac(np.eye(2)), "std", delta=0.3, N=4, seed=0
