@@ -30,7 +30,7 @@ from .dioph import (
     flow_trace,
     fractal_experiment,
 )
-from .expansion import ConeSpec, expanding_cone_membership, expansion_certificate
+from .expansion import ConeSpec, ExpansionFailure, expanding_cone_membership, expansion_certificate
 from .fractal import (
     CodingDepthError,
     ifs_from_dict,
@@ -84,6 +84,7 @@ NUMERICAL_ERRORS = (
     CodingDepthError,
     ConvolutionCapError,
     SearchCapError,
+    ExpansionFailure,
     np.linalg.LinAlgError,
 )
 

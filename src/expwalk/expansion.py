@@ -35,6 +35,11 @@ from .rng import substream
 CONE_TOL = 1e-9
 
 
+class ExpansionFailure(RuntimeError):
+    """Numerical trouble: a non-finite certificate bound, or a cone LP that
+    does not solve."""
+
+
 def _rep_label(rep) -> str:
     if isinstance(rep, str):
         return rep
@@ -114,7 +119,7 @@ class ExpansionCertificate:
         if (self.mode == "exact") != (self.confidence == 1.0):
             raise ValueError("mode=exact iff confidence=1")
         if not np.isfinite(self.C_lower):
-            raise ValueError("certificate bound must be finite")
+            raise ExpansionFailure("certificate bound must be finite")
 
     @property
     def passed(self) -> bool:
@@ -286,6 +291,8 @@ def certificate_from_rep_atoms(
         raise ValueError("word length N must be at least 1")
     if sphere_samples < 1:
         raise ValueError("sphere_samples must be at least 1")
+    if mc_words < 2:  # the Monte-Carlo bound needs a standard error
+        raise ValueError("mc_words must be at least 2")
     word_mats, word_wts, exact = _word_products(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
     )
@@ -546,7 +553,7 @@ def expanding_cone_membership(
         method="highs",
     )
     if res.status != 0:
-        raise RuntimeError(f"cone LP did not solve: {res.message}")
+        raise ExpansionFailure(f"cone LP did not solve: {res.message}")
     tau = float(res.x[p])
     if tau > tol:
         coeffs = {pair: float(t) for pair, t in zip(pairs, res.x[:p])}

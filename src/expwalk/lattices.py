@@ -15,12 +15,24 @@ enumerator on the cached R-factor of the reduced basis, in every
 dimension.  Its node cap counts integer coordinates visited at every
 level, leaves included: each level's whole range is charged before it is
 walked, so a range past the cap (deep in the cusp) fails at once.
+
+Reduction is one scalar LLL kernel for every dimension, on Python floats
+and ints (numpy's per-call overhead dominates on 2x2 to 4x4 bases).  It
+keeps to three rules so that its results do not depend on how numpy or
+the Python version sums: dots accumulate left to right (``s += a * b``,
+never ``sum()``, which compensates from Python 3.12 on), coefficients
+round half to even (``round``, like ``np.rint``), and the Lovasz test
+squares with ``m ** 2`` (C ``pow``, like numpy's scalar power, which can
+differ from ``m * m`` in the last bit).  The height reads a plan cached
+per (spec, d): grade exponents and stacked subset indices, so one call
+is one Gram product and one batched determinant per grade.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from math import ceil, floor, frexp, ldexp, sqrt
+from math import ceil, floor, frexp, isfinite, ldexp, sqrt
 
 import numpy as np
 
@@ -93,21 +105,29 @@ def standard_lattice(d: int) -> UnimodularLattice:
     return UnimodularLattice(eye, eye.copy(), np.eye(d, dtype=np.int64))
 
 
-def _gso(b: np.ndarray):
-    d = b.shape[1]
-    q = np.zeros_like(b)
-    mu = np.zeros((d, d))
-    norms = np.zeros(d)
-    for i in range(d):
-        v = b[:, i].copy()
-        for j in range(i):
-            mu[i, j] = (b[:, i] @ q[:, j]) / norms[j]
-            v -= mu[i, j] * q[:, j]
-        q[:, i] = v
-        norms[i] = v @ v
-        if norms[i] <= 0.0 or not np.isfinite(norms[i]):
+def _gso(cols):
+    """Gram-Schmidt coefficients (row i holds mu_ij, j < i) and squared
+    norms of the columns."""
+    q, mu, norms = [], [], []
+    for b in cols:
+        v = b
+        row = []
+        for qj, nj in zip(q, norms):
+            s = 0.0
+            for bk, qk in zip(b, qj):
+                s += bk * qk
+            m = s / nj
+            row.append(m)
+            v = [vk - m * qk for vk, qk in zip(v, qj)]
+        s = 0.0
+        for vk in v:
+            s += vk * vk
+        if s <= 0.0 or not isfinite(s):
             raise ConditioningError("Gram-Schmidt collapsed; basis near-singular")
-    return q, mu, norms
+        q.append(v)
+        mu.append(row)
+        norms.append(s)
+    return mu, norms
 
 
 def lll_reduce(
@@ -121,6 +141,13 @@ def lll_reduce(
     floating determinant of an ill-conditioned (deep cusp) basis is too
     noisy to validate against, and repeated renormalization by a noisy
     determinant would corrupt the lattice.
+
+    The scalar kernel (module docstring) holds float-list columns and a
+    Python-int transform, returned as int64 or, past int64 deep in the
+    cusp, as object integers; Gram-Schmidt data is recomputed on each swap.
+    BLAS dots may fuse multiply-adds, so numpy's Gram-Schmidt data can
+    differ in the last bit; that moves the reduced basis only if a
+    coefficient rounds within it of a half-integer or the Lovasz test ties.
     """
     b = as_square(basis)
     d = b.shape[0]
@@ -132,10 +159,11 @@ def lll_reduce(
             raise ValueError(f"basis determinant {det!r} is not within {det_tol} of +-1")
         b = b / abs(det) ** (1.0 / d)
 
-    work = b.copy()
-    # exact big-int transform: multipliers can exceed int64 deep in the cusp
-    t = np.eye(d, dtype=object)
-    q, mu, norms = _gso(work)
+    cols = b.T.tolist()
+    t = [[0] * d for _ in range(d)]  # columns of the transform
+    for j in range(d):
+        t[j][j] = 1
+    mu, norms = _gso(cols)
     k = 1
     iterations = 0
     max_iterations = 10_000 * d * d
@@ -143,27 +171,32 @@ def lll_reduce(
         iterations += 1
         if iterations > max_iterations:
             raise ConditioningError("LLL failed to terminate; basis ill-conditioned")
+        ck, tk, mk = cols[k], t[k], mu[k]
         for j in range(k - 1, -1, -1):
-            if not np.isfinite(mu[k, j]):
-                raise ConditioningError("non-finite Gram-Schmidt coefficient")
-            r = int(np.rint(mu[k, j]))
-            if r != 0:
-                work[:, k] -= r * work[:, j]
-                t[:, k] -= r * t[:, j]
-                mu[k, :j] -= r * mu[j, :j]
-                mu[k, j] -= r
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            try:
+                r = round(mk[j])
+            except (OverflowError, ValueError):  # inf or nan
+                raise ConditioningError("non-finite Gram-Schmidt coefficient") from None
+            if r:
+                cj, tj, mj = cols[j], t[j], mu[j]
+                for i in range(d):
+                    ck[i] -= r * cj[i]
+                    tk[i] -= r * tj[i]
+                for i in range(j):
+                    mk[i] -= r * mj[i]
+                mk[j] -= r
+        if norms[k] >= (delta - mk[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
-            work[:, [k - 1, k]] = work[:, [k, k - 1]]
-            t[:, [k - 1, k]] = t[:, [k, k - 1]]
-            q, mu, norms = _gso(work)
+            cols[k - 1], cols[k] = ck, cols[k - 1]
+            t[k - 1], t[k] = tk, t[k - 1]
+            mu, norms = _gso(cols)
             k = max(k - 1, 1)
     try:
-        t = t.astype(np.int64)
+        transform = np.array(t, dtype=np.int64).T
     except OverflowError:
-        pass  # keep exact object integers for extreme transforms
-    return UnimodularLattice(basis=b, reduced=work, transform=t)
+        transform = np.array(t, dtype=object).T  # multipliers past int64 deep in the cusp
+    return UnimodularLattice(basis=b, reduced=np.array(cols).T.copy(), transform=transform)
 
 
 def _enumerate(r: np.ndarray, radius: float, cap: int, rows: bool):
@@ -334,18 +367,36 @@ class HeightSpec:
         return delta_i.astype(float), delta_lambda
 
 
-def _subset_phis(x: UnimodularLattice, spec: HeightSpec):
-    """Yield (subset, grade, phi) over the proper nonempty basis subsets."""
-    d = x.dim
+@lru_cache(maxsize=64)
+def _height_plan(spec: HeightSpec, d: int):
+    """Per grade i = 1..d-1: (i, subsets, row index, column index,
+    epsilon^(delta_i / delta_lambda_i), -1 / (2 delta_lambda_i))."""
     delta_i, delta_lambda = spec.grade_exponents(d)
-    gram = x.reduced.T @ x.reduced
+    plan = []
     for i in range(1, d):
-        expo_eps = delta_i[i - 1] / delta_lambda[i - 1]
-        expo_norm = -1.0 / delta_lambda[i - 1]
-        for subset in combinations(range(d), i):
-            gram_det = float(np.linalg.det(gram[np.ix_(subset, subset)]))
-            gram_det = max(gram_det, 1e-300)  # roundoff guard near degeneracy
-            yield subset, i, spec.epsilon**expo_eps * gram_det ** (0.5 * expo_norm)
+        subsets = list(combinations(range(d), i))
+        idx = np.array(subsets)
+        eps_factor = float(spec.epsilon ** (delta_i[i - 1] / delta_lambda[i - 1]))
+        half_expo = float(0.5 * (-1.0 / delta_lambda[i - 1]))
+        plan.append((i, subsets, idx[:, :, None], idx[:, None, :], eps_factor, half_expo))
+    return plan
+
+
+def _grade_phis(x: UnimodularLattice, spec: HeightSpec):
+    """Yield (grade, subsets, phis) over the proper nonempty basis subsets.
+
+    Powers are scalar C ``pow``: numpy's vectorized power can differ in the
+    last bit from the scalar power the height has always used.
+    """
+    gram = x.reduced.T @ x.reduced
+    for i, subsets, rows, cols, eps_factor, half_expo in _height_plan(spec, x.dim):
+        # max(): roundoff guard near degeneracy
+        dets = [max(g, 1e-300) for g in np.linalg.det(gram[rows, cols]).tolist()]
+        try:
+            phis = [eps_factor * g**half_expo for g in dets]
+        except OverflowError:  # numpy's scalar power gives inf past the float range
+            phis = [float(eps_factor * np.float64(g) ** half_expo) for g in dets]
+        yield i, subsets, phis
 
 
 def margulis_height(x: UnimodularLattice, spec: HeightSpec) -> float:
@@ -358,17 +409,21 @@ def margulis_height(x: UnimodularLattice, spec: HeightSpec) -> float:
     no nonzero monomial in an intermediate grade is fixed by the group.
     """
     best = 0.0
-    for _, _, phi in _subset_phis(x, spec):
-        if phi > best:
-            best = phi
-    return float(best**spec.delta)
+    for _, _, phis in _grade_phis(x, spec):
+        for phi in phis:
+            if phi > best:
+                best = phi
+    return best**spec.delta
 
 
 def margulis_height_profile(x: UnimodularLattice, spec: HeightSpec):
     """Per-subset contributions to the height: rows (subset, grade, phi)."""
-    rows = list(_subset_phis(x, spec))
-    labels = np.array(["+".join(str(s) for s in subset) for subset, _, _ in rows])
-    return labels, np.array([i for _, i, _ in rows]), np.array([phi for _, _, phi in rows])
+    labels, grades, values = [], [], []
+    for i, subsets, phis in _grade_phis(x, spec):
+        labels += ["+".join(str(s) for s in subset) for subset in subsets]
+        grades += [i] * len(subsets)
+        values += phis
+    return np.array(labels), np.array(grades), np.array(values)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def as_square(g) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("matrix entries must be finite")
     return g
 

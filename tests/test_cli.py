@@ -375,3 +375,64 @@ def test_expand_cert_exact_cap_is_numerical_failure(tmp_path):
     summary = json.loads((tmp_path / "cap.summary.json").read_text())
     assert summary["error"].startswith("expand-cert: ConvolutionCapError: 2^30 products")
     assert not (tmp_path / "cap.data.csv").exists()
+
+
+@pytest.mark.parametrize("words", [1, 0])
+def test_expand_cert_with_too_few_mc_words_is_exit_2(tmp_path, capsys, words):
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    doc = {
+        "kind": "expand-cert",
+        "parameters": {"measure": str(mpath), "N": 1, "mode": "mc", "mc_words": words},
+        "output": str(tmp_path / "o"),
+    }
+    cfg = write_config(tmp_path, "words", doc)
+    assert cli.main(["expand-cert", "--config", cfg]) == 2
+    assert "mc_words must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_expand_cert_non_finite_bound_is_numerical_failure(tmp_path, mode):
+    # two-letter words of diag(1e200, 1e-200) overflow, so the bound is not finite
+    atoms = [np.diag([1e200, 1e-200]), np.diag([1e-200, 1e200])]
+    measure = {
+        "dim": 2,
+        "atoms": [{"matrix": g.ravel().tolist(), "weight": 0.5} for g in atoms],
+    }
+    doc = {
+        "kind": "expand-cert",
+        "parameters": {"measure": measure, "N": 2, "mode": mode, "mc_words": 10,
+                       "sphere_samples": 20},
+        "output": str(tmp_path / "nf"),
+    }
+    cfg = write_config(tmp_path, "nf", doc)
+    assert cli.main(["expand-cert", "--config", cfg]) == 3
+    summary = json.loads((tmp_path / "nf.summary.json").read_text())
+    assert summary["error"] == "expand-cert: ExpansionFailure: certificate bound must be finite"
+    assert not (tmp_path / "nf.data.csv").exists()
+
+
+def test_cone_lp_failure_is_numerical_failure(tmp_path, monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    from expwalk import expansion
+
+    monkeypatch.setattr(
+        expansion,
+        "linprog",
+        lambda *a, **k: OptimizeResult(status=2, message="The problem is infeasible."),
+    )
+    doc = {
+        "kind": "cone",
+        "parameters": {"blocks": [2, 2], "logs": [1, 1, -1, -1]},
+        "output": str(tmp_path / "lp"),
+    }
+    cfg = write_config(tmp_path, "lp", doc)
+    assert cli.main(["cone", "--config", cfg]) == 3
+    summary = json.loads((tmp_path / "lp.summary.json").read_text())
+    assert summary["error"] == (
+        "cone: ExpansionFailure: cone LP did not solve: The problem is infeasible."
+    )
+    assert not (tmp_path / "lp.data.csv").exists()

@@ -1,9 +1,12 @@
 """Certificate, moment and lattice outputs pinned to their exact float reprs.
 
 Any change to word products, merging, the sphere optimizer, lattice
-enumeration or the random substreams that moves a bit of these values
-fails here.
+reduction or enumeration, the height or the random substreams that moves a
+bit of these values fails here.  Long per-step series are pinned by the
+SHA-256 of their reprs, with their final running averages spelled out.
 """
+import hashlib
+
 import numpy as np
 
 from expwalk import catalog
@@ -11,7 +14,13 @@ from expwalk.dioph import flow_trace
 from expwalk.expansion import expansion_certificate, moment_contraction_estimate
 from expwalk.fractal import coding_sample
 from expwalk.kau import WeightPair
-from expwalk.lattices import lll_reduce, walk_simulate
+from expwalk.lattices import (
+    HeightSpec,
+    lll_reduce,
+    parse_observable,
+    recurrence_experiment,
+    walk_simulate,
+)
 
 PAIR_EXACT = {
     1: ("-0.40235947810852535", "[-0.5661223413064432, 0.8243212326961563]"),
@@ -138,3 +147,72 @@ def test_five_generator_walk_euclid_systoles_golden():
         catalog.sl4_five_generator_measure(), x0, 20, ["shortest:euclid"], seed=0
     )
     assert _repr_list(rec.values["shortest:euclid"]) == _repr_list(FIVE_WALK_EUCLID)
+
+
+# 200 positive-pair steps from a random SL2(R) start, seed 7
+PAIR_WALK_DIGEST = "24fa6d78c5242ea51740abe5c570eaba3c7ee33e1400cd589c6d241720d6e321"
+PAIR_WALK_FINAL = {"siegel:3.0": "27.22", "shortest:sup": "0.6717021948089013", "mahler:0.3": "0.975"}
+# 50 five-generator steps (height eps 0.1, delta 0.3), seed 1
+FIVE_WALK_DIGEST = "45c2979a8a9d52d819c3d4cfc120254d291dfd2c333212473122f2605e145f2b"
+FIVE_WALK_FINAL = {"height": "0.2793405650599286", "shortest:euclid": "0.6633859524152729"}
+# positive pair from diag(1e8, 1e-8), m = 13 (the Monte-Carlo averaged height)
+RECUR_FIT = ("0.5006571631538146", "0.4150185934988627", "56.675233490321865")
+RECUR_FIT_DIGEST = "84a7c71e32054368186938d7d4de6badc8e238502b4748cc39b96a6732c79c16"
+RECUR_ENTRIES = [(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0), (12, 1.0), (16, 1.0)]
+
+
+def _walk_digest(rec):
+    text = "\n".join(
+        f"{name} {float(v)!r} {float(r)!r}"
+        for name in rec.values
+        for v, r in zip(rec.values[name], rec.running[name])
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _final_running(rec):
+    return {name: repr(float(run[-1])) for name, run in rec.running.items()}
+
+
+def test_pair_walk_golden():
+    rng = np.random.default_rng(2024)
+    theta, a, u = rng.uniform(0, np.pi), np.exp(rng.uniform(-1, 1)), rng.uniform()
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    x0 = lll_reduce(rot @ np.diag([a, 1 / a]) @ np.array([[1.0, u], [0.0, 1.0]]))
+    rec = walk_simulate(
+        catalog.positive_pair_sl2(), x0, 200, ["siegel:3.0", "shortest:sup", "mahler:0.3"], seed=7
+    )
+    assert _final_running(rec) == PAIR_WALK_FINAL
+    assert _walk_digest(rec) == PAIR_WALK_DIGEST
+
+
+def test_five_generator_height_walk_golden():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    c = rng.uniform(-0.5, 0.5, size=4)
+    x0 = lll_reduce(q @ np.diag(np.exp(c - c.mean())))
+    height = parse_observable("height", HeightSpec(0.1, 0.3))
+    rec = walk_simulate(
+        catalog.sl4_five_generator_measure(), x0, 50, [height, "shortest:euclid"], seed=1
+    )
+    assert _final_running(rec) == FIVE_WALK_FINAL
+    assert _walk_digest(rec) == FIVE_WALK_DIGEST
+
+
+def test_recurrence_golden():
+    table = recurrence_experiment(
+        catalog.positive_pair_sl2(),
+        HeightSpec(0.1, 0.3),
+        0.1,
+        lll_reduce(np.diag([1e8, 1e-8])),
+        [1, 2, 4, 8, 12, 16],
+        mc_trials=20,
+        seed=4,
+        m=13,
+        sample_points=30,
+    )
+    fit = table.fit
+    assert (repr(fit.a_hat), repr(fit.b_hat), repr(table.level)) == RECUR_FIT
+    series = repr([fit.beta.tolist(), fit.averaged.tolist(), fit.stderr.tolist()])
+    assert hashlib.sha256(series.encode()).hexdigest() == RECUR_FIT_DIGEST
+    assert table.entries == RECUR_ENTRIES
