@@ -2,12 +2,13 @@
 
 Usage, from the root of a checkout::
 
-    python3 scripts/bench_kernels.py --out BENCH_<n>.json [--repeats 7]
+    python3 scripts/bench_kernels.py --out BENCH_<n>.json
 
 Imports ``expwalk`` from this checkout's ``src``.  Every kernel runs over a
 fixed list of inputs taken from seeded walks and flows (the bases real runs
 hand to it); one repeat times the whole list with ``time.perf_counter``, and
-the per-call time is the fastest repeat divided by the list length.  The
+the per-call time is the fastest of ``REPEATS`` repeats divided by the list
+length.  The
 JSON file holds the machine, the library versions and, per kernel, the
 per-call microseconds and the number of calls per repeat; a table is
 printed as well.
@@ -40,6 +41,7 @@ from expwalk.lattices import (  # noqa: E402
 
 WALK_OBSERVABLES = ["siegel:3.0", "shortest:sup", "mahler:0.3"]
 HEIGHT = HeightSpec(0.1, 0.3)
+REPEATS = 7
 
 
 def _random_start(rng, d):
@@ -77,9 +79,9 @@ def _fresh(lats):
     return [UnimodularLattice(x.basis, x.reduced, x.transform) for x in lats]
 
 
-def _time(fn, inputs, repeats, fresh=False):
+def _time(fn, inputs, fresh=False):
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         args = _fresh(inputs) if fresh else inputs
         t0 = time.perf_counter()
         for a in args:
@@ -107,10 +109,7 @@ def _machine():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     pair, five = catalog.positive_pair_sl2(), catalog.sl4_five_generator_measure()
     in2 = _walk_inputs(pair, 2, 2000, seed=0)
@@ -136,12 +135,12 @@ def main(argv=None) -> int:
     ]
     kernels = {}
     for name, fn, inputs, fresh, per_input in rows:
-        per_call = _time(fn, inputs, args.repeats, fresh) / per_input
+        per_call = _time(fn, inputs, fresh) / per_input
         kernels[name] = {"per_call_us": round(per_call * 1e6, 3), "calls": len(inputs) * per_input}
         print(f"{name:20s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
     doc = {
         "machine": _machine(),
-        "method": f"min over {args.repeats} repeats of the whole input list, per call",
+        "method": f"min over {REPEATS} repeats of the whole input list, per call",
         "kernels": kernels,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

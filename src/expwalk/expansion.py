@@ -291,7 +291,7 @@ def certificate_from_rep_atoms(
         raise ValueError("word length N must be at least 1")
     if sphere_samples < 1:
         raise ValueError("sphere_samples must be at least 1")
-    if mc_words < 2:  # the Monte-Carlo bound needs a standard error
+    if mode != "exact" and mc_words < 2:  # the Monte-Carlo bound needs a standard error
         raise ValueError("mc_words must be at least 2")
     word_mats, word_wts, exact = _word_products(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)

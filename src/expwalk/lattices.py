@@ -36,7 +36,7 @@ from math import ceil, floor, frexp, isfinite, ldexp, sqrt
 
 import numpy as np
 
-from .linalg import as_square, weyl_interior_vector
+from .linalg import weyl_interior_vector
 from .measures import GroupMeasure, ConvolutionCapError, convolution_support, sample_indices
 from .rng import substream
 
@@ -149,8 +149,15 @@ def lll_reduce(
     differ in the last bit; that moves the reduced basis only if a
     coefficient rounds within it of a half-integer or the Lovasz test ties.
     """
-    b = as_square(basis)
-    d = b.shape[0]
+    b = np.asarray(basis, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {b.shape}")
+    cols = b.T.tolist()
+    for col in cols:  # the checks of linalg.as_square, on the floats reduced below
+        for v in col:
+            if not isfinite(v):
+                raise ValueError("matrix entries must be finite")
+    d = len(cols)
     if renormalize:
         det = np.linalg.det(b)
         if abs(det) <= 1e-12:
@@ -158,8 +165,8 @@ def lll_reduce(
         if abs(abs(det) - 1.0) >= det_tol:
             raise ValueError(f"basis determinant {det!r} is not within {det_tol} of +-1")
         b = b / abs(det) ** (1.0 / d)
+        cols = b.T.tolist()
 
-    cols = b.T.tolist()
     t = [[0] * d for _ in range(d)]  # columns of the transform
     for j in range(d):
         t[j][j] = 1
@@ -196,7 +203,8 @@ def lll_reduce(
         transform = np.array(t, dtype=np.int64).T
     except OverflowError:
         transform = np.array(t, dtype=object).T  # multipliers past int64 deep in the cusp
-    return UnimodularLattice(basis=b, reduced=np.array(cols).T.copy(), transform=transform)
+    reduced = np.array(cols, order="F").T  # C-contiguous
+    return UnimodularLattice(basis=b, reduced=reduced, transform=transform)
 
 
 def _enumerate(r: np.ndarray, radius: float, cap: int, rows: bool):

@@ -392,6 +392,21 @@ def test_expand_cert_with_too_few_mc_words_is_exit_2(tmp_path, capsys, words):
     assert not (tmp_path / "o.summary.json").exists()
 
 
+def test_exact_expand_cert_ignores_mc_words(tmp_path):
+    # exact mode draws no Monte-Carlo words, so mc_words is not read
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    doc = {
+        "kind": "expand-cert",
+        "parameters": {"measure": str(mpath), "N": 1, "mode": "exact", "mc_words": 1,
+                       "sphere_samples": 50},
+        "output": str(tmp_path / "o"),
+    }
+    cfg = write_config(tmp_path, "exact", doc)
+    assert cli.main(["expand-cert", "--config", cfg]) == 0
+    assert json.loads((tmp_path / "o.summary.json").read_text())["mode"] == "exact"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 def test_expand_cert_non_finite_bound_is_numerical_failure(tmp_path, mode):

@@ -183,6 +183,27 @@ def test_lll_object_transform_matches_numpy_reference():
     _assert_same(new, ref)
 
 
+@pytest.mark.parametrize("renormalize", [True, False])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lll_rejects_non_finite_entries_like_as_square(renormalize, bad):
+    for d in (2, 3):
+        for i in range(d * d):
+            basis = np.eye(d)
+            basis.flat[i] = bad
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                as_square(basis)
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                lll_reduce(basis, renormalize=renormalize)
+
+
+@pytest.mark.parametrize("basis", [np.ones(3), np.ones((2, 3)), [[1.0, 0.0]], 1.0])
+def test_lll_rejects_non_square_input_like_as_square(basis):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        as_square(basis)
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        lll_reduce(basis)
+
+
 def _lattices_for_heights(d, count, seed):
     rng = np.random.default_rng(seed)
     out = []
