@@ -1,17 +1,17 @@
-"""Per-call times of the lattice kernels on seeded inputs.
+"""Per-call times of the lattice, flow and representation kernels on seeded inputs.
 
 Usage, from the root of a checkout::
 
     python3 scripts/bench_kernels.py --out BENCH_<n>.json
 
 Imports ``expwalk`` from this checkout's ``src``.  Every kernel runs over a
-fixed list of inputs taken from seeded walks and flows (the bases real runs
-hand to it); one repeat times the whole list with ``time.perf_counter``, and
-the per-call time is the fastest of ``REPEATS`` repeats divided by the list
-length.  The
-JSON file holds the machine, the library versions and, per kernel, the
-per-call microseconds and the number of calls per repeat; a table is
-printed as well.
+fixed list of inputs: bases taken from seeded walks and flows (the bases
+real runs hand to it), carpet points for the flow, and seeded Gaussian
+matrices for the representations.  One repeat times the whole list with
+``time.perf_counter``, and the per-call time is the fastest of ``REPEATS``
+repeats divided by the list length.  The JSON file holds the machine, the
+library versions and, per kernel, the per-call microseconds and the number
+of calls per repeat; a table is printed as well.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from expwalk import catalog  # noqa: E402
+from expwalk.dioph import flow_trace  # noqa: E402
 from expwalk.fractal import coding_sample  # noqa: E402
 from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
 from expwalk.lattices import (  # noqa: E402
@@ -35,9 +36,11 @@ from expwalk.lattices import (  # noqa: E402
     UnimodularLattice,
     lll_reduce,
     margulis_height,
+    shortest_vector,
     siegel_count,
     walk_simulate,
 )
+from expwalk.linalg import adjoint_rep, wedge_power  # noqa: E402
 
 WALK_OBSERVABLES = ["siegel:3.0", "shortest:sup", "mahler:0.3"]
 HEIGHT = HeightSpec(0.1, 0.3)
@@ -116,13 +119,23 @@ def main(argv=None) -> int:
     in3 = _carpet_inputs(400, seed=3)
     in4 = _walk_inputs(five, 4, 500, seed=1)
     lat2 = [lll_reduce(b, renormalize=False) for b in in2]
+    lat3 = [lll_reduce(b, renormalize=False) for b in in3]
     lat4 = [lll_reduce(b, renormalize=False) for b in in4]
+    carpet = catalog.bm_carpet(2, 3)
+    carpet_points = list(coding_sample(carpet, 4, seed=1))
+    rng = np.random.default_rng(5)
+    square15 = list(rng.normal(size=(10, 15, 15)))
+    square4 = list(rng.normal(size=(500, 4, 4)))
     reduce = lambda b: lll_reduce(b, renormalize=False)  # noqa: E731
     height = lambda x: margulis_height(x, HEIGHT)  # noqa: E731
     n_walk = 1000
 
     def walk_steps(x0):
         walk_simulate(pair, x0, n_walk, WALK_OBSERVABLES, seed=0)
+
+    def carpet_flow(mat):
+        # as in the census: t = 10, dt 0.05, Siegel counts of radius 3
+        flow_trace(mat, carpet.weightpair, 10.0, dt=0.05, siegel_radius=3.0)
 
     rows = [
         ("lll_reduce.d2", reduce, in2, False, 1),
@@ -131,13 +144,18 @@ def main(argv=None) -> int:
         ("margulis_height.d2", height, lat2, False, 1),
         ("margulis_height.d4", height, lat4, False, 1),
         ("siegel_count.d2", lambda x: siegel_count(x, 3.0), lat2, True, 1),
+        ("siegel_count.d3", lambda x: siegel_count(x, 3.0), lat3, True, 1),
+        ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), lat2, True, 1),
         ("walk_step.d2", walk_steps, lat2[:1], True, n_walk),
+        ("flow_trace.d3.t10", carpet_flow, carpet_points, False, 1),
+        ("wedge_power.d15.k2", lambda g: wedge_power(g, 2), square15, False, 1),
+        ("adjoint_rep.d4", adjoint_rep, square4, False, 1),
     ]
     kernels = {}
     for name, fn, inputs, fresh, per_input in rows:
         per_call = _time(fn, inputs, fresh) / per_input
         kernels[name] = {"per_call_us": round(per_call * 1e6, 3), "calls": len(inputs) * per_input}
-        print(f"{name:20s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
+        print(f"{name:22s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
     doc = {
         "machine": _machine(),
         "method": f"min over {REPEATS} repeats of the whole input list, per call",

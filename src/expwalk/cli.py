@@ -3,8 +3,13 @@
 Usage: ``expwalk <subcommand> --config FILE [--seed N] [--out PREFIX]``.
 
 The config is a single JSON document {"kind", "parameters", "seed",
-"output"}; unknown keys and the non-finite constants NaN, Infinity and
--Infinity are rejected, and the fully resolved config is
+"output"}.  ``SCHEMA`` states each kind's parameter keys with their types
+and defaults, and ``_parse`` checks a config against it before the kind
+runs: unknown keys, then missing keys, then types.  Integers must be
+integral (booleans and 2.7 are rejected), numbers become floats, strings
+must be non-empty, lists are checked element by element, and every error
+names ``kind.key``.  The non-finite constants NaN, Infinity and -Infinity
+are rejected.  The config as given, with its seed and output prefix, is
 recorded next to the results, so every artifact carries its provenance.
 Each run writes ``<prefix>.config.json``, ``<prefix>.data.csv`` (17
 significant digits, LF line endings) and ``<prefix>.summary.json``.
@@ -48,38 +53,20 @@ from .kau import (
     word_factors,
 )
 from .lattices import (
-    ConditioningError,
-    ContractionUnverified,
-    CountCapError,
     HeightSpec,
     LatticeError,
     lll_reduce,
     margulis_height,
     margulis_height_profile,
+    parse_observable,
     recurrence_experiment,
     standard_lattice,
     walk_simulate,
 )
 from .measures import ConvolutionCapError, load_measure, measure_from_dict, sample_word
 
-KINDS = (
-    "expand-cert",
-    "cone",
-    "walk",
-    "height",
-    "recur",
-    "kau",
-    "sponge",
-    "dioph-brute",
-    "dioph-flow",
-    "dioph-fractal",
-)
-
 NUMERICAL_ERRORS = (
-    ConditioningError,
-    CountCapError,
-    LatticeError,
-    ContractionUnverified,
+    LatticeError,  # conditioning, enumeration caps, unverified contraction
     UnipotentLimitError,
     CodingDepthError,
     ConvolutionCapError,
@@ -93,73 +80,197 @@ class ConfigError(ValueError):
     """Config failed validation; maps to exit code 2."""
 
 
-def _require_keys(params: dict, allowed: set, required: set, kind: str):
-    unknown = set(params) - allowed
+# ---------------------------------------------------------------------------
+# the config schema
+#
+# A schema maps each key to (spec, default); REQUIRED marks a key without a
+# default, and a null value counts as absent where the default is None.  A
+# spec is a type (int, float, str, dict), a one-element list [element spec],
+# a nested schema, or a converter(value, where) for values the library
+# parses itself.  Converters reach library functions through this module's
+# globals at call time.
+
+REQUIRED = object()
+_EXPECTED = {int: "an integer", float: "a number", str: "a non-empty string", dict: "an object"}
+
+
+def _parse(schema: dict, params, where: str) -> dict:
+    """Every key of ``schema`` parsed from ``params``, defaults filled in."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: expected an object, got {params!r}")
+    unknown = [f"{where}.{key}" for key in sorted(set(params) - set(schema))]
     if unknown:
-        raise ConfigError(f"{kind}: unknown parameter keys {sorted(unknown)}")
-    missing = required - set(params)
+        raise ConfigError(f"unknown keys {unknown}")
+    missing = [f"{where}.{key}" for key, (_, default) in schema.items()
+               if default is REQUIRED and key not in params]
     if missing:
-        raise ConfigError(f"{kind}: missing required keys {sorted(missing)}")
+        raise ConfigError(f"missing required keys {missing}")
+    out = {}
+    for key, (spec, default) in schema.items():
+        if key not in params or (params[key] is None and default is None):
+            out[key] = default
+        else:
+            out[key] = _coerce(spec, params[key], f"{where}.{key}")
+    return out
 
 
-def _matrix(value, name: str) -> np.ndarray:
+def _coerce(spec, value, where: str):
+    """``value`` checked against one schema spec and parsed."""
+    if isinstance(spec, dict):
+        return _parse(spec, value, where)
+    if isinstance(spec, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return [_coerce(spec[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if spec not in _EXPECTED:
+        return spec(value, where)
+    if isinstance(value, bool):
+        pass
+    elif spec is float and isinstance(value, (int, float)):
+        return float(value)
+    elif spec is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, spec) and value != "":
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[spec]}, got {value!r}")
+
+
+def _matrix(value, where: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{name}: not a numeric array: {err}") from err
+        raise ConfigError(f"{where}: not a numeric array: {err}") from err
     if arr.ndim == 1:
         arr = arr[None, :]
     return arr
 
 
-def _measure(value, name="measure"):
-    if isinstance(value, str):
-        return load_measure(value)
-    if isinstance(value, dict):
-        return measure_from_dict(value)
-    raise ConfigError(f"{name}: expected a file path or an inline measure document")
+def _document(load, build, value, where: str, expected: str):
+    """A file path or an inline document read by the library's loader."""
+    try:
+        if isinstance(value, str):
+            return load(value)
+        if isinstance(value, dict):
+            return build(value)
+    except (OSError, KeyError, TypeError) as err:
+        raise ConfigError(f"{where}: {type(err).__name__}: {err}") from err
+    raise ConfigError(f"{where}: expected {expected}")
 
 
-def _ifs(value):
-    if isinstance(value, str):
-        return load_ifs(value)
-    if isinstance(value, dict):
-        if "sponge" in value:
-            sp = dict(value["sponge"])
-            weights = sp.pop("weights", "uniform")
-            bases = sp.pop("bases")
-            pattern = sp.pop("pattern")
-            if sp:
-                raise ConfigError(f"sponge: unknown keys {sorted(sp)}")
-            if weights == "uniform":
-                return sponge_builder(bases, pattern)
-            return sponge_builder(bases, pattern, weights_mode="custom", symbol_weights=weights)
-        return ifs_from_dict(value)
-    raise ConfigError("ifs: expected a file path, inline document, or sponge spec")
+def _measure(value, where: str):
+    return _document(load_measure, measure_from_dict, value, where,
+                     "a file path or an inline measure document")
 
 
-def _height_spec(value) -> HeightSpec:
-    if not isinstance(value, dict):
-        raise ConfigError("height: expected an object with epsilon/delta/s0")
-    allowed = {"epsilon", "delta", "s0"}
-    unknown = set(value) - allowed
-    if unknown:
-        raise ConfigError(f"height: unknown keys {sorted(unknown)}")
-    return HeightSpec(
-        epsilon=float(value["epsilon"]),
-        delta=float(value.get("delta", 0.3)),
-        s0=tuple(value["s0"]) if value.get("s0") is not None else None,
-    )
+def _ifs(value, where: str):
+    if isinstance(value, dict) and "sponge" in value:
+        return _sponge(_parse({"sponge": (SPONGE, REQUIRED)}, value, where)["sponge"])
+    return _document(load_ifs, ifs_from_dict, value, where,
+                     "a file path, inline document, or sponge spec")
 
 
-def _weightpair(params) -> WeightPair:
-    return WeightPair(tuple(float(v) for v in params["r"]), tuple(float(v) for v in params["s"]))
+def _lattice(value, where: str):
+    return None if value == "standard" else lll_reduce(_matrix(value, where))
 
 
-def _lattice(value):
-    if value is None or value == "standard":
-        return None  # caller decides dimension
-    return lll_reduce(_matrix(value, "x0"))
+def _height(value, where: str) -> HeightSpec:
+    return HeightSpec(**_parse(HEIGHT, value, where))
+
+
+def _symbol_weights(value, where: str):
+    return value if value == "uniform" else _coerce([float], value, where)
+
+
+def _sponge(p: dict):
+    """The carpet IFS of a parsed ``SPONGE`` object."""
+    if p["weights"] == "uniform":
+        return sponge_builder(p["bases"], p["pattern"])
+    return sponge_builder(p["bases"], p["pattern"], weights_mode="custom",
+                          symbol_weights=p["weights"])
+
+
+def _weightpair(p: dict, where: str):
+    """The WeightPair of parsed keys r and s; None when both are absent."""
+    missing = [key for key in ("r", "s") if p[key] is None]
+    if len(missing) == 2:
+        return None
+    if missing:
+        raise ConfigError(f"{where}.{missing[0]}: r and s must be given together")
+    return WeightPair(p["r"], p["s"])
+
+
+HEIGHT = {"epsilon": (float, REQUIRED), "delta": (float, 0.3), "s0": ([float], None)}
+PROFILE = {"m": (int, REQUIRED), "n": (int, REQUIRED), "r": ([float], None), "s": ([float], None)}
+SPONGE = {"bases": ([int], REQUIRED), "pattern": ([[int]], REQUIRED),
+          "weights": (_symbol_weights, "uniform")}
+CONFIG = {"kind": (str, REQUIRED), "parameters": (dict, {}), "seed": (int, 0),
+          "output": (str, REQUIRED)}
+
+SCHEMA = {
+    "expand-cert": {
+        "measure": (_measure, REQUIRED),
+        "rep": (str, "std"),
+        "N": (int, REQUIRED),
+        "sphere_samples": (int, 1000),
+        "mc_words": (int, 4000),
+        "confidence": (float, 0.95),
+        "cap": (int, 10**6),
+        "mode": (str, "auto"),
+    },
+    "cone": {"blocks": ([int], REQUIRED), "logs": ([float], REQUIRED), "tol": (float, 1e-9)},
+    "walk": {
+        "measure": (_measure, REQUIRED),
+        "height": (_height, None),
+        "x0": (_lattice, None),
+        "n_steps": (int, REQUIRED),
+        "observables": ([str], REQUIRED),
+    },
+    "height": {"basis": (_matrix, REQUIRED), **HEIGHT},
+    "recur": {
+        "measure": (_measure, REQUIRED),
+        "height": (_height, REQUIRED),
+        "delta": (float, REQUIRED),
+        "x0": (_lattice, None),
+        "n_grid": ([int], REQUIRED),
+        "mc_trials": (int, 200),
+        "m": (int, 4),
+        "sample_points": (int, 200),
+    },
+    "kau": {
+        "measure": (_measure, REQUIRED),
+        "profile": (PROFILE, REQUIRED),
+        "len": (int, REQUIRED),
+        "tol": (float, 1e-10),
+    },
+    "sponge": SPONGE,
+    "dioph-brute": {
+        "M": (_matrix, REQUIRED),
+        "r": ([float], REQUIRED),
+        "s": ([float], REQUIRED),
+        "T_max": (float, REQUIRED),
+        "cap": (int, 10**8),
+    },
+    "dioph-flow": {
+        "M": (_matrix, REQUIRED),
+        "r": ([float], REQUIRED),
+        "s": ([float], REQUIRED),
+        "t_max": (float, REQUIRED),
+        "dt": (float, 0.05),
+        "eps_grid": ([float], (0.05, 0.1, 0.2, 0.3)),
+        "siegel_radius": (float, None),
+    },
+    "dioph-fractal": {
+        "ifs": (_ifs, REQUIRED),
+        "r": ([float], None),
+        "s": ([float], None),
+        "n_points": (int, REQUIRED),
+        "t_max": (float, REQUIRED),
+        "dt": (float, 0.05),
+        "thresholds": ([float], (0.05, 0.1, 0.15, 0.2, 0.3)),
+        "brute_T": (float, 200.0),
+    },
+}
+KINDS = tuple(SCHEMA)
 
 
 def emit_plotdata(record, columns) -> str:
@@ -196,123 +307,69 @@ def emit_plotdata(record, columns) -> str:
 
 
 # ---------------------------------------------------------------------------
-# kind handlers: each returns (summary, columns_dict, column_order, extra_files)
+# kind handlers: each takes the parsed parameters and the seed and returns
+# (summary, columns in CSV order, extra files)
 
 
-def _run_cone(params, seed):
-    _require_keys(params, {"blocks", "logs", "tol"}, {"blocks", "logs"}, "cone")
-    blocks = tuple(int(b) for b in params["blocks"])
-    logs = [float(v) for v in params["logs"]]
-    spec = ConeSpec(dim=sum(blocks), blocks=blocks)
-    res = expanding_cone_membership(spec, logs, tol=float(params.get("tol", 1e-9)))
+def _run_cone(p, seed):
+    spec = ConeSpec(dim=sum(p["blocks"]), blocks=p["blocks"])
+    res = expanding_cone_membership(spec, p["logs"], tol=p["tol"])
     summary = {"inside": res.inside, "margin": res.margin}
     if res.inside:
         rows_i = [i for (i, _j) in res.coefficients]
         rows_j = [j for (_i, j) in res.coefficients]
-        ts = [res.coefficients[p] for p in res.coefficients]
+        ts = list(res.coefficients.values())
         cols = {"i": np.array(rows_i), "j": np.array(rows_j), "t": np.array(ts)}
-        order = ["i", "j", "t"]
         summary["witness"] = {f"{i},{j}": t for (i, j), t in res.coefficients.items()}
     else:
         cols = {
             "coordinate": np.arange(spec.dim),
             "separator": np.asarray(res.separator),
         }
-        order = ["coordinate", "separator"]
         summary["separator"] = [float(v) for v in res.separator]
-    return summary, cols, order, {}
+    return summary, cols, {}
 
 
-def _run_expand_cert(params, seed):
-    allowed = {"measure", "rep", "N", "sphere_samples", "mc_words", "confidence", "cap", "mode"}
-    _require_keys(params, allowed, {"measure", "N"}, "expand-cert")
-    mu = _measure(params["measure"])
-    cert = expansion_certificate(
-        mu,
-        rep=params.get("rep", "std"),
-        N=int(params["N"]),
-        sphere_samples=int(params.get("sphere_samples", 1000)),
-        mc_words=int(params.get("mc_words", 4000)),
-        confidence=float(params.get("confidence", 0.95)),
-        cap=int(params.get("cap", 10**6)),
-        mode=params.get("mode", "auto"),
-        seed=seed,
-    )
-    summary = {
-        "N": cert.N,
-        "C_lower": cert.C_lower,
-        "mode": cert.mode,
-        "sphere_samples": cert.sphere_samples,
-        "confidence": cert.confidence,
-        "passed": cert.passed,
-        "verdict": cert.verdict,
-        "rep": cert.rep,
-    }
+def _run_expand_cert(p, seed):
+    # the remaining parameter keys are the certificate's keyword arguments
+    cert = expansion_certificate(p.pop("measure"), seed=seed, **p)
+    fields = ("N", "C_lower", "mode", "sphere_samples", "confidence", "passed", "verdict", "rep")
+    summary = {name: getattr(cert, name) for name in fields}
     cols = {"index": np.arange(len(cert.witness)), "witness": cert.witness}
-    return summary, cols, ["index", "witness"], {}
+    return summary, cols, {}
 
 
-def _run_walk(params, seed):
-    allowed = {"measure", "x0", "n_steps", "observables", "height"}
-    _require_keys(params, allowed, {"measure", "n_steps", "observables"}, "walk")
-    mu = _measure(params["measure"])
-    height = _height_spec(params["height"]) if "height" in params else None
-    x0 = _lattice(params.get("x0")) or standard_lattice(mu.dim)
-    from .lattices import parse_observable
-
-    obs = [parse_observable(s, height) for s in params["observables"]]
-    record = walk_simulate(mu, x0, int(params["n_steps"]), obs, seed=seed)
+def _run_walk(p, seed):
+    mu = p["measure"]
+    x0 = p["x0"] or standard_lattice(mu.dim)
+    obs = [parse_observable(s, p["height"]) for s in p["observables"]]
+    record = walk_simulate(mu, x0, p["n_steps"], obs, seed=seed)
     finals = {label: record.running[label][-1] for label, _ in obs}
-    summary = {"n_steps": int(params["n_steps"]), "final_running_avg": finals}
-    return (
-        summary,
-        record.columns(),
-        ["step", "observable_name", "value", "running_avg"],
-        {},
-    )
+    summary = {"n_steps": p["n_steps"], "final_running_avg": finals}
+    return summary, record.columns(), {}
 
 
-def _run_height(params, seed):
-    allowed = {"basis", "epsilon", "delta", "s0"}
-    _require_keys(params, allowed, {"basis", "epsilon"}, "height")
-    spec = HeightSpec(
-        epsilon=float(params["epsilon"]),
-        delta=float(params.get("delta", 0.3)),
-        s0=tuple(params["s0"]) if params.get("s0") is not None else None,
-    )
-    x = lll_reduce(_matrix(params["basis"], "basis"))
+def _run_height(p, seed):
+    spec = HeightSpec(p["epsilon"], p["delta"], p["s0"])
+    x = lll_reduce(p["basis"])
     value = margulis_height(x, spec)
     labels, grades, phis = margulis_height_profile(x, spec)
     summary = {"height": value, "epsilon": spec.epsilon, "delta": spec.delta}
-    cols = {"subset": labels, "grade": grades, "phi": phis}
-    return summary, cols, ["subset", "grade", "phi"], {}
+    return summary, {"subset": labels, "grade": grades, "phi": phis}, {}
 
 
-def _run_recur(params, seed):
-    allowed = {
-        "measure",
-        "height",
-        "delta",
-        "x0",
-        "n_grid",
-        "mc_trials",
-        "m",
-        "sample_points",
-    }
-    _require_keys(params, allowed, {"measure", "height", "delta", "n_grid"}, "recur")
-    mu = _measure(params["measure"])
-    height = _height_spec(params["height"])
-    x0 = _lattice(params.get("x0")) or standard_lattice(mu.dim)
+def _run_recur(p, seed):
+    mu = p["measure"]
     table = recurrence_experiment(
         mu,
-        height,
-        float(params["delta"]),
-        x0,
-        [int(n) for n in params["n_grid"]],
-        mc_trials=int(params.get("mc_trials", 200)),
+        p["height"],
+        p["delta"],
+        p["x0"] or standard_lattice(mu.dim),
+        p["n_grid"],
+        mc_trials=p["mc_trials"],
         seed=seed,
-        m=int(params.get("m", 4)),
-        sample_points=int(params.get("sample_points", 200)),
+        m=p["m"],
+        sample_points=p["sample_points"],
     )
     ns = np.array([n for n, _ in table.entries])
     mass = np.array([v for _, v in table.entries])
@@ -323,61 +380,40 @@ def _run_recur(params, seed):
         "violations": table.fit.violation_count,
         "burn_in_0.9": table.burn_in(0.9),
     }
-    return summary, {"n": ns, "mass": mass}, ["n", "mass"], {}
+    return summary, {"n": ns, "mass": mass}, {}
 
 
-def _run_kau(params, seed):
-    allowed = {"measure", "profile", "len", "tol"}
-    _require_keys(params, allowed, {"measure", "profile", "len"}, "kau")
-    mu = _measure(params["measure"])
-    prof = params["profile"]
-    unknown = set(prof) - {"m", "n", "r", "s"}
-    if unknown:
-        raise ConfigError(f"kau profile: unknown keys {sorted(unknown)}")
-    m, n = int(prof["m"]), int(prof["n"])
-    wp = None
-    if "r" in prof or "s" in prof:
-        wp = WeightPair(tuple(float(v) for v in prof["r"]), tuple(float(v) for v in prof["s"]))
-    profile = ParabolicProfile(m, n, wp)
-    length = int(params["len"])
-    tol = float(params.get("tol", 1e-10))
-    word = sample_word(mu, length, seed=seed)
+def _run_kau(p, seed):
+    prof = p["profile"]
+    profile = ParabolicProfile(prof["m"], prof["n"], _weightpair(prof, "kau.profile"))
+    length = p["len"]
+    word = sample_word(p["measure"], length, seed=seed)
     facs = word_factors(word, profile)
     residual = equivariance_residual(word, profile)
-    steps = np.arange(1, length + 1)
     cols = {
-        "step": steps,
+        "step": np.arange(1, length + 1),
         "t_prefix": np.array([f.t for f in facs]),
     }
-    order = ["step", "t_prefix"]
-    for i in range(m):
-        for j in range(n):
-            key = f"u_{i}{j}"
-            cols[key] = np.array([f.u[i, j] for f in facs])
-            order.append(key)
-    summary = {"equivariance_residual": residual, "len": length}
+    for i in range(profile.m):
+        for j in range(profile.n):
+            cols[f"u_{i}{j}"] = np.array([f.u[i, j] for f in facs])
     try:
-        limit, n_used = u_limit(iter(word), profile, tol=tol, n_max=length)
-        summary["u_limit"] = [float(v) for v in limit.ravel()]
-        summary["u_limit_converged"] = True
-        summary["u_limit_terms"] = n_used
+        limit, n_used = u_limit(iter(word), profile, tol=p["tol"], n_max=length)
+        converged = True
     except UnipotentLimitError as err:
-        summary["u_limit"] = [float(v) for v in err.partial.ravel()]
-        summary["u_limit_converged"] = False
-        summary["u_limit_terms"] = err.n_used
-    return summary, cols, order, {}
+        limit, n_used, converged = err.partial, err.n_used, False
+    summary = {
+        "equivariance_residual": residual,
+        "len": length,
+        "u_limit": [float(v) for v in limit.ravel()],
+        "u_limit_converged": converged,
+        "u_limit_terms": n_used,
+    }
+    return summary, cols, {}
 
 
-def _run_sponge(params, seed):
-    allowed = {"bases", "pattern", "weights"}
-    _require_keys(params, allowed, {"bases", "pattern"}, "sponge")
-    weights = params.get("weights", "uniform")
-    if weights == "uniform":
-        ifs = sponge_builder(params["bases"], params["pattern"])
-    else:
-        ifs = sponge_builder(
-            params["bases"], params["pattern"], weights_mode="custom", symbol_weights=weights
-        )
+def _run_sponge(p, seed):
+    ifs = _sponge(p)
     chk = sponge_check(ifs.symbols[0], ifs.weightpair)
     summary = {
         "r": list(ifs.weightpair.r),
@@ -385,104 +421,63 @@ def _run_sponge(params, seed):
         "t": chk.t,
         "symbols": len(ifs.symbols),
     }
-    k = len(ifs.symbols)
     cols = {
-        "symbol": np.arange(k),
+        "symbol": np.arange(len(ifs.symbols)),
         "weight": np.asarray(ifs.weights),
     }
-    order = ["symbol", "weight"]
-    m = ifs.m
-    for i in range(m):
-        key = f"offset_{i}"
-        cols[key] = np.array([phi.b[i, 0] for phi in ifs.symbols])
-        order.append(key)
-    return summary, cols, order, {"ifs.json": ifs}
+    for i in range(ifs.m):
+        cols[f"offset_{i}"] = np.array([phi.b[i, 0] for phi in ifs.symbols])
+    return summary, cols, {"ifs.json": ifs}
 
 
-def _run_dioph_brute(params, seed):
-    allowed = {"M", "r", "s", "T_max", "cap"}
-    _require_keys(params, allowed, {"M", "r", "s", "T_max"}, "dioph-brute")
-    weights = _weightpair(params)
-    mat = _matrix(params["M"], "M")
-    quality, (p, q) = brute_force_quality(
-        mat, weights, float(params["T_max"]), cap=int(params.get("cap", 10**8))
+def _run_dioph_brute(p, seed):
+    quality, (q_p, q_q) = brute_force_quality(
+        p["M"], _weightpair(p, "dioph-brute"), p["T_max"], cap=p["cap"]
     )
-    summary = {"quality": quality, "p": [int(v) for v in p], "q": [int(v) for v in q]}
-    cols = {"quality": np.array([quality])}
-    return summary, cols, ["quality"], {}
+    summary = {"quality": quality, "p": [int(v) for v in q_p], "q": [int(v) for v in q_q]}
+    return summary, {"quality": np.array([quality])}, {}
 
 
-def _run_dioph_flow(params, seed):
-    allowed = {"M", "r", "s", "t_max", "dt", "eps_grid", "siegel_radius"}
-    _require_keys(params, allowed, {"M", "r", "s", "t_max"}, "dioph-flow")
-    weights = _weightpair(params)
-    mat = _matrix(params["M"], "M")
+def _run_dioph_flow(p, seed):
     trace = flow_trace(
-        mat,
-        weights,
-        float(params["t_max"]),
-        dt=float(params.get("dt", 0.05)),
-        siegel_radius=(
-            float(params["siegel_radius"]) if params.get("siegel_radius") else None
-        ),
+        p["M"], _weightpair(p, "dioph-flow"), p["t_max"], dt=p["dt"],
+        siegel_radius=p["siegel_radius"],
     )
-    eps_grid = [float(e) for e in params.get("eps_grid", (0.05, 0.1, 0.2, 0.3))]
     summary = {
         "inf_minima": trace.inf_minima,
         "grid_error_factor": trace.grid_error_factor,
         "escape_flags": {
-            repr(eps): trace.escape_flag(eps, float(params["t_max"]) / 2.0)
-            for eps in eps_grid
+            repr(eps): trace.escape_flag(eps, p["t_max"] / 2.0) for eps in p["eps_grid"]
         },
     }
-    return summary, {"t": trace.t_grid, "minima": trace.minima}, ["t", "minima"], {}
+    return summary, {"t": trace.t_grid, "minima": trace.minima}, {}
 
 
-def _run_dioph_fractal(params, seed):
-    allowed = {"ifs", "r", "s", "n_points", "t_max", "dt", "thresholds", "brute_T"}
-    _require_keys(params, allowed, {"ifs", "n_points", "t_max"}, "dioph-fractal")
-    ifs = _ifs(params["ifs"])
-    if "r" in params and "s" in params:
-        weights = _weightpair(params)
-    elif ifs.weightpair is not None:
-        weights = ifs.weightpair
-    else:
-        raise ConfigError("dioph-fractal: weights required when the IFS carries none")
+def _run_dioph_fractal(p, seed):
+    ifs = p["ifs"]
+    weights = _weightpair(p, "dioph-fractal") or ifs.weightpair
+    if weights is None:
+        raise ConfigError("dioph-fractal.r, dioph-fractal.s: required when the IFS carries none")
     summary, rows = fractal_experiment(
         ifs,
         weights,
-        int(params["n_points"]),
-        float(params["t_max"]),
+        p["n_points"],
+        p["t_max"],
         seed=seed,
-        dt=float(params.get("dt", 0.05)),
-        thresholds=tuple(float(v) for v in params.get("thresholds", (0.05, 0.1, 0.15, 0.2, 0.3))),
-        brute_t_max=float(params.get("brute_T", 200.0)),
+        dt=p["dt"],
+        thresholds=p["thresholds"],
+        brute_t_max=p["brute_T"],
     )
     keys = list(rows[0]) if rows else ["point_id"]
-    cols = {k: np.array([row[k] for row in rows]) for k in keys}
-    return summary, cols, keys, {}
+    return summary, {k: np.array([row[k] for row in rows]) for k in keys}, {}
 
 
-HANDLERS = {
-    "cone": _run_cone,
-    "expand-cert": _run_expand_cert,
-    "walk": _run_walk,
-    "height": _run_height,
-    "recur": _run_recur,
-    "kau": _run_kau,
-    "sponge": _run_sponge,
-    "dioph-brute": _run_dioph_brute,
-    "dioph-flow": _run_dioph_flow,
-    "dioph-fractal": _run_dioph_fractal,
-}
+# kind "dioph-flow" runs _run_dioph_flow, and so on
+HANDLERS = {kind: globals()["_run_" + kind.replace("-", "_")] for kind in KINDS}
 
 
 def _json_default(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
     raise TypeError(f"not JSON serializable: {type(value)}")
 
@@ -490,42 +485,33 @@ def _json_default(value):
 def run(config: dict) -> int:
     """Execute one experiment config; returns the process exit code."""
     try:
-        top_allowed = {"kind", "parameters", "seed", "output"}
-        unknown = set(config) - top_allowed
-        if unknown:
-            raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
         kind = config.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        params = config.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError("parameters must be an object")
-        seed = int(config.get("seed", 0))
-        prefix = config.get("output")
-        if not prefix:
-            raise ConfigError("an output prefix is required")
+        resolved = _parse(CONFIG, config, kind)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    resolved = {"kind": kind, "parameters": params, "seed": seed, "output": prefix}
+    prefix = resolved["output"]
     with open(f"{prefix}.config.json", "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
     try:
-        summary, cols, order, extra = HANDLERS[kind](params, seed)
+        params = _parse(SCHEMA[kind], resolved["parameters"], kind)
+        summary, cols, extra = HANDLERS[kind](params, resolved["seed"])
     except NUMERICAL_ERRORS as err:
         return _write_failure(prefix, kind, err)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (TypeError, KeyError, ValueError) as err:
+    except ValueError as err:
         print(f"config error: {kind}: {err}", file=sys.stderr)
         return 2
 
     with open(f"{prefix}.data.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_plotdata(cols, order))
+        fh.write(emit_plotdata(cols, list(cols)))
     with open(f"{prefix}.summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")

@@ -198,6 +198,8 @@ def flow_trace(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if siegel_radius is not None and not siegel_radius > 0.0:
+        raise ValueError("siegel_radius must be positive")
     raw = np.atleast_2d(np.asarray(mat, dtype=object))
     if raw.shape != (weights.m, weights.n):
         raise ValueError(f"matrix shape {raw.shape} does not match the weights")

@@ -225,8 +225,10 @@ def _enumerate(r: np.ndarray, radius: float, cap: int, rows: bool):
 
     def visit(level, partial):
         nonlocal nodes, count
-        # row `level` of R: sum over j > level of R[level][j] z_j
-        shift = sum(r[level][j] * z[j] for j in range(level + 1, d))
+        # row `level` of R: sum over j > level of R[level][j] z_j, left to right
+        shift = 0.0
+        for j in range(level + 1, d):
+            shift += r[level][j] * z[j]
         half = sqrt(rad2 - partial)
         try:
             lo = ceil((-half - shift) / r[level][level] - 1e-12)
@@ -385,6 +387,9 @@ def _height_plan(spec: HeightSpec, d: int):
         subsets = list(combinations(range(d), i))
         idx = np.array(subsets)
         eps_factor = float(spec.epsilon ** (delta_i[i - 1] / delta_lambda[i - 1]))
+        if not (eps_factor > 0.0 and isfinite(eps_factor)):
+            raise ValueError(f"s0 {spec.s0} and epsilon {spec.epsilon} give grade {i} the "
+                             f"factor epsilon^(delta_i / delta_lambda_i) = {eps_factor}")
         half_expo = float(0.5 * (-1.0 / delta_lambda[i - 1]))
         plan.append((i, subsets, idx[:, :, None], idx[:, None, :], eps_factor, half_expo))
     return plan

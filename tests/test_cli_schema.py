@@ -1,0 +1,196 @@
+"""The config schema: every kind's keys, types and defaults in ``cli.SCHEMA``."""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from expwalk import catalog, cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+DROP = object()
+
+
+def measure_doc(mu):
+    atoms = [{"matrix": g.ravel().tolist(), "weight": float(w)}
+             for g, w in zip(mu.matrices, mu.weights)]
+    return {"dim": mu.dim, "atoms": atoms}
+
+
+PAIR = measure_doc(catalog.positive_pair_sl2())
+SPONGE = {"bases": [2, 3], "pattern": [[0, 0], [1, 1], [0, 2]]}
+BASE = {
+    "expand-cert": {"measure": PAIR, "N": 1, "sphere_samples": 20},
+    "cone": {"blocks": [2, 2], "logs": [1, 1, -1, -1]},
+    "walk": {"measure": PAIR, "n_steps": 5, "observables": ["siegel:3.0"]},
+    "height": {"basis": [[1, 0], [0, 1]], "epsilon": 0.1},
+    "recur": {"measure": PAIR, "height": {"epsilon": 0.1}, "delta": 0.1, "n_grid": [2, 4],
+              "mc_trials": 10, "sample_points": 60},
+    "kau": {"measure": measure_doc(catalog.cantor_measure()), "profile": {"m": 1, "n": 1},
+            "len": 5},
+    "sponge": SPONGE,
+    "dioph-brute": {"M": [[0.5]], "r": [1.0], "s": [1.0], "T_max": 10.0},
+    "dioph-flow": {"M": [[0.5]], "r": [1.0], "s": [1.0], "t_max": 2.0},
+    "dioph-fractal": {"ifs": {"sponge": SPONGE}, "n_points": 1, "t_max": 1.0, "dt": 0.1,
+                      "brute_T": 10},
+}
+MISSING = {
+    "expand-cert": "N",
+    "cone": "logs",
+    "walk": "observables",
+    "height": "epsilon",
+    "recur": "n_grid",
+    "kau": "len",
+    "sponge": "pattern",
+    "dioph-brute": "T_max",
+    "dioph-flow": "M",
+    "dioph-fractal": "ifs",
+}
+
+# (kind, parameter changes, top-level changes, text expected on stderr)
+CASES = (
+    [(kind, {"oops": 1}, {}, f"{kind}.oops") for kind in BASE]
+    + [(kind, {key: DROP}, {}, f"{kind}.{key}") for kind, key in MISSING.items()]
+    + [
+        # non-integral floats were truncated
+        ("expand-cert", {"N": 2.7}, {}, "expand-cert.N: expected an integer, got 2.7"),
+        ("walk", {"n_steps": 2.5}, {}, "walk.n_steps: expected an integer"),
+        ("kau", {"len": 2.5}, {}, "kau.len: expected an integer"),
+        ("dioph-fractal", {"n_points": 2.5}, {}, "dioph-fractal.n_points: expected an integer"),
+        ("sponge", {"bases": [2.5, 3]}, {}, "sponge.bases[0]: expected an integer"),
+        # booleans passed as 1
+        ("recur", {"m": True}, {}, "recur.m: expected an integer, got True"),
+        ("cone", {"blocks": [True, 3]}, {}, "cone.blocks[0]: expected an integer"),
+        ("height", {"epsilon": True}, {}, "height.epsilon: expected a number, got True"),
+        ("dioph-flow", {"t_max": True}, {}, "dioph-flow.t_max: expected a number"),
+        # numeric strings were converted
+        ("dioph-brute", {"T_max": "10"}, {}, "dioph-brute.T_max: expected a number, got '10'"),
+        ("expand-cert", {"sphere_samples": "20"}, {}, "expand-cert.sphere_samples"),
+        ("walk", {"height": {"epsilon": "0.1"}, "observables": ["height"]}, {},
+         "walk.height.epsilon: expected a number"),
+        # a lone r was ignored, or raised a bare KeyError
+        ("dioph-fractal", {"r": [0.5, 0.5]}, {}, "dioph-fractal.s: r and s must be given together"),
+        ("kau", {"profile": {"m": 1, "n": 1, "r": [1.0]}}, {},
+         "kau.profile.s: r and s must be given together"),
+        # a zero radius counted as absent
+        ("dioph-flow", {"siegel_radius": 0}, {}, "dioph-flow: siegel_radius must be positive"),
+        ("cone", {"tol": None}, {}, "cone.tol: expected a number, got None"),
+        # a missing measure file escaped as a traceback
+        ("walk", {"measure": "no/such/measure.json"}, {}, "walk.measure: FileNotFoundError"),
+        ("expand-cert", {"measure": {"dim": 2}}, {}, "expand-cert.measure: KeyError: 'atoms'"),
+        # the top level
+        ("walk", {}, {"seed": 2.7}, "walk.seed: expected an integer, got 2.7"),
+        ("cone", {}, {"output": ""}, "cone.output: expected a non-empty string"),
+        ("cone", {}, {"parameters": None}, "cone.parameters: expected an object"),
+    ]
+)
+
+
+def config(tmp_path, kind, changes=None, top=None):
+    params = dict(BASE[kind])
+    for key, value in (changes or {}).items():
+        if value is DROP:
+            del params[key]
+        else:
+            params[key] = value
+    doc = {"kind": kind, "parameters": params, "seed": 1, "output": str(tmp_path / "o")}
+    doc.update(top or {})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", list(BASE))
+def test_base_configs_run(tmp_path, kind):
+    assert cli.main([kind, "--config", config(tmp_path, kind)]) == 0
+
+
+@pytest.mark.parametrize("kind, changes, top, expected", CASES, ids=[c[3] for c in CASES])
+def test_schema_rejects_with_kind_and_key(tmp_path, capsys, kind, changes, top, expected):
+    assert cli.main([kind, "--config", config(tmp_path, kind, changes, top)]) == 2
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
+def test_parse_fills_defaults_and_coerces():
+    params = {"M": [[0.5]], "r": [1], "s": [1], "t_max": 2, "dt": 0.1, "siegel_radius": None}
+    p = cli._parse(cli.SCHEMA["dioph-flow"], params, "dioph-flow")
+    assert p["t_max"] == 2.0 and type(p["t_max"]) is float
+    assert p["r"] == [1.0] and type(p["r"][0]) is float
+    assert p["siegel_radius"] is None and p["eps_grid"] == (0.05, 0.1, 0.2, 0.3)
+    np.testing.assert_array_equal(p["M"], [[0.5]])
+    p = cli._parse(cli.SCHEMA["cone"], {"blocks": [2.0, 2], "logs": [1, -1, 0, 0]}, "cone")
+    assert p["blocks"] == [2, 2] and all(type(b) is int for b in p["blocks"])
+    assert p["tol"] == 1e-9
+
+
+def test_height_s0_with_tiny_partial_sums_is_exit_2(tmp_path, capsys):
+    params = {"basis": np.diag([1e-2, 1.0, 1e2]).tolist(), "epsilon": 0.5,
+              "s0": [0.001, 0.0, -0.001]}
+    doc = {"kind": "height", "parameters": params, "output": str(tmp_path / "o")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["height", "--config", str(path)]) == 2
+    assert "epsilon^(delta_i / delta_lambda_i) = 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
+TYPE_NAMES = {int: "integer", float: "number", str: "string", dict: "object",
+              "_measure": "measure", "_matrix": "matrix", "_lattice": "lattice",
+              "_height": "object", "_ifs": "ifs", "_symbol_weights": "symbol weights"}
+
+
+def type_name(spec):
+    if isinstance(spec, list):
+        return "list of " + type_name(spec[0])
+    if isinstance(spec, dict):
+        return "object"
+    return TYPE_NAMES.get(spec) or TYPE_NAMES[spec.__name__]
+
+
+def readme_table(head):
+    """{name: {key: (type, default cell)}} of the README table headed ``head``."""
+    lines = README.read_text().splitlines()
+    start = lines.index(f"| {head} | key | type | default |") + 2
+    table, name = {}, None
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        first, key, typ, default = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        name = first or name
+        table.setdefault(name, {})[key] = (typ, default)
+    return table
+
+
+def schema_rows(schema):
+    rows = {}
+    for key, (spec, default) in schema.items():
+        if default is cli.REQUIRED:
+            cell = "required"
+        elif default is None:
+            cell = "none"
+        else:
+            cell = json.dumps(list(default) if isinstance(default, tuple) else default)
+        rows[key] = (type_name(spec), cell)
+    return rows
+
+
+def normalized(rows):
+    """Default cells compared as JSON values, so `1e-9` matches 1e-09."""
+    return {key: (typ, cell if cell in ("required", "none") else json.loads(cell))
+            for key, (typ, cell) in rows.items()}
+
+
+def test_readme_tables_match_the_schema():
+    kinds = readme_table("kind")
+    assert list(kinds) == list(cli.KINDS)
+    for kind, schema in cli.SCHEMA.items():
+        assert normalized(kinds[kind]) == normalized(schema_rows(schema)), kind
+        required = {k for k, (_, default) in schema.items() if default is cli.REQUIRED}
+        assert {k for k, (_, cell) in kinds[kind].items() if cell == "required"} == required
+    nested = {"config": cli.CONFIG, "height": cli.HEIGHT, "profile": cli.PROFILE,
+              "sponge": cli.SPONGE}
+    objects = readme_table("object")
+    assert list(objects) == list(nested)
+    for name, schema in nested.items():
+        assert normalized(objects[name]) == normalized(schema_rows(schema)), name

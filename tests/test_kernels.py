@@ -230,10 +230,12 @@ def test_height_plan_matches_subset_loop(d):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_height_plan_power_overflow_matches_subset_loop():
-    # s0 partial sums of 1e-3 raise the Gram determinants to the power -500:
+    # s0 partial sums of 4e-3 raise the Gram determinants to the power -125:
     # past the float range the power is inf, as numpy's scalar power gives
-    spec = HeightSpec(0.5, 0.3, s0=(0.001, 0.0, -0.001))
+    # (sums of 1e-3 make the epsilon factor underflow, which the plan rejects)
+    spec = HeightSpec(0.5, 0.3, s0=(0.004, 0.0, -0.004))
     x = lll_reduce(np.diag([1e-2, 1.0, 1e2]))
+    assert margulis_height(x, spec) == np.inf
     assert repr(margulis_height(x, spec)) == repr(height_ref(x, spec))
     for a, b in zip(margulis_height_profile(x, spec), height_profile_ref(x, spec)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -351,3 +351,13 @@ def test_shortest_not_longer_than_any_reduced_vector():
         assert sup_len <= np.abs(x.reduced).max(axis=0).min() + 1e-12
         euc_len = x.shortest("euclid")[1]
         assert euc_len <= np.linalg.norm(x.reduced, axis=0).min() + 1e-12
+
+
+def test_height_rejects_s0_whose_grade_factor_underflows():
+    # epsilon^(delta_i / delta_lambda_i) = 0.5^2000 underflows to 0; the height
+    # used to read 0.0, with NaN phis that the max skipped
+    x = lll_reduce(np.diag([1e-2, 1.0, 1e2]))
+    spec = HeightSpec(0.5, 0.3, (0.001, 0.0, -0.001))
+    with pytest.raises(ValueError, match=r"s0 \(0.001, 0.0, -0.001\) and epsilon 0.5"):
+        margulis_height(x, spec)
+    assert margulis_height(x, HeightSpec(0.5, 0.3, (1.0, 0.0, -1.0))) > 0.0
