@@ -5,9 +5,10 @@ Usage, from the root of a checkout::
     python3 scripts/bench_kernels.py --out BENCH_<n>.json
 
 Imports ``expwalk`` from this checkout's ``src``.  Every kernel runs over a
-fixed list of inputs: bases taken from seeded walks and flows (the bases
-real runs hand to it), carpet points for the flow, and seeded Gaussian
-matrices for the representations.  One repeat times the whole list with
+fixed list of inputs: bases taken from seeded walks (the bases real runs
+hand to it) and from a float-carried carpet orbit, carpet points and a
+50-digit golden ratio for the flow, and seeded Gaussian matrices for the
+representations.  One repeat times the whole list with
 ``time.perf_counter``, and the per-call time is the fastest of ``REPEATS``
 repeats divided by the list length.  The JSON file holds the machine, the
 library versions and, per kernel, the per-call microseconds and the number
@@ -45,6 +46,7 @@ from expwalk.linalg import adjoint_rep, wedge_power  # noqa: E402
 WALK_OBSERVABLES = ["siegel:3.0", "shortest:sup", "mahler:0.3"]
 HEIGHT = HeightSpec(0.1, 0.3)
 REPEATS = 7
+GOLDEN_50 = "0.61803398874989484820458683436563811772030917980576"
 
 
 def _random_start(rng, d):
@@ -65,7 +67,10 @@ def _walk_inputs(mu, d, steps, seed):
 
 
 def _carpet_inputs(steps, seed):
-    """The bases a d=3 carpet flow (dt 0.05) hands to ``lll_reduce``."""
+    """Nearly reduced d=3 bases of a carpet orbit carried in floats (dt 0.05).
+
+    Fixed inputs, so the d=3 rows compare across BENCH files.
+    """
     ifs = catalog.bm_carpet(2, 3)
     weights = WeightPair(ifs.weightpair.r, ifs.weightpair.s)
     step = flow_element(weights, 0.05)
@@ -133,9 +138,13 @@ def main(argv=None) -> int:
     def walk_steps(x0):
         walk_simulate(pair, x0, n_walk, WALK_OBSERVABLES, seed=0)
 
-    def carpet_flow(mat):
-        # as in the census: t = 10, dt 0.05, Siegel counts of radius 3
-        flow_trace(mat, carpet.weightpair, 10.0, dt=0.05, siegel_radius=3.0)
+    def carpet_flow(t_max):
+        # as in the census: dt 0.05, Siegel counts of radius 3
+        return lambda mat: flow_trace(mat, carpet.weightpair, t_max, dt=0.05, siegel_radius=3.0)
+
+    def scalar_flow(value):
+        # as the census's scalar flows, on the README's 50-digit golden ratio
+        flow_trace(value, WeightPair((1.0,), (1.0,)), 30.0, dt=0.05, siegel_radius=3.0)
 
     rows = [
         ("lll_reduce.d2", reduce, in2, False, 1),
@@ -147,7 +156,10 @@ def main(argv=None) -> int:
         ("siegel_count.d3", lambda x: siegel_count(x, 3.0), lat3, True, 1),
         ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), lat2, True, 1),
         ("walk_step.d2", walk_steps, lat2[:1], True, n_walk),
-        ("flow_trace.d3.t10", carpet_flow, carpet_points, False, 1),
+        ("flow_trace.d3.t10", carpet_flow(10.0), carpet_points, False, 1),
+        ("flow_trace.d3.t20", carpet_flow(20.0), carpet_points, False, 1),
+        ("flow_trace.d3.t40", carpet_flow(40.0), carpet_points, False, 1),
+        ("flow_trace.d2.golden.t30", scalar_flow, [GOLDEN_50], False, 1),
         ("wedge_power.d15.k2", lambda g: wedge_power(g, 2), square15, False, 1),
         ("adjoint_rep.d4", adjoint_rep, square4, False, 1),
     ]
@@ -155,7 +167,7 @@ def main(argv=None) -> int:
     for name, fn, inputs, fresh, per_input in rows:
         per_call = _time(fn, inputs, fresh) / per_input
         kernels[name] = {"per_call_us": round(per_call * 1e6, 3), "calls": len(inputs) * per_input}
-        print(f"{name:22s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
+        print(f"{name:24s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
     doc = {
         "machine": _machine(),
         "method": f"min over {REPEATS} repeats of the whole input list, per call",

@@ -26,8 +26,10 @@ import csv
 import io
 import json
 import sys
+from math import isfinite
 
 import numpy as np
+from mpmath import mp
 
 from .dioph import (
     SearchCapError,
@@ -136,10 +138,19 @@ def _coerce(spec, value, where: str):
 
 
 def _matrix(value, where: str) -> np.ndarray:
+    """A row-major matrix of finite numbers or decimal strings, entries kept as given.
+
+    Kinds that compute in floats convert it themselves; ``dioph-flow``
+    reads the digits of a decimal string past a double.
+    """
     try:
-        arr = np.asarray(value, dtype=float)
+        shape = np.shape(np.asarray(value, dtype=float))
+        arr = np.array(value, dtype=object).reshape(shape)
+        finite = all(isfinite(float(mp.mpf(v))) for v in arr.flat)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: not a numeric array: {err}") from err
+    if not finite:
+        raise ConfigError(f"{where}: entries must be finite")
     if arr.ndim == 1:
         arr = arr[None, :]
     return arr

@@ -3,22 +3,32 @@
 A matrix M is probed in two independent ways: a brute-force search for
 good rational approximations weighted by (r, s), and the trajectory of the
 lattice a(t) u_M Z^d under the associated diagonal flow, whose sup-norm
-systole encodes approximation quality.  Finite-horizon results are
-reported as evidence scores, never as verdicts: the dichotomies they probe
-are asymptotic.
+systole encodes approximation quality.  The orbit has one exact path for
+every block shape: integers in fixed point, with bits worked out from the
+horizon, so M may be given as decimal strings or mpf to carry more
+precision than a double.  Finite-horizon results are reported as evidence
+scores, never as verdicts: the dichotomies they probe are asymptotic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as _iproduct
-from math import gamma, pi
+from math import frexp, gamma, log, pi
+from operator import mul
 
 import numpy as np
 from mpmath import mp
 
 from .fractal import AffineIFS, coding_sample, ifs_validate, irreducibility_check, sponge_check
-from .kau import WeightPair, flow_element, unipotent
-from .lattices import CountCapError, UnimodularLattice, lll_reduce, siegel_count
+from .kau import WeightPair
+from .lattices import (
+    ConditioningError,
+    CountCapError,
+    LatticeError,
+    UnimodularLattice,
+    lll_reduce,
+    siegel_count,
+)
 
 
 class SearchCapError(ValueError):
@@ -80,56 +90,49 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     return best, best_pq
 
 
-def _mp_reduce_columns(b):
-    # Lagrange (Gauss) reduction of 2x2 columns in mpmath arithmetic
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1]
-
-    c1 = [b[0][0], b[1][0]]
-    c2 = [b[0][1], b[1][1]]
-    if dot(c1, c1) > dot(c2, c2):
-        c1, c2 = c2, c1
-    for _ in range(10_000):
-        r = mp.nint(dot(c1, c2) / dot(c1, c1))
-        if r != 0:
-            c2 = [c2[0] - r * c1[0], c2[1] - r * c1[1]]
-        if dot(c2, c2) >= dot(c1, c1):
-            break
-        c1, c2 = c2, c1
-    return c1, c2
+def _needed_bits(weights: WeightPair, t_max: float) -> int:
+    # a(t) stretches the lattice by e^{(max r + max s) t} between its longest
+    # and shortest directions; 64 guard bits on top
+    spread = max(weights.r) + max(weights.s)
+    return max(100, int(spread * t_max / log(2)) + 64)
 
 
-def _mp_orbit_1x1(m_value, t_grid, dt, dps):
-    """Float snapshots of the reduced basis of a(t) u_M Z^2 along the grid.
+def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
+    """Float snapshots of a reduced basis of a(t) u_M Z^d at t = 0, dt, 2 dt, ..
 
-    The orbit is tracked in mpmath arithmetic so that the short-vector
-    cancellations (which need about 2t/ln 2 bits at time t) do not exhaust
-    double precision; the reduced basis entries themselves are O(1) and are
-    returned as exact-enough float64 snapshots.
+    The state is the basis a(t) u_M T (T integral, never stored) held
+    exactly as Python integers in fixed point over 2^bits.  A step scales
+    row i by round(e^{dt w_i} 2^bits) and shifts right by ``bits``; the
+    float snapshot (each entry correctly rounded) is LLL-reduced, and a
+    transform other than the identity is applied to the integers, which are
+    converted again.  LLL works on squares of the entries, so it reduces
+    the snapshot times the power of two that centres their squares in the
+    double range, 2^-1074 .. 2^1024; deep in the cusp that keeps the
+    longest and the shortest vector representable together.  ``entries``
+    are the exact fixed-point integers of M.
     """
-    with mp.workdps(dps):
-        m_mp = m_value if isinstance(m_value, mp.mpf) else mp.mpf(m_value)
-        c1 = [mp.mpf(1), mp.mpf(0)]
-        c2 = [-m_mp, mp.mpf(1)]
-        e_up = mp.e**mp.mpf(dt)
-        e_dn = 1 / e_up
-        snapshots = []
-        for k in range(len(t_grid)):
-            if k > 0:
-                c1 = [c1[0] * e_up, c1[1] * e_dn]
-                c2 = [c2[0] * e_up, c2[1] * e_dn]
-            c1, c2 = _mp_reduce_columns([[c1[0], c2[0]], [c1[1], c2[1]]])
-            snapshots.append(
-                np.array(
-                    [[float(c1[0]), float(c2[0])], [float(c1[1]), float(c2[1])]]
-                )
-            )
-        return snapshots
-
-
-def _needed_dps(t_max: float) -> int:
-    # remainders shrink like e^{-2t}; keep ~20 guard digits
-    return max(30, int(0.87 * t_max) + 20)
+    m, d = weights.m, weights.m + weights.n
+    one = 1 << bits
+    with mp.workprec(bits + 64):
+        factors = [
+            int(mp.nint(mp.ldexp(mp.exp(mp.mpf(dt) * w), bits)))
+            for w in (*weights.r, *(-s for s in weights.s))
+        ]
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows = [[v << bits for v in row] for row in identity]  # u_M = [[I, -M], [0, I]]
+    for i in range(m):
+        rows[i][m:] = [-v for v in entries[i]]
+    while True:
+        snap = [[v / one for v in row] for row in rows]
+        exps = [frexp(v)[1] for row in snap for v in row if v]
+        scaled = np.ldexp(snap, (-25 - max(exps) - min(exps)) // 2)
+        transform = lll_reduce(scaled, renormalize=False).transform.tolist()
+        if transform != identity:
+            cols = list(zip(*transform))
+            rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            snap = [[v / one for v in row] for row in rows]
+        yield np.array(snap)
+        rows = [[(v * f) >> bits for v in row] for row, f in zip(rows, factors)]
 
 
 @dataclass
@@ -177,19 +180,19 @@ def flow_trace(
     siegel_radius: float | None = None,
     siegel_stride: int = 20,
     siegel_cap: int = 10**5,
-    precision_dps: int | None = None,
 ) -> FlowTrace:
     """Reduce a(t) u_M Z^d along the grid t = 0, dt, .., recording systoles.
 
-    Resolving the systole at time t costs about 2t/ln 2 bits of precision
-    in M, which exhausts float64 near t = 18.  In the scalar case
-    (m = n = 1) the orbit is therefore tracked in mpmath arithmetic with
-    enough digits for the horizon, and M may be given as a string or mpf
-    to supply precision beyond a double; observables are evaluated on
-    float snapshots of the reduced basis, whose entries are O(1).  For
-    larger block shapes the state is carried in float64 as the previous
-    reduced basis scaled by a(dt) (no catastrophic rebuild, but deep-cusp
-    fidelity is limited to the double-precision horizon).
+    Resolving the systole at time t costs about (max r + max s) t / ln 2
+    bits of M, which exhausts float64 near t = 18 for r = s = 1.  The orbit
+    is therefore carried exactly, for every block shape, as integers in
+    fixed point with that many bits for the horizon plus 64 guard bits
+    (at least 100); observables are evaluated on correctly rounded float
+    snapshots of its reduced basis, whose entries are O(1) off the cusp.
+    Entries of M may be numbers, decimal strings or mpf, so M can carry
+    more precision than a double.  A basis that cannot be reduced (deep
+    in the cusp, past t = 363 for the zero 1x1 orbit) raises
+    ConditioningError naming t.
 
     Optional Siegel counts (Euclidean radius ``siegel_radius``) are
     recorded every ``siegel_stride`` points and saturate at the
@@ -203,26 +206,29 @@ def flow_trace(
     raw = np.atleast_2d(np.asarray(mat, dtype=object))
     if raw.shape != (weights.m, weights.n):
         raise ValueError(f"matrix shape {raw.shape} does not match the weights")
-    scalar_case = weights.m == 1 and weights.n == 1
-    try:
-        mat_f = raw.astype(float)
-    except (TypeError, ValueError):
-        if not scalar_case:
-            raise ValueError(
-                "extended-precision entries are supported in the scalar case only"
-            )
-        mat_f = None
-
     steps = int(np.floor(t_max / dt + 1e-9)) + 1
     t_grid = np.arange(steps) * dt
     minima = np.empty(steps)
+    bits = _needed_bits(weights, t_max)
+    with mp.workprec(bits + 64):
+        exact = [[mp.mpf(v) for v in row] for row in raw]
+        mat_f = np.array([[float(v) for v in row] for row in exact])
+        if not np.isfinite(mat_f).all():
+            raise ValueError("matrix entries must be finite doubles")
+        entries = [[int(mp.nint(mp.ldexp(v, bits))) for v in row] for row in exact]
     extras: dict[str, list] = {}
     if siegel_radius is not None:
         extras["siegel"] = []
         extras["siegel_t"] = []
-
-    def record(k, t, x):
-        minima[k] = x.shortest("sup")[1]
+    eye = np.eye(weights.m + weights.n, dtype=np.int64)
+    orbit = _flow_orbit(entries, weights, dt, bits)
+    for k, t in enumerate(t_grid):
+        try:
+            snap = next(orbit)
+            x = UnimodularLattice(snap, snap, eye)
+            minima[k] = x.shortest("sup")[1]
+        except (LatticeError, OverflowError) as err:
+            raise ConditioningError(f"flow orbit cannot be reduced at t={t:g}: {err}") from err
         if siegel_radius is not None and k % siegel_stride == 0:
             try:
                 cnt = float(siegel_count(x, siegel_radius, cap=siegel_cap))
@@ -230,25 +236,6 @@ def flow_trace(
                 cnt = float(siegel_cap)
             extras["siegel"].append(cnt)
             extras["siegel_t"].append(float(t))
-
-    if scalar_case:
-        dps = precision_dps if precision_dps is not None else _needed_dps(t_max)
-        snaps = _mp_orbit_1x1(raw[0, 0], t_grid, dt, dps)
-        eye = np.eye(2, dtype=np.int64)
-        for k, t in enumerate(t_grid):
-            snap = snaps[k]
-            record(k, t, UnimodularLattice(snap, snap, eye))
-        if mat_f is None:
-            with mp.workdps(dps):
-                mat_f = np.array([[float(mp.mpf(raw[0, 0]))]])
-    else:
-        u = unipotent(mat_f)
-        step_mat = flow_element(weights, dt)
-        x = lll_reduce(u)
-        for k, t in enumerate(t_grid):
-            if k > 0:
-                x = lll_reduce(step_mat @ x.reduced, renormalize=False)
-            record(k, t, x)
     extras_arr = {k: np.asarray(v) for k, v in extras.items()}
     return FlowTrace(mat_f, weights, t_grid, minima, extras_arr)
 

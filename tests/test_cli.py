@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expwalk import catalog, cli
-from expwalk.dioph import FlowTrace
+from expwalk.dioph import FlowTrace, flow_trace
 from expwalk.kau import WeightPair
 from expwalk.lattices import TrajectoryRecord
 from expwalk.measures import save_measure
@@ -451,3 +451,38 @@ def test_cone_lp_failure_is_numerical_failure(tmp_path, monkeypatch):
         "cone: ExpansionFailure: cone LP did not solve: The problem is infeasible."
     )
     assert not (tmp_path / "lp.data.csv").exists()
+
+
+GOLDEN_50 = "0.61803398874989484820458683436563811772030917980576"
+
+
+def test_dioph_flow_decimal_string_keeps_its_precision(tmp_path):
+    # the double nearest to GOLDEN_50 is a rational whose orbit reads 0.2985 by t=30
+    params = {"M": [[GOLDEN_50]], "r": [1.0], "s": [1.0], "t_max": 30.0}
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "g")}) == 0
+    summary = json.loads((tmp_path / "g.summary.json").read_text())
+    expected = flow_trace(GOLDEN_50, WeightPair((1.0,), (1.0,)), 30.0).inf_minima
+    assert summary["inf_minima"] == expected
+    assert expected > 0.6
+
+
+@pytest.mark.parametrize("entry", [float("nan"), "-inf", "1e400", "0.5x"])
+def test_dioph_flow_bad_matrix_entry_is_exit_2(tmp_path, capsys, entry):
+    params = {"M": [[entry]], "r": [1.0], "s": [1.0], "t_max": 2.0}
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "o")}) == 2
+    assert "config error: dioph-flow.M: " in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
+def test_dioph_flow_past_the_reduction_reach_is_exit_3(tmp_path):
+    params = {"M": [[0.0]], "r": [1.0], "s": [1.0], "t_max": 380.0, "dt": 1.0}
+    cfg = write_config(tmp_path, "deep", {"kind": "dioph-flow", "parameters": params,
+                                          "output": str(tmp_path / "deep")})
+    assert cli.main(["dioph-flow", "--config", cfg]) == 3
+    summary = json.loads((tmp_path / "deep.summary.json").read_text())
+    assert summary["error"].startswith(
+        "dioph-flow: ConditioningError: flow orbit cannot be reduced at t=364:"
+    )
+    assert not (tmp_path / "deep.data.csv").exists()

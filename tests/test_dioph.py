@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from expwalk import catalog
+from expwalk import catalog, dioph
 from expwalk.dioph import (
     SearchCapError,
     brute_force_quality,
@@ -10,8 +10,9 @@ from expwalk.dioph import (
     flow_trace,
     fractal_experiment,
 )
-from expwalk.fractal import AffineIFS, check_admissible
+from expwalk.fractal import AffineIFS, check_admissible, coding_sample
 from expwalk.kau import WeightPair
+from expwalk.lattices import LatticeError
 
 UNIT = WeightPair((1.0,), (1.0,))
 
@@ -99,6 +100,56 @@ def test_flow_block_case_runs_in_floats():
     assert np.all(tr.minima <= 1.0 + 1e-12)
     with pytest.raises(ValueError):
         flow_trace(np.array([[0.3], [0.4]]), WeightPair((1.0,), (1.0,)), 5.0)
+
+
+def test_flow_block_case_keeps_decimal_string_precision():
+    # a 40-digit M and the doubles nearest to it part once e^{1.7 t} 1e-17 is O(1)
+    wp = WeightPair((0.3, 0.7), (1.0,))
+    with mp.workdps(60):
+        digits = [[mp.nstr(mp.sqrt(2) - 1, 40)], [mp.nstr(mp.sqrt(3) - 1, 40)]]
+        mpfs = [[mp.mpf(row[0])] for row in digits]
+    exact = flow_trace(digits, wp, 40.0, dt=0.1)
+    assert exact.minima.tobytes() == flow_trace(mpfs, wp, 40.0, dt=0.1).minima.tobytes()
+    assert exact.mat.tolist() == [[float(row[0])] for row in digits]
+    rounded = flow_trace(exact.mat, wp, 40.0, dt=0.1)
+    assert np.allclose(exact.minima[:70], rounded.minima[:70], rtol=1e-12, atol=0.0)
+    assert np.abs(exact.minima / rounded.minima - 1.0).max() > 1.0
+
+
+def test_flow_past_the_reduction_reach_names_t():
+    # the squares of e^t and e^-t no longer fit one double range past t = 363
+    with pytest.raises(LatticeError, match=r"at t=364: Gram-Schmidt collapsed"):
+        flow_trace(0.0, UNIT, 380.0, dt=1.0)
+    # one long step: the snapshot itself overflows a double
+    with pytest.raises(LatticeError, match=r"at t=800: integer division result too large"):
+        flow_trace(0.0, UNIT, 800.0, dt=800.0)
+
+
+def test_flow_carpet_trace_does_not_depend_on_dt():
+    # the exact orbit is one orbit on any grid; the float path read 0.68 here
+    ifs = catalog.bm_carpet(2, 3)
+    for mat in coding_sample(ifs, 4, seed=1):
+        fine = flow_trace(mat, ifs.weightpair, 30.0, dt=0.05).minima
+        coarse = flow_trace(mat, ifs.weightpair, 30.0, dt=0.1).minima
+        assert np.abs(fine[::2] / coarse - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mat, weights",
+    [
+        (0.4142135623730951, UNIT),
+        ([[0.3217], [0.7731]], WeightPair((0.3, 0.7), (1.0,))),
+        ([[0.3217, 0.7731]], WeightPair((1.0,), (0.4, 0.6))),
+    ],
+    ids=["1x1", "2x1", "1x2"],
+)
+def test_flow_trace_is_exact_at_its_precision(monkeypatch, mat, weights):
+    trace = flow_trace(mat, weights, 40.0, dt=0.1, siegel_radius=3.0)
+    needed = dioph._needed_bits
+    monkeypatch.setattr(dioph, "_needed_bits", lambda w, t: 2 * needed(w, t))
+    doubled = flow_trace(mat, weights, 40.0, dt=0.1, siegel_radius=3.0)
+    assert trace.minima.tobytes() == doubled.minima.tobytes()
+    assert trace.extras["siegel"].tobytes() == doubled.extras["siegel"].tobytes()
 
 
 def test_classify_zero_is_dirichlet_improvable():

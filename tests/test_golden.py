@@ -64,17 +64,17 @@ MOMENT = {
 
 # d=3 carpet flow (a coded point of bm_carpet(2, 3), seed 3), t = 0, 1, .., 20
 CARPET_MINIMA = [
-    1.0, 0.7357588823428847, 0.4627390635768397, 0.78135723100084,
-    0.6872859217167109, 0.5188219189295811, 0.7442689957785358, 0.5325390678838376,
-    0.7415005247717817, 0.5232386989526985, 0.4060569717956647, 0.658540119874813,
-    0.6769140191785226, 0.5311178258739541, 0.7494950848491249, 0.7354659044477407,
-    0.41813063110401705, 0.5107781627041903, 0.5267266498983142, 0.589255564458978,
-    0.43314520673259416,
+    1.0, 0.7357588823428847, 0.46273906357683975, 0.7813572310008405,
+    0.6872859217167265, 0.518821918929581, 0.744268995778529, 0.5325390678838374,
+    0.7415005247630032, 0.5232386989525414, 0.4060569717956645, 0.6585401182066939,
+    0.6769140191785222, 0.5311177157473609, 0.7494950848491245, 0.7354707333246834,
+    0.4181306311040168, 0.5108848488405621, 0.5267266442832641, 0.5892555644589774,
+    0.4706146877321816,
 ]
 CARPET_SIEGEL = [
     112.0, 108.0, 108.0, 114.0, 118.0, 120.0, 114.0,
     114.0, 116.0, 112.0, 104.0, 116.0, 108.0, 112.0,
-    108.0, 112.0, 108.0, 112.0, 110.0, 114.0, 108.0,
+    108.0, 112.0, 108.0, 112.0, 112.0, 110.0, 112.0,
 ]
 # shortest:euclid along 20 five-generator steps from a random SL4 point
 FIVE_WALK_EUCLID = [
