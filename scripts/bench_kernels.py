@@ -7,8 +7,9 @@ Usage, from the root of a checkout::
 Imports ``expwalk`` from this checkout's ``src``.  Every kernel runs over a
 fixed list of inputs: bases taken from seeded walks (the bases real runs
 hand to it) and from a float-carried carpet orbit, carpet points and a
-50-digit golden ratio for the flow, and seeded Gaussian matrices for the
-representations.  One repeat times the whole list with
+50-digit golden ratio for the flow, seeded scalars and carpet points for
+the brute-force box (at the census's horizons), and seeded Gaussian
+matrices for the representations.  One repeat times the whole list with
 ``time.perf_counter``, and the per-call time is the fastest of ``REPEATS``
 repeats divided by the list length.  The JSON file holds the machine, the
 library versions and, per kernel, the per-call microseconds and the number
@@ -29,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from expwalk import catalog  # noqa: E402
-from expwalk.dioph import flow_trace  # noqa: E402
+from expwalk.dioph import brute_force_quality, flow_trace  # noqa: E402
 from expwalk.fractal import coding_sample  # noqa: E402
 from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
 from expwalk.lattices import (  # noqa: E402
@@ -146,6 +147,12 @@ def main(argv=None) -> int:
         # as the census's scalar flows, on the README's 50-digit golden ratio
         flow_trace(value, WeightPair((1.0,), (1.0,)), 30.0, dt=0.05, siegel_radius=3.0)
 
+    def brute(weights, t_max):
+        return lambda mat: brute_force_quality(mat, weights, t_max)
+
+    unit = WeightPair((1.0,), (1.0,))
+    scalars = [[[v]] for v in np.random.default_rng(7).uniform(0.01, 0.99, size=4)]
+
     rows = [
         ("lll_reduce.d2", reduce, in2, False, 1),
         ("lll_reduce.d3", reduce, in3, False, 1),
@@ -160,6 +167,13 @@ def main(argv=None) -> int:
         ("flow_trace.d3.t20", carpet_flow(20.0), carpet_points, False, 1),
         ("flow_trace.d3.t40", carpet_flow(40.0), carpet_points, False, 1),
         ("flow_trace.d2.golden.t30", scalar_flow, [GOLDEN_50], False, 1),
+        ("rfactor.d2", lambda x: x.rfactor(), lat2, True, 1),
+        ("rfactor.d3", lambda x: x.rfactor(), lat3, True, 1),
+        ("rfactor.d4", lambda x: x.rfactor(), lat4, True, 1),
+        ("brute_force_quality.1x1.T1e4", brute(unit, 1e4), scalars, False, 1),
+        ("brute_force_quality.1x1.T1e5", brute(unit, 1e5), scalars[:2], False, 1),
+        ("brute_force_quality.carpet.T100", brute(carpet.weightpair, 100.0), carpet_points,
+         False, 1),
         ("wedge_power.d15.k2", lambda g: wedge_power(g, 2), square15, False, 1),
         ("adjoint_rep.d4", adjoint_rep, square4, False, 1),
     ]

@@ -12,8 +12,7 @@ scores, never as verdicts: the dichotomies they probe are asymptotic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as _iproduct
-from math import frexp, gamma, log, pi
+from math import frexp, gamma, isfinite, log, pi
 from operator import mul
 
 import numpy as np
@@ -42,29 +41,38 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     q != 0 with max_j |q_j|^{1/s_j} <= t_max, taking p as the coordinatewise
     nearest integer vector to M q (optimal for the max-norm objective at
     fixed q).  Returns (quality, (p, q)) at the minimizer.
+
+    The box is walked in chunks of 65,536 points by flat index, skipping
+    the zero vector's; C order is lexicographic order of q, so the first
+    minimizer in that order wins, and memory stays bounded by one chunk.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     m, n = mat.shape
     if (m, n) != (weights.m, weights.n):
         raise ValueError(f"matrix shape {(m, n)} does not match the weights")
+    if not isfinite(t_max):
+        raise ValueError("t_max must be finite")
     if t_max < 1.0:
         raise ValueError("t_max must be at least 1")
     r = np.asarray(weights.r)
     s = np.asarray(weights.s)
-    limits = np.floor(t_max**s + 1e-12).astype(np.int64)
-    box = np.prod(2 * limits.astype(float) + 1.0)
+    with np.errstate(over="ignore"):
+        limits = np.floor(t_max**s + 1e-12)
+    box = np.prod(2.0 * limits + 1.0)  # sized in floats: an int64 cast can wrap
     if box > cap:
         raise SearchCapError(f"search box of {box:.3g} points exceeds the cap {cap}")
-
+    limits = limits.astype(np.int64)
+    shape = tuple(2 * limits + 1)
+    nonzero = int(np.prod(shape)) - 1
+    zero = nonzero // 2  # the centre of the box is its middle flat index
     best = np.inf
     best_pq = None
-    ranges = [range(-int(lim), int(lim) + 1) for lim in limits]
-    chunk = []
     chunk_size = 65536
-
-    def flush(chunk):
-        nonlocal best, best_pq
-        q = np.array(chunk, dtype=float)
+    for start in range(0, nonzero, chunk_size):
+        flat = np.arange(start, min(start + chunk_size, nonzero))
+        flat += flat >= zero  # nonzero point k sits at flat index k or k + 1
+        q_int = np.stack(np.unravel_index(flat, shape), axis=1) - limits
+        q = q_int.astype(float)
         qn = np.abs(q) ** (1.0 / s)
         height = qn.max(axis=1)
         mq = q @ mat.T
@@ -74,17 +82,7 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
-            best_pq = (p[i].astype(np.int64), np.asarray(chunk[i], dtype=np.int64))
-
-    for q in _iproduct(*ranges):
-        if all(v == 0 for v in q):
-            continue
-        chunk.append(q)
-        if len(chunk) >= chunk_size:
-            flush(chunk)
-            chunk = []
-    if chunk:
-        flush(chunk)
+            best_pq = (p[i].astype(np.int64), q_int[i].copy())
     if best_pq is None:
         raise SearchCapError("empty search box; increase t_max")
     return best, best_pq

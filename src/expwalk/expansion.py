@@ -132,28 +132,15 @@ class ExpansionCertificate:
         return "FAIL (witness v with negative integral)"
 
 
-def _objective_factory(word_mats, word_wts, transform=np.log):
-    """v -> sum_w weight * transform(|W v| / |v|) over the word matrices W."""
-
-    def objective(v):
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-300 or not np.isfinite(nrm):
-            return 1e6
-        u = v / nrm
-        images = word_mats @ u
-        return float(word_wts @ transform(np.linalg.norm(images, axis=-1)))
-
-    return objective
-
-
 def _batch_objective_factory(word_mats, word_wts, transform, chunk):
-    """Rows of points -> :func:`_objective_factory` values, bit for bit.
+    """Rows of points v -> sum_w weight * transform(|W v| / |v|) over the word
+    matrices W; 1e6 where |v| is below 1e-300 or not finite.
 
-    Every step mirrors the scalar objective on one row: the norm is a
-    per-row dot, the images per-item matvecs and the weighting a per-row
-    dot, so each row goes through the same BLAS kernels.  At most ``chunk``
-    rows are evaluated per batched call, which bounds the rows x words x dim
-    image buffer.
+    Every step mirrors the scalar objective on one row (kept in the tests
+    as the reference, bit for bit): the norm is a per-row dot, the images
+    per-item matvecs and the weighting a per-row dot, so each row goes
+    through the same BLAS kernels.  At most ``chunk`` rows are evaluated
+    per batched call, which bounds the rows x words x dim image buffer.
     """
     wts_row = word_wts[None, None, :]
 
@@ -243,7 +230,7 @@ def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
 
 
 def _sphere_minimize(word_mats, word_wts, sphere_samples, n_descent, rng, transform=np.log):
-    """Minimum over the unit sphere of the objective of :func:`_objective_factory`.
+    """Minimum over the unit sphere of the objective of :func:`_batch_objective_factory`.
 
     The objective is evaluated on ``sphere_samples`` random directions in
     one batch, then Nelder-Mead descends from the ``n_descent`` best, all

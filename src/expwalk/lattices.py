@@ -12,9 +12,12 @@ under averaging.
 
 Shortest vectors and Siegel counts share one depth-first Fincke-Pohst
 enumerator on the cached R-factor of the reduced basis, in every
-dimension.  Its node cap counts integer coordinates visited at every
-level, leaves included: each level's whole range is charged before it is
-walked, so a range past the cap (deep in the cusp) fails at once.
+dimension.  R comes from one scalar Gram-Schmidt path for every d, on
+columns each scaled by its own power of two, so that no square overflows
+deep in the cusp.  The enumerator's node cap counts integer coordinates
+visited at every level, leaves included: each level's whole range is
+charged before it is walked, so a range past the cap (deep in the cusp)
+fails at once.
 
 Reduction is one scalar LLL kernel for every dimension, on Python floats
 and ints (numpy's per-call overhead dominates on 2x2 to 4x4 bases).  It
@@ -65,7 +68,7 @@ class UnimodularLattice:
     reduced: np.ndarray
     transform: np.ndarray  # integer, det +-1: reduced = basis @ transform
     _shortest: dict = field(default_factory=dict, repr=False)
-    _rfactor: np.ndarray | None = field(default=None, repr=False)
+    _rfactor: list | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -77,24 +80,32 @@ class UnimodularLattice:
             self._shortest[norm] = shortest_vector(self, norm)
         return self._shortest[norm]
 
-    def rfactor(self) -> np.ndarray:
-        """Upper-triangular R with positive diagonal, reduced = Q R."""
+    def rfactor(self) -> list:
+        """Rows of the upper-triangular R with positive diagonal, reduced = Q R.
+
+        Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
+        scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
+        the scaling is exact, and no square overflows deep in the cusp.
+        Then R_kj = mu'_jk sqrt(n'_k) 2^e_j and R_jj = sqrt(n'_j) 2^e_j.
+        """
         if self._rfactor is None:
-            b = self.reduced
-            if self.dim == 2:
-                n1 = float(np.hypot(b[0, 0], b[1, 0]))
-                r12 = float(b[:, 0] @ b[:, 1]) / n1
-                # square b_1 / 2^e so |b_1|^2 cannot overflow; the scaling is exact
-                e = frexp(max(abs(b[0, 1]), abs(b[1, 1])))[1]
-                c, t = np.ldexp(b[:, 1], -e), ldexp(r12, -e)
-                r22 = ldexp(sqrt(max(float(c @ c) - t * t, 0.0)), e)
-                r = np.array([[n1, r12], [0.0, r22]])
-            else:
-                _, r = np.linalg.qr(b)
-                signs = np.sign(np.diag(r))
-                signs[signs == 0] = 1.0
-                r = signs[:, None] * r
-            if np.any(np.diag(r) <= 0.0) or not np.all(np.isfinite(r)):
+            cols, exps = [], []
+            for col in self.reduced.T.tolist():
+                e = frexp(max(map(abs, col)))[1]
+                cols.append([ldexp(v, -e) for v in col])
+                exps.append(e)
+            mu, norms = _gso(cols)
+            roots = [sqrt(n) for n in norms]
+            d = len(cols)
+            r = [[0.0] * d for _ in range(d)]
+            try:
+                for j, e in enumerate(exps):
+                    for k in range(j):
+                        r[k][j] = ldexp(mu[j][k] * roots[k], e)
+                    r[j][j] = ldexp(roots[j], e)
+            except OverflowError:
+                raise ConditioningError("reduced basis degenerate in enumeration") from None
+            if not all(r[j][j] > 0.0 and all(map(isfinite, r[j])) for j in range(d)):
                 raise ConditioningError("reduced basis degenerate in enumeration")
             self._rfactor = r
         return self._rfactor
@@ -207,15 +218,15 @@ def lll_reduce(
     return UnimodularLattice(basis=b, reduced=reduced, transform=transform)
 
 
-def _enumerate(r: np.ndarray, radius: float, cap: int, rows: bool):
+def _enumerate(r: list, radius: float, cap: int, rows: bool):
     """Depth-first Fincke-Pohst walk over the integer z with |R z|_2 <= radius.
 
+    ``r`` is R as rows of floats (:meth:`UnimodularLattice.rfactor`).
     Levels run from d - 1 down to 0; each level's integer range is added
     to the node count before it is visited, and the count passing ``cap``
     raises CountCapError.  Returns the number of nonzero z, or with
     ``rows`` the nonzero z themselves as integer lists.
     """
-    r = r.tolist()
     d = len(r)
     rad2 = radius * radius
     z = [0] * d
@@ -257,10 +268,10 @@ def _enumerate(r: np.ndarray, radius: float, cap: int, rows: bool):
     return found if rows else count
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
+def _canonical_sign(v: list) -> list:
     for entry in v:
         if abs(entry) > 1e-12:
-            return -v if entry < 0 else v
+            return [-t for t in v] if entry < 0 else v
     return v
 
 
@@ -271,43 +282,46 @@ def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
     initial radius (scaled by sqrt(d) for the sup norm, since any sup-norm
     minimizer has Euclidean length at most sqrt(d) times its sup norm).
     Ties within 1e-15 of the minimum go to the sparsest, then the
-    lexicographically smallest sign-canonical vector.
+    lexicographically smallest sign-canonical vector.  Works on Python
+    floats; candidates z B are dots accumulated left to right, and a
+    Euclidean length is ``np.linalg.norm`` of its candidate.
     """
     if norm not in ("sup", "euclid"):
         raise ValueError(f"unknown norm {norm!r}")
-    b = x.reduced
-    d = x.dim
     if norm == "euclid":
-        seed = float(np.min(np.linalg.norm(b, axis=0)))
-        radius = seed * (1.0 + 1e-12)
+        length, scale = lambda v: float(np.linalg.norm(v)), 1.0
     else:
-        seed = float(np.min(np.abs(b).max(axis=0)))
-        radius = seed * np.sqrt(d) * (1.0 + 1e-12)
+        length, scale = lambda v: max(map(abs, v)), sqrt(x.dim)
+    rows = x.reduced.tolist()
+    radius = min(map(length, zip(*rows))) * scale * (1.0 + 1e-12)
     r = x.rfactor()
-    if np.prod(1.0 + 2.0 * radius / np.diag(r)) > 1e12:
+    bound = 1.0
+    for j in range(x.dim):
+        bound *= 1.0 + 2.0 * radius / r[j][j]
+    if bound > 1e12:
         raise ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12")
     zs = _enumerate(r, radius, cap=10**7, rows=True)
     if not zs:
         raise LatticeError("enumeration returned no vectors; radius too small")
-    cands = np.array(zs, dtype=float) @ b.T
-    if norm == "euclid":
-        # per vector: norm(cands, axis=1) sums in another order (last-bit changes)
-        lengths = np.array([np.linalg.norm(v) for v in cands])
-    else:
-        lengths = np.abs(cands).max(axis=1)
-    best_len = float(lengths.min())
-    best_vec = None
-    best_key = None
-    for i in np.nonzero(lengths <= best_len + 1e-15)[0]:
-        v = _canonical_sign(cands[i])
-        key = (
-            sum(1 for t in v if abs(t) > 1e-12),
-            tuple(round(float(t), 12) for t in v),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best_vec = v
-    return best_vec, best_len
+    cands = []
+    for z in zs:
+        v = []
+        for row in rows:
+            s = 0.0
+            for zj, bj in zip(z, row):
+                s += zj * bj
+            v.append(s)
+        cands.append(v)
+    lengths = list(map(length, cands))
+    best_len = min(lengths)
+    best_vec = best_key = None
+    for v, v_len in zip(cands, lengths):
+        if v_len <= best_len + 1e-15:
+            v = _canonical_sign(v)
+            key = (sum(1 for t in v if abs(t) > 1e-12), tuple(round(t, 12) for t in v))
+            if best_key is None or key < best_key:
+                best_key, best_vec = key, v
+    return np.array(best_vec), best_len
 
 
 def mahler_member(x: UnimodularLattice, epsilon: float) -> bool:

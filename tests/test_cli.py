@@ -486,3 +486,13 @@ def test_dioph_flow_past_the_reduction_reach_is_exit_3(tmp_path):
         "dioph-flow: ConditioningError: flow orbit cannot be reduced at t=364:"
     )
     assert not (tmp_path / "deep.data.csv").exists()
+
+
+def test_dioph_brute_huge_horizon_is_exit_3_naming_the_cap(tmp_path):
+    params = {"M": [[0.3]], "r": [1.0], "s": [1.0], "T_max": 1e20}
+    assert cli.run({"kind": "dioph-brute", "parameters": params,
+                    "output": str(tmp_path / "b")}) == 3
+    summary = json.loads((tmp_path / "b.summary.json").read_text())
+    assert summary["error"] == (
+        "dioph-brute: SearchCapError: search box of 2e+20 points exceeds the cap 100000000"
+    )

@@ -59,6 +59,19 @@ def test_brute_cap():
         brute_force_quality(np.array([[0.3]]), UNIT, 10**9, cap=10**6)
 
 
+def test_brute_huge_horizon_is_refused_by_the_cap():
+    # floor(1e20) wrapped in an int64 cast, so the box read negative and
+    # passed the cap, then "empty search box; increase t_max"
+    with pytest.raises(SearchCapError, match=r"2e\+20 points exceeds the cap 100000000"):
+        brute_force_quality(np.array([[0.3]]), UNIT, 1e20)
+
+
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+def test_brute_rejects_non_finite_horizon(t_max):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        brute_force_quality(np.array([[0.3]]), UNIT, t_max)
+
+
 def test_flow_zero_matrix_is_exact_exponential():
     tr = flow_trace(np.array([[0.0]]), UNIT, 30.0, dt=0.05)
     assert np.abs(tr.minima - np.exp(-tr.t_grid)).max() < 1e-9

@@ -1,26 +1,31 @@
-"""The scalar LLL kernel and the cached height plan against numpy references.
+"""The scalar kernels against the numpy references they replaced.
 
-The references are the numpy implementations the kernels replaced: LLL
-with numpy Gram-Schmidt and an object-dtype transform, and the height's
-per-subset determinant loop.  The reduced basis must agree byte for byte
-and the transform entry for entry, on the inputs real walks and flows
-feed the kernel; heights and height profiles must agree in value and
-dtype.
+The references: LLL with numpy Gram-Schmidt and an object-dtype
+transform, the height's per-subset determinant loop, R from numpy QR,
+and the brute-force search that built its box one tuple at a time.  The
+reduced basis must agree byte for byte and the transform entry for
+entry, on the inputs real walks and flows feed the kernel; heights and
+height profiles must agree in value and dtype; Siegel counts and
+shortest vectors must not move with R's bits; and the chunked search
+must return the same quality bits, p and q.
 """
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from expwalk import catalog, dioph, lattices
-from expwalk.dioph import flow_trace
+from expwalk.dioph import SearchCapError, brute_force_quality, flow_trace
 from expwalk.fractal import coding_sample
-from expwalk.kau import WeightPair
+from expwalk.kau import WeightPair, flow_element, unipotent
 from expwalk.lattices import (
     HeightSpec,
+    UnimodularLattice,
     lll_reduce,
     margulis_height,
     margulis_height_profile,
+    shortest_vector,
+    siegel_count,
     walk_simulate,
 )
 from expwalk.linalg import as_square
@@ -239,3 +244,104 @@ def test_height_plan_power_overflow_matches_subset_loop():
     assert repr(margulis_height(x, spec)) == repr(height_ref(x, spec))
     for a, b in zip(margulis_height_profile(x, spec), height_profile_ref(x, spec)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def rfactor_ref(x):
+    """R of numpy QR with its diagonal made positive, as rows of floats."""
+    _, r = np.linalg.qr(x.reduced)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return (signs[:, None] * r).tolist()
+
+
+def _bench_lattices(d):
+    """The lattices ``scripts/bench_kernels.py`` times: seeded walk bases for
+    d = 2 and 4, a float-carried carpet orbit (dt 0.05) for d = 3."""
+    if d == 3:
+        ifs = catalog.bm_carpet(2, 3)
+        step = flow_element(ifs.weightpair, 0.05)
+        x = lll_reduce(unipotent(coding_sample(ifs, 1, seed=3)[0]))
+        steps = [step] * 400
+    else:
+        mu = catalog.positive_pair_sl2() if d == 2 else catalog.sl4_five_generator_measure()
+        rng = np.random.default_rng(0 if d == 2 else 1)
+        x = _random_start(rng, d)
+        steps = mu.matrices[rng.choice(mu.natoms, size=2000 if d == 2 else 500, p=mu.weights)]
+    out = []
+    for g in steps:
+        x = lll_reduce(g @ x.reduced, renormalize=False)
+        out.append(UnimodularLattice(x.basis, x.reduced, x.transform))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rfactor_matches_numpy_qr_reference(d):
+    moved = 0
+    for x in _bench_lattices(d):
+        r = x.rfactor()
+        ra = np.array(r)
+        assert all(r[j][j] > 0.0 for j in range(d)) and np.all(np.tril(ra, -1) == 0.0)
+        gram = x.reduced.T @ x.reduced
+        assert np.abs(ra.T @ ra - gram).max() <= 1e-12 * np.abs(gram).max()
+        ref = UnimodularLattice(x.basis, x.reduced, x.transform, _rfactor=rfactor_ref(x))
+        moved += r != ref.rfactor()
+        assert siegel_count(x, 3.0) == siegel_count(ref, 3.0)
+        for norm in ("sup", "euclid"):
+            (v, length), (ref_v, ref_length) = shortest_vector(x, norm), shortest_vector(ref, norm)
+            assert v.tobytes() == ref_v.tobytes() and repr(length) == repr(ref_length)
+    assert moved  # R's bits differ from QR's, the observables do not
+
+
+def brute_force_quality_ref(mat, weights, t_max, cap=10**8):
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    r = np.asarray(weights.r)
+    s = np.asarray(weights.s)
+    limits = np.floor(t_max**s + 1e-12).astype(np.int64)
+    if np.prod(2 * limits.astype(float) + 1.0) > cap:
+        raise SearchCapError("search box exceeds the cap")
+    best, best_pq, chunk = np.inf, None, []
+
+    def flush(chunk):
+        nonlocal best, best_pq
+        q = np.array(chunk, dtype=float)
+        height = (np.abs(q) ** (1.0 / s)).max(axis=1)
+        mq = q @ mat.T
+        p = np.rint(mq)
+        vals = (np.abs(mq - p) ** (1.0 / r)).max(axis=1) * height
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best = float(vals[i])
+            best_pq = (p[i].astype(np.int64), np.asarray(chunk[i], dtype=np.int64))
+
+    for q in product(*[range(-int(lim), int(lim) + 1) for lim in limits]):
+        if all(v == 0 for v in q):
+            continue
+        chunk.append(q)
+        if len(chunk) >= 65536:
+            flush(chunk)
+            chunk = []
+    if chunk:
+        flush(chunk)
+    return best, best_pq
+
+
+UNIT = WeightPair((1.0,), (1.0,))
+CARPET = catalog.bm_carpet(2, 3)
+BRUTE_CASES = [
+    *[([[v]], UNIT, t) for v in (0.0, 0.5, 1 / 3, 7 / 61, 0.2718, 0.8314, 0.5772)
+      for t in (1e2, 1e4)],
+    *[(mat, CARPET.weightpair, 100.0) for mat in coding_sample(CARPET, 2, seed=1)],
+    # 123 x 971 points in two chunks, the zero vector inside the first
+    ([[0.3217, 0.7731]], WeightPair((1.0,), (0.4, 0.6)), 3e4),
+    # 131,073 points: the zero vector is flat index 65,536, where a chunk starts
+    ([[0.4142]], UNIT, 65536.0),
+]
+
+
+@pytest.mark.parametrize("mat, weights, t_max", BRUTE_CASES)
+def test_brute_force_matches_tuple_loop_reference(mat, weights, t_max):
+    quality, (p, q) = brute_force_quality(mat, weights, t_max)
+    ref_quality, (ref_p, ref_q) = brute_force_quality_ref(mat, weights, t_max)
+    assert repr(quality) == repr(ref_quality)
+    assert p.dtype == ref_p.dtype and p.tolist() == ref_p.tolist()
+    assert q.dtype == ref_q.dtype and q.tolist() == ref_q.tolist()
