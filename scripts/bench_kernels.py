@@ -8,8 +8,9 @@ Imports ``expwalk`` from this checkout's ``src``.  Every kernel runs over a
 fixed list of inputs: bases taken from seeded walks (the bases real runs
 hand to it) and from a float-carried carpet orbit, carpet points and a
 50-digit golden ratio for the flow, seeded scalars and carpet points for
-the brute-force box (at the census's horizons), and seeded Gaussian
-matrices for the representations.  One repeat times the whole list with
+the brute-force box (at the census's horizons), seeded Gaussian
+matrices for the representations, and two SL4 certificates as the certify
+benchmark runs them (whole-call time, sphere optimizer included).  One repeat times the whole list with
 ``time.perf_counter``, and the per-call time is the fastest of ``REPEATS``
 repeats divided by the list length.  The JSON file holds the machine, the
 library versions and, per kernel, the per-call microseconds and the number
@@ -31,6 +32,7 @@ import numpy as np  # noqa: E402
 
 from expwalk import catalog  # noqa: E402
 from expwalk.dioph import brute_force_quality, flow_trace  # noqa: E402
+from expwalk.expansion import expansion_certificate  # noqa: E402
 from expwalk.fractal import coding_sample  # noqa: E402
 from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
 from expwalk.lattices import (  # noqa: E402
@@ -150,6 +152,12 @@ def main(argv=None) -> int:
     def brute(weights, t_max):
         return lambda mat: brute_force_quality(mat, weights, t_max)
 
+    def five_cert(rep, n, mode, sphere_samples, **kwargs):
+        # the certify benchmark's five-generator certificates
+        return lambda seed: expansion_certificate(
+            five, rep, N=n, mode=mode, sphere_samples=sphere_samples, seed=seed, **kwargs
+        )
+
     unit = WeightPair((1.0,), (1.0,))
     scalars = [[[v]] for v in np.random.default_rng(7).uniform(0.01, 0.99, size=4)]
 
@@ -176,12 +184,15 @@ def main(argv=None) -> int:
          False, 1),
         ("wedge_power.d15.k2", lambda g: wedge_power(g, 2), square15, False, 1),
         ("adjoint_rep.d4", adjoint_rep, square4, False, 1),
+        ("certificate.five.std.mc.N24", five_cert("std", 24, "mc", 200, mc_words=150), [0],
+         False, 1),
+        ("certificate.five.adj.exact.N1", five_cert("adj", 1, "exact", 100), [0], False, 1),
     ]
     kernels = {}
     for name, fn, inputs, fresh, per_input in rows:
         per_call = _time(fn, inputs, fresh) / per_input
         kernels[name] = {"per_call_us": round(per_call * 1e6, 3), "calls": len(inputs) * per_input}
-        print(f"{name:24s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
+        print(f"{name:30s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
     doc = {
         "machine": _machine(),
         "method": f"min over {REPEATS} repeats of the whole input list, per call",

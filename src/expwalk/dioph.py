@@ -40,7 +40,8 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     Minimizes max_i |(M q - p)_i|^{1/r_i} * max_j |q_j|^{1/s_j} over integer
     q != 0 with max_j |q_j|^{1/s_j} <= t_max, taking p as the coordinatewise
     nearest integer vector to M q (optimal for the max-norm objective at
-    fixed q).  Returns (quality, (p, q)) at the minimizer.
+    fixed q).  Returns (quality, (p, q)) at the minimizer as int64 vectors;
+    a minimizer whose p does not fit int64 raises :class:`ConditioningError`.
 
     The box is walked in chunks of 65,536 points by flat index, skipping
     the zero vector's; C order is lexicographic order of q, so the first
@@ -50,6 +51,8 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     m, n = mat.shape
     if (m, n) != (weights.m, weights.n):
         raise ValueError(f"matrix shape {(m, n)} does not match the weights")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     if not isfinite(t_max):
         raise ValueError("t_max must be finite")
     if t_max < 1.0:
@@ -66,7 +69,7 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     nonzero = int(np.prod(shape)) - 1
     zero = nonzero // 2  # the centre of the box is its middle flat index
     best = np.inf
-    best_pq = None
+    best_p = best_q = None
     chunk_size = 65536
     for start in range(0, nonzero, chunk_size):
         flat = np.arange(start, min(start + chunk_size, nonzero))
@@ -82,10 +85,13 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
-            best_pq = (p[i].astype(np.int64), q_int[i].copy())
-    if best_pq is None:
+            best_p, best_q = p[i].copy(), q_int[i].copy()
+    if best_q is None:
         raise SearchCapError("empty search box; increase t_max")
-    return best, best_pq
+    p_max = float(np.abs(best_p).max())
+    if p_max >= 2.0**63:  # an int64 cast would wrap
+        raise ConditioningError(f"minimizer has |p| = {p_max:.3g}, past the int64 range")
+    return best, (best_p.astype(np.int64), best_q)
 
 
 def _needed_bits(weights: WeightPair, t_max: float) -> int:

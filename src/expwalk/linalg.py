@@ -2,13 +2,16 @@
 
 Exterior powers of the standard representation, weight-space splittings
 under diagonal (Cartan) elements, and spectral norms.  Everything is plain
-numpy at dimension d <= 6.  Wedge coordinates are indexed by the
-lexicographically sorted k-element subsets of {0, .., d-1}
-(``itertools.combinations`` order); this ordering is part of the contract
-of every function below.  Norms are Euclidean/spectral throughout.
+numpy on small matrices: the standard representation up to d = 6, and the
+adjoint of sl_4 (15 x 15) with its low wedge powers.  Wedge coordinates
+are indexed by the lexicographically sorted k-element subsets of
+{0, .., d-1} (``itertools.combinations`` order); this ordering is part of
+the contract of every function below.  Norms are Euclidean/spectral
+throughout.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -53,6 +56,10 @@ def wedge_power(g, k: int) -> np.ndarray:
     Entry (I, J) is the k x k minor of g with rows I and columns J, so the
     result is a C(d,k) square matrix in the subset basis.  Functorial:
     wedge_power(g @ h, k) = wedge_power(g, k) @ wedge_power(h, k).
+
+    Each column J is one batched ``np.linalg.det`` over the minors of all
+    row subsets, which factors every k x k minor exactly as a det call of
+    its own would; memory stays C(d,k) k^2 floats.
     """
     g = as_square(g)
     d = g.shape[0]
@@ -61,11 +68,11 @@ def wedge_power(g, k: int) -> np.ndarray:
     if k == 1:
         return g.copy()
     subsets = k_subsets(d, k)
+    rows_idx = np.array(subsets)
     out = np.empty((len(subsets), len(subsets)))
     for j, cols in enumerate(subsets):
         gc = g[:, cols]
-        for i, rows in enumerate(subsets):
-            out[i, j] = np.linalg.det(gc[rows, :])
+        out[:, j] = np.linalg.det(gc[rows_idx])
     return out
 
 
@@ -143,13 +150,15 @@ def operator_norms(g) -> tuple[float, float, float]:
     return float(s[0]), float(1.0 / s[-1]), float(max(s[0], 1.0 / s[-1]))
 
 
+@lru_cache(maxsize=None)
 def sl_basis(d: int) -> np.ndarray:
     """Frobenius-orthonormal basis of the trace-zero d x d matrices.
 
     Off-diagonal matrix units first (row-major order), then d-1
     orthonormalized traceless diagonal matrices.  Coordinates in this basis
     carry the Frobenius norm, which is invariant under conjugation by
-    orthogonal matrices.
+    orthogonal matrices.  Built once per d and shared, so the returned
+    array is read-only.
     """
     basis = []
     for i in range(d):
@@ -163,11 +172,16 @@ def sl_basis(d: int) -> np.ndarray:
         v[:k] = 1.0
         v[k] = -float(k)
         basis.append(np.diag(v / np.linalg.norm(v)))
-    return np.array(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
 
 
 def adjoint_rep(g) -> np.ndarray:
-    """Matrix of X -> g X g^-1 on sl_d in the ``sl_basis`` coordinates."""
+    """Matrix of X -> g X g^-1 on sl_d in the ``sl_basis`` coordinates.
+
+    The basis comes from the cache of :func:`sl_basis`, not rebuilt per call.
+    """
     g = as_square(g)
     d = g.shape[0]
     basis = sl_basis(d)

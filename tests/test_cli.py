@@ -488,6 +488,16 @@ def test_dioph_flow_past_the_reduction_reach_is_exit_3(tmp_path):
     assert not (tmp_path / "deep.data.csv").exists()
 
 
+def test_dioph_brute_p_past_int64_is_exit_3(tmp_path):
+    params = {"M": [[1e19]], "r": [1.0], "s": [1.0], "T_max": 10}
+    assert cli.run({"kind": "dioph-brute", "parameters": params,
+                    "output": str(tmp_path / "b")}) == 3
+    summary = json.loads((tmp_path / "b.summary.json").read_text())
+    assert summary["error"] == (
+        "dioph-brute: ConditioningError: minimizer has |p| = 1e+20, past the int64 range"
+    )
+
+
 def test_dioph_brute_huge_horizon_is_exit_3_naming_the_cap(tmp_path):
     params = {"M": [[0.3]], "r": [1.0], "s": [1.0], "T_max": 1e20}
     assert cli.run({"kind": "dioph-brute", "parameters": params,

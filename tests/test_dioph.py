@@ -12,7 +12,7 @@ from expwalk.dioph import (
 )
 from expwalk.fractal import AffineIFS, check_admissible, coding_sample
 from expwalk.kau import WeightPair
-from expwalk.lattices import LatticeError
+from expwalk.lattices import ConditioningError, LatticeError
 
 UNIT = WeightPair((1.0,), (1.0,))
 
@@ -70,6 +70,20 @@ def test_brute_huge_horizon_is_refused_by_the_cap():
 def test_brute_rejects_non_finite_horizon(t_max):
     with pytest.raises(ValueError, match="t_max must be finite"):
         brute_force_quality(np.array([[0.3]]), UNIT, t_max)
+
+
+@pytest.mark.parametrize("entry", [1e19, 1e305])
+def test_brute_refuses_p_past_the_int64_range(entry):
+    # the int64 cast of p wrapped to -2^63, and the quality read 0.0
+    with pytest.raises(ConditioningError, match=r"\|p\| = 1e\+(20|306), past the int64 range"):
+        brute_force_quality(np.array([[entry]]), UNIT, 10)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_brute_rejects_non_finite_matrix(entry):
+    # every box value was NaN, so the search read "empty search box; increase t_max"
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        brute_force_quality(np.array([[entry]]), UNIT, 10)
 
 
 def test_flow_zero_matrix_is_exact_exponential():

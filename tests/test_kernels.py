@@ -2,19 +2,21 @@
 
 The references: LLL with numpy Gram-Schmidt and an object-dtype
 transform, the height's per-subset determinant loop, R from numpy QR,
-and the brute-force search that built its box one tuple at a time.  The
-reduced basis must agree byte for byte and the transform entry for
+the brute-force search that built its box one tuple at a time, the
+minor-by-minor wedge power and the adjoint built on a fresh sl basis.
+The reduced basis must agree byte for byte and the transform entry for
 entry, on the inputs real walks and flows feed the kernel; heights and
 height profiles must agree in value and dtype; Siegel counts and
-shortest vectors must not move with R's bits; and the chunked search
-must return the same quality bits, p and q.
+shortest vectors must not move with R's bits; the chunked search must
+return the same quality bits, p and q; and the representations must
+agree byte for byte.
 """
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from expwalk import catalog, dioph, lattices
+from expwalk import catalog, dioph, lattices, linalg
 from expwalk.dioph import SearchCapError, brute_force_quality, flow_trace
 from expwalk.fractal import coding_sample
 from expwalk.kau import WeightPair, flow_element, unipotent
@@ -345,3 +347,41 @@ def test_brute_force_matches_tuple_loop_reference(mat, weights, t_max):
     assert repr(quality) == repr(ref_quality)
     assert p.dtype == ref_p.dtype and p.tolist() == ref_p.tolist()
     assert q.dtype == ref_q.dtype and q.tolist() == ref_q.tolist()
+
+
+def wedge_power_ref(g, k):
+    g = as_square(g)
+    if k == 1:
+        return g.copy()
+    subsets = list(combinations(range(g.shape[0]), k))
+    out = np.empty((len(subsets), len(subsets)))
+    for j, cols in enumerate(subsets):
+        gc = g[:, cols]
+        for i, rows in enumerate(subsets):
+            out[i, j] = np.linalg.det(gc[rows, :])
+    return out
+
+
+WEDGE_CASES = [(d, k) for d in range(2, 7) for k in range(1, d + 1)] + [(15, 1), (15, 2), (15, 3)]
+
+
+@pytest.mark.parametrize("d, k", WEDGE_CASES)
+def test_wedge_power_matches_minor_loop_reference(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    g = rng.normal(size=(d, d))
+    assert linalg.wedge_power(g, k).tobytes() == wedge_power_ref(g, k).tobytes()
+
+
+def adjoint_rep_ref(g):
+    g = as_square(g)
+    basis = linalg.sl_basis.__wrapped__(g.shape[0])
+    images = np.einsum("ij,ajk,kl->ail", g, basis, np.linalg.inv(g))
+    return np.einsum("aij,bij->ab", basis, images)
+
+
+def test_adjoint_rep_matches_fresh_basis_reference():
+    rng = np.random.default_rng(4)
+    for g in rng.normal(size=(200, 4, 4)):
+        assert linalg.adjoint_rep(g).tobytes() == adjoint_rep_ref(g).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        linalg.sl_basis(4)[0, 0, 0] = 2.0
