@@ -141,17 +141,17 @@ def _word_images(word_mats, u):
     """Images W u of every row u of ``u`` under every word matrix W: (P, W, dim).
 
     Every image equals the per-word product ``word_mats @ row`` bit for bit.
-    OpenBLAS's dgemv reduces the rows of a matrix in blocks of four, and the
-    trailing dim mod 4 rows take a leftover path.  When dim <= 8 or
-    dim % 4 == 0, each row of a word takes the same path in one gemv over
-    the words stacked as a (W * dim, dim) matrix as in its own gemv, so a
-    point costs one gemv call instead of one per word.  For any other dim a
-    stacked row block would straddle two words, and no stacked layout,
-    padding or dot reproduces the leftover path, so each (point, word) pair
+    OpenBLAS's dgemv reduces the rows of a matrix in blocks of four and
+    sends the trailing rows down a leftover path.  For dim <= 8 both paths
+    round a row alike, so one gemv over the words stacked as a
+    (W * dim, dim) matrix gives every row the bits of its own gemv wherever
+    the blocks (or a threaded split of the rows) fall, and a point costs one
+    gemv call instead of one per word.  Above dim 8 the two paths differ
+    and a stacked block may straddle two words, so each (point, word) pair
     keeps its own gemv.
     """
     n_words, dim, _ = word_mats.shape
-    if dim <= 8 or dim % 4 == 0:
+    if dim <= 8:
         stacked = word_mats.reshape(n_words * dim, dim)
         return (stacked[None] @ u[:, :, None]).reshape(len(u), n_words, dim)
     return (word_mats[None] @ u[:, None, :, None])[..., 0]
@@ -181,10 +181,10 @@ def _batch_objective_factory(word_mats, word_wts, transform, chunk):
     Every step mirrors the scalar objective on one row (kept in the tests
     as the reference, bit for bit): the norm is a per-row dot, the images
     come from :func:`_word_images` (the per-word matvecs, stacked into one
-    gemv per point when dim <= 8 or dim % 4 == 0, where OpenBLAS rounds
-    them alike), the image norms are the sqrt of the sums of squares that
-    ``np.linalg.norm`` computes (:func:`_sum_squares`), and the weighting is
-    a per-row dot, so each row goes through the same kernels.  At most
+    gemv per point when dim <= 8, where OpenBLAS rounds them alike), the
+    image norms are the sqrt of the sums of squares that ``np.linalg.norm``
+    computes (:func:`_sum_squares`), and the weighting is a per-row dot, so
+    each row goes through the same kernels.  At most
     ``chunk`` rows are evaluated per batched call, which bounds the
     rows x words x dim image buffer.
     """

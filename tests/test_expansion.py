@@ -88,10 +88,11 @@ def test_certificate_objective_scale_invariant_exactly():
 
 @pytest.mark.parametrize("dim", range(1, 25))
 def test_batch_objective_matches_scalar_reference_for_every_dim(dim):
-    # stacked images (dim <= 8 or dim % 4 == 0) and per-word ones alike; a
-    # chunk boundary falls inside the points, and the zero and NaN rows read 1e6
+    # stacked images (dim <= 8) and per-word ones alike; 301 words put
+    # OpenBLAS's threaded row split off a word boundary, a chunk boundary
+    # falls inside the points, and the zero and NaN rows read 1e6
     rng = np.random.default_rng(100 + dim)
-    for n_words in (1, 7, 300):
+    for n_words in (1, 7, 300, 301):
         word_mats = rng.normal(size=(n_words, dim, dim)) * rng.uniform(0.1, 10.0, (n_words, 1, 1))
         word_wts = rng.dirichlet(np.ones(n_words))
         points = rng.normal(size=(9, dim))
