@@ -6,11 +6,12 @@ Usage, from the root of a checkout::
 
 Imports ``expwalk`` from this checkout's ``src``.  Every kernel runs over a
 fixed list of inputs: bases taken from seeded walks (the bases real runs
-hand to it) and from a float-carried carpet orbit, carpet points and a
-50-digit golden ratio for the flow, seeded scalars and carpet points for
-the brute-force box (at the census's horizons), seeded Gaussian
-matrices for the representations, and two SL4 certificates as the certify
-benchmark runs them (whole-call time, sphere optimizer included).  One repeat times the whole list with
+hand to it) and from a float-carried carpet orbit, carpet points, a
+50-digit golden ratio and the zero 1x1 orbit deep into the cusp for the
+flow, seeded scalars and carpet points for the brute-force box (at the
+census's horizons), seeded Gaussian matrices for the representations,
+and two SL4 certificates as the certify benchmark runs them (whole-call
+time, sphere optimizer included).  One repeat times the whole list with
 ``time.perf_counter``, and the per-call time is the fastest of ``REPEATS``
 repeats divided by the list length.  The JSON file holds the machine, the
 library versions and, per kernel, the per-call microseconds and the number
@@ -149,6 +150,11 @@ def main(argv=None) -> int:
         # as the census's scalar flows, on the README's 50-digit golden ratio
         flow_trace(value, WeightPair((1.0,), (1.0,)), 30.0, dt=0.05, siegel_radius=3.0)
 
+    def zero_flow(value):
+        # unit steps to t = 360: past t = 138 the snapshot spans more than
+        # REUSE_SPREAD bits, so R is computed afresh at each point
+        flow_trace(value, WeightPair((1.0,), (1.0,)), 360.0, dt=1.0)
+
     def brute(weights, t_max):
         return lambda mat: brute_force_quality(mat, weights, t_max)
 
@@ -175,6 +181,7 @@ def main(argv=None) -> int:
         ("flow_trace.d3.t20", carpet_flow(20.0), carpet_points, False, 1),
         ("flow_trace.d3.t40", carpet_flow(40.0), carpet_points, False, 1),
         ("flow_trace.d2.golden.t30", scalar_flow, [GOLDEN_50], False, 1),
+        ("flow_trace.d2.zero.t360", zero_flow, [0.0], False, 1),
         ("rfactor.d2", lambda x: x.rfactor(), lat2, True, 1),
         ("rfactor.d3", lambda x: x.rfactor(), lat3, True, 1),
         ("rfactor.d4", lambda x: x.rfactor(), lat4, True, 1),

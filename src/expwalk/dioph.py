@@ -6,13 +6,17 @@ lattice a(t) u_M Z^d under the associated diagonal flow, whose sup-norm
 systole encodes approximation quality.  The orbit has one exact path for
 every block shape: integers in fixed point, with bits worked out from the
 horizon, so M may be given as decimal strings or mpf to carry more
-precision than a double.  Finite-horizon results are reported as evidence
+precision than a double.  One grid point is one path on Python lists: the
+float snapshot goes through the LLL kernel shared with ``lll_reduce``, its
+R-factor is read from that kernel's Gram-Schmidt data where the kernel
+changed nothing and the snapshot spans at most 400 bits (computed afresh
+otherwise), and the flow reads only the length of the sup-norm systole.  Finite-horizon results are reported as evidence
 scores, never as verdicts: the dichotomies they probe are asymptotic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import frexp, gamma, isfinite, log, pi
+from math import frexp, gamma, isfinite, ldexp, log, pi
 from operator import mul
 
 import numpy as np
@@ -25,7 +29,10 @@ from .lattices import (
     CountCapError,
     LatticeError,
     UnimodularLattice,
-    lll_reduce,
+    _lll,
+    _rfactor,
+    _rfactor_from_gso,
+    _sup_systole,
     siegel_count,
 )
 
@@ -94,6 +101,12 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     return best, (best_p.astype(np.int64), best_q)
 
 
+# widest exponent spread (bits) of a flow snapshot whose R-factor is read
+# from the LLL's Gram-Schmidt data; past it a common-scaled square can be
+# subnormal, and R is computed afresh
+REUSE_SPREAD = 400
+
+
 def _needed_bits(weights: WeightPair, t_max: float) -> int:
     # a(t) stretches the lattice by e^{(max r + max s) t} between its longest
     # and shortest directions; 64 guard bits on top
@@ -101,8 +114,29 @@ def _needed_bits(weights: WeightPair, t_max: float) -> int:
     return max(100, int(spread * t_max / log(2)) + 64)
 
 
+# largest t-grid flow_trace allocates: at tens of microseconds a point, 10^7
+# points are minutes of work and two 80 MB arrays
+MAX_GRID_POINTS = 10**7
+
+
+def _grid_points(t_max: float, dt: float) -> int:
+    """Number of points of the grid t = 0, dt, .. up to t_max, or a
+    ValueError naming t_max or dt when there is no such grid to allocate."""
+    if not isfinite(t_max) or t_max < 0.0:
+        raise ValueError(f"t_max must be finite and non-negative, got {t_max!r}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    points = t_max / dt
+    if not points < MAX_GRID_POINTS:
+        raise ValueError(
+            f"t_max / dt = {points:.3g} grid points exceed the cap of {MAX_GRID_POINTS:.0e}; "
+            "raise dt or lower t_max"
+        )
+    return int(np.floor(points + 1e-9)) + 1
+
+
 def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
-    """Float snapshots of a reduced basis of a(t) u_M Z^d at t = 0, dt, 2 dt, ..
+    """Reduced bases of a(t) u_M Z^d at t = 0, dt, 2 dt, .., with R-factors.
 
     The state is the basis a(t) u_M T (T integral, never stored) held
     exactly as Python integers in fixed point over 2^bits.  A step scales
@@ -110,10 +144,19 @@ def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
     float snapshot (each entry correctly rounded) is LLL-reduced, and a
     transform other than the identity is applied to the integers, which are
     converted again.  LLL works on squares of the entries, so it reduces
-    the snapshot times the power of two that centres their squares in the
-    double range, 2^-1074 .. 2^1024; deep in the cusp that keeps the
+    the snapshot times the power of two 2^c that centres their squares in
+    the double range, 2^-1074 .. 2^1024; deep in the cusp that keeps the
     longest and the shortest vector representable together.  ``entries``
     are the exact fixed-point integers of M.
+
+    Yields (rows, r): the snapshot as float rows and the rows of its
+    R-factor, bit for bit :func:`lattices._rfactor` of its columns.  After
+    an identity transform LLL changed nothing, so R is read from its
+    Gram-Schmidt data, R_kj = mu_jk sqrt(n_k) 2^-c and R_jj = sqrt(n_j)
+    2^-c.  Powers of two are exact only while every intermediate is a
+    normal double, so that reading is taken only when the snapshot's
+    entries span at most ``REUSE_SPREAD`` bits; R is computed afresh
+    otherwise.
     """
     m, d = weights.m, weights.m + weights.n
     one = 1 << bits
@@ -129,13 +172,18 @@ def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
     while True:
         snap = [[v / one for v in row] for row in rows]
         exps = [frexp(v)[1] for row in snap for v in row if v]
-        scaled = np.ldexp(snap, (-25 - max(exps) - min(exps)) // 2)
-        transform = lll_reduce(scaled, renormalize=False).transform.tolist()
-        if transform != identity:
-            cols = list(zip(*transform))
-            rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        hi, lo = max(exps), min(exps)
+        c = (-25 - hi - lo) // 2
+        _, t, mu, norms = _lll([[ldexp(v, c) for v in col] for col in zip(*snap)], 0.99)
+        moved = t != identity
+        if moved:
+            rows = [[sum(map(mul, row, col)) for col in t] for row in rows]
             snap = [[v / one for v in row] for row in rows]
-        yield np.array(snap)
+        if moved or hi - lo > REUSE_SPREAD:
+            r = _rfactor(list(zip(*snap)))
+        else:
+            r = _rfactor_from_gso(mu, norms, [-c] * d)
+        yield snap, r
         rows = [[(v * f) >> bits for v in row] for row, f in zip(rows, factors)]
 
 
@@ -203,14 +251,12 @@ def flow_trace(
     ``siegel_cap`` enumeration budget instead of failing on divergent
     orbits.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    steps = _grid_points(t_max, dt)
     if siegel_radius is not None and not siegel_radius > 0.0:
         raise ValueError("siegel_radius must be positive")
     raw = np.atleast_2d(np.asarray(mat, dtype=object))
     if raw.shape != (weights.m, weights.n):
         raise ValueError(f"matrix shape {raw.shape} does not match the weights")
-    steps = int(np.floor(t_max / dt + 1e-9)) + 1
     t_grid = np.arange(steps) * dt
     minima = np.empty(steps)
     bits = _needed_bits(weights, t_max)
@@ -228,12 +274,13 @@ def flow_trace(
     orbit = _flow_orbit(entries, weights, dt, bits)
     for k, t in enumerate(t_grid):
         try:
-            snap = next(orbit)
-            x = UnimodularLattice(snap, snap, eye)
-            minima[k] = x.shortest("sup")[1]
+            snap, r = next(orbit)
+            minima[k] = _sup_systole(snap, r)
         except (LatticeError, OverflowError) as err:
             raise ConditioningError(f"flow orbit cannot be reduced at t={t:g}: {err}") from err
         if siegel_radius is not None and k % siegel_stride == 0:
+            basis = np.array(snap)
+            x = UnimodularLattice(basis, basis, eye, _rfactor=r)
             try:
                 cnt = float(siegel_count(x, siegel_radius, cap=siegel_cap))
             except CountCapError:
@@ -339,6 +386,7 @@ def fractal_experiment(
 
     Returns (summary, rows) with one row dict per point.
     """
+    _grid_points(t_max, dt)
     validation = ifs_validate(ifs)
     if not validation.contracting:
         raise ValueError(

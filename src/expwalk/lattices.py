@@ -12,20 +12,25 @@ under averaging.
 
 Shortest vectors and Siegel counts share one depth-first Fincke-Pohst
 enumerator on the cached R-factor of the reduced basis, in every
-dimension.  R comes from one scalar Gram-Schmidt path for every d, on
-columns each scaled by its own power of two, so that no square overflows
-deep in the cusp.  The enumerator's node cap counts integer coordinates
-visited at every level, leaves included: each level's whole range is
-charged before it is walked, so a range past the cap (deep in the cusp)
-fails at once.
+dimension.  R comes from one scalar Gram-Schmidt path for every d
+(``_rfactor``), on columns each scaled by its own power of two, so that
+no square overflows deep in the cusp.  The enumerator's node cap counts
+integer coordinates visited at every level, leaves included: each level's
+whole range is charged before it is walked, so a range past the cap (deep
+in the cusp) fails at once.  ``_sup_systole`` is the sup-norm search of
+``shortest_vector`` that returns the length alone, for the diagonal flow.
 
-Reduction is one scalar LLL kernel for every dimension, on Python floats
-and ints (numpy's per-call overhead dominates on 2x2 to 4x4 bases).  It
-keeps to three rules so that its results do not depend on how numpy or
-the Python version sums: dots accumulate left to right (``s += a * b``,
-never ``sum()``, which compensates from Python 3.12 on), coefficients
-round half to even (``round``, like ``np.rint``), and the Lovasz test
-squares with ``m ** 2`` (C ``pow``, like numpy's scalar power, which can
+Reduction is one scalar LLL kernel for every dimension (``_lll``), on
+Python floats and ints (numpy's per-call overhead dominates on 2x2 to 4x4
+bases).  ``lll_reduce`` is its numpy wrapper; the diagonal flow of
+:mod:`expwalk.dioph` calls it on list columns and, where it changed
+nothing, reads R from the Gram-Schmidt data it returns, under the
+400-bit rule of ``dioph._flow_orbit``.  The kernel keeps to three rules
+so that its results do not depend on how numpy or the Python version
+sums: dots accumulate left to right (``s += a * b``, never ``sum()``,
+which compensates from Python 3.12 on), coefficients round half to even
+(``round``, like ``np.rint``), and the Lovasz test squares with
+``m ** 2`` (C ``pow``, like numpy's scalar power, which can
 differ from ``m * m`` in the last bit).  The height reads a plan cached
 per (spec, d): grade exponents and stacked subset indices, so one call
 is one Gram product and one batched determinant per grade.
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, floor, frexp, isfinite, ldexp, sqrt
+from math import ceil, floor, frexp, inf, isfinite, ldexp, sqrt
 
 import numpy as np
 
@@ -81,33 +86,10 @@ class UnimodularLattice:
         return self._shortest[norm]
 
     def rfactor(self) -> list:
-        """Rows of the upper-triangular R with positive diagonal, reduced = Q R.
-
-        Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
-        scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
-        the scaling is exact, and no square overflows deep in the cusp.
-        Then R_kj = mu'_jk sqrt(n'_k) 2^e_j and R_jj = sqrt(n'_j) 2^e_j.
-        """
+        """Rows of the upper-triangular R with positive diagonal, reduced = Q R
+        (:func:`_rfactor`), computed once."""
         if self._rfactor is None:
-            cols, exps = [], []
-            for col in self.reduced.T.tolist():
-                e = frexp(max(map(abs, col)))[1]
-                cols.append([ldexp(v, -e) for v in col])
-                exps.append(e)
-            mu, norms = _gso(cols)
-            roots = [sqrt(n) for n in norms]
-            d = len(cols)
-            r = [[0.0] * d for _ in range(d)]
-            try:
-                for j, e in enumerate(exps):
-                    for k in range(j):
-                        r[k][j] = ldexp(mu[j][k] * roots[k], e)
-                    r[j][j] = ldexp(roots[j], e)
-            except OverflowError:
-                raise ConditioningError("reduced basis degenerate in enumeration") from None
-            if not all(r[j][j] > 0.0 and all(map(isfinite, r[j])) for j in range(d)):
-                raise ConditioningError("reduced basis degenerate in enumeration")
-            self._rfactor = r
+            self._rfactor = _rfactor(self.reduced.T.tolist())
         return self._rfactor
 
 
@@ -141,43 +123,53 @@ def _gso(cols):
     return mu, norms
 
 
-def lll_reduce(
-    basis, delta: float = 0.99, det_tol: float = 1e-6, renormalize: bool = True
-) -> UnimodularLattice:
-    """LLL reduction (Lovasz parameter ``delta``) with integral transform.
+def _rfactor_from_gso(mu: list, norms: list, exps) -> list:
+    """Rows of R from the Gram-Schmidt data of columns each scaled by
+    2^-e_j: R_kj = mu_jk sqrt(n_k) 2^e_j and R_jj = sqrt(n_j) 2^e_j.
+    ConditioningError when an entry overflows or is not finite, or a
+    diagonal entry is not positive."""
+    roots = [sqrt(n) for n in norms]
+    d = len(norms)
+    r = [[0.0] * d for _ in range(d)]
+    try:
+        for j, e in enumerate(exps):
+            for k in range(j):
+                r[k][j] = ldexp(mu[j][k] * roots[k], e)
+            r[j][j] = ldexp(roots[j], e)
+    except OverflowError:
+        raise ConditioningError("reduced basis degenerate in enumeration") from None
+    if not all(r[j][j] > 0.0 and all(map(isfinite, r[j])) for j in range(d)):
+        raise ConditioningError("reduced basis degenerate in enumeration")
+    return r
 
-    The input must be unimodular up to ``det_tol``; it is rescaled to
-    determinant exactly +-1 before reduction.  Callers that construct the
-    basis from exactly unimodular factors pass ``renormalize=False``: the
-    floating determinant of an ill-conditioned (deep cusp) basis is too
-    noisy to validate against, and repeated renormalization by a noisy
-    determinant would corrupt the lattice.
 
-    The scalar kernel (module docstring) holds float-list columns and a
-    Python-int transform, returned as int64 or, past int64 deep in the
-    cusp, as object integers; Gram-Schmidt data is recomputed on each swap.
-    BLAS dots may fuse multiply-adds, so numpy's Gram-Schmidt data can
-    differ in the last bit; that moves the reduced basis only if a
-    coefficient rounds within it of a half-integer or the Lovasz test ties.
+def _rfactor(columns) -> list:
+    """Rows of the upper-triangular R with positive diagonal, basis = Q R.
+
+    Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
+    scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
+    the scaling is exact, and no square overflows deep in the cusp.
     """
-    b = np.asarray(basis, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {b.shape}")
-    cols = b.T.tolist()
-    for col in cols:  # the checks of linalg.as_square, on the floats reduced below
-        for v in col:
-            if not isfinite(v):
-                raise ValueError("matrix entries must be finite")
-    d = len(cols)
-    if renormalize:
-        det = np.linalg.det(b)
-        if abs(det) <= 1e-12:
-            raise ConditioningError("basis is numerically singular")
-        if abs(abs(det) - 1.0) >= det_tol:
-            raise ValueError(f"basis determinant {det!r} is not within {det_tol} of +-1")
-        b = b / abs(det) ** (1.0 / d)
-        cols = b.T.tolist()
+    cols, exps = [], []
+    for col in columns:
+        e = frexp(max(map(abs, col)))[1]
+        cols.append([ldexp(v, -e) for v in col])
+        exps.append(e)
+    return _rfactor_from_gso(*_gso(cols), exps)
 
+
+def _lll(cols: list, delta: float):
+    """The scalar LLL kernel (module docstring) on float-list columns.
+
+    Reduces ``cols`` in place and returns (cols, t, mu, norms): t holds
+    the columns of the integral transform as Python ints, mu and norms
+    the Gram-Schmidt data (:func:`_gso`) as the loop left them.  With no
+    swap and no size reduction, t is the identity and mu and norms are
+    exactly ``_gso`` of the input; a swap can never be undone (each one
+    cuts the LLL potential by the factor delta), and without swaps a
+    size-reduced column keeps its changed transform column.
+    """
+    d = len(cols)
     t = [[0] * d for _ in range(d)]  # columns of the transform
     for j in range(d):
         t[j][j] = 1
@@ -210,6 +202,46 @@ def lll_reduce(
             t[k - 1], t[k] = tk, t[k - 1]
             mu, norms = _gso(cols)
             k = max(k - 1, 1)
+    return cols, t, mu, norms
+
+
+def lll_reduce(
+    basis, delta: float = 0.99, det_tol: float = 1e-6, renormalize: bool = True
+) -> UnimodularLattice:
+    """LLL reduction (Lovasz parameter ``delta``) with integral transform.
+
+    The input must be unimodular up to ``det_tol``; it is rescaled to
+    determinant exactly +-1 before reduction.  Callers that construct the
+    basis from exactly unimodular factors pass ``renormalize=False``: the
+    floating determinant of an ill-conditioned (deep cusp) basis is too
+    noisy to validate against, and repeated renormalization by a noisy
+    determinant would corrupt the lattice.
+
+    The scalar kernel :func:`_lll` holds float-list columns and a
+    Python-int transform, returned as int64 or, past int64 deep in the
+    cusp, as object integers; Gram-Schmidt data is recomputed on each swap.
+    BLAS dots may fuse multiply-adds, so numpy's Gram-Schmidt data can
+    differ in the last bit; that moves the reduced basis only if a
+    coefficient rounds within it of a half-integer or the Lovasz test ties.
+    """
+    b = np.asarray(basis, dtype=float)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {b.shape}")
+    cols = b.T.tolist()
+    for col in cols:  # the checks of linalg.as_square, on the floats reduced below
+        for v in col:
+            if not isfinite(v):
+                raise ValueError("matrix entries must be finite")
+    d = len(cols)
+    if renormalize:
+        det = np.linalg.det(b)
+        if abs(det) <= 1e-12:
+            raise ConditioningError("basis is numerically singular")
+        if abs(abs(det) - 1.0) >= det_tol:
+            raise ValueError(f"basis determinant {det!r} is not within {det_tol} of +-1")
+        b = b / abs(det) ** (1.0 / d)
+        cols = b.T.tolist()
+    cols, t, _, _ = _lll(cols, delta)
     try:
         transform = np.array(t, dtype=np.int64).T
     except OverflowError:
@@ -275,6 +307,58 @@ def _canonical_sign(v: list) -> list:
     return v
 
 
+def _search_radius(rows: list, r: list, length, scale: float) -> float:
+    """Enumeration radius for :func:`shortest_vector`: the shortest basis
+    column under ``length``, times ``scale``, times 1 + 1e-12.  Refused
+    when the search tree bound prod_j (1 + 2 radius / R_jj) passes 1e12."""
+    radius = min(map(length, zip(*rows))) * scale * (1.0 + 1e-12)
+    bound = 1.0
+    for j in range(len(r)):
+        bound *= 1.0 + 2.0 * radius / r[j][j]
+    if bound > 1e12:
+        raise ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12")
+    return radius
+
+
+def _search(r: list, radius: float) -> list:
+    """The nonzero z of :func:`_enumerate` within ``radius``, at the node
+    cap of the shortest-vector search."""
+    zs = _enumerate(r, radius, cap=10**7, rows=True)
+    if not zs:
+        raise LatticeError("enumeration returned no vectors; radius too small")
+    return zs
+
+
+def _sup(v) -> float:
+    return max(map(abs, v))
+
+
+def _sup_systole(rows: list, r: list) -> float:
+    """``shortest_vector(x, "sup")[1]`` for the lattice with basis rows
+    ``rows`` and R-factor ``r``, without the vector: the same radius,
+    refusals and candidates, and the least sup norm among them.
+
+    Only z lexicographically above 0 are read: negating z negates every
+    shift, bound and dot of the enumeration exactly, so -z is a candidate
+    of the same length.
+    """
+    best = inf
+    zero = [0] * len(rows)
+    for z in _search(r, _search_radius(rows, r, _sup, sqrt(len(rows)))):
+        if z < zero:
+            continue
+        length = 0.0
+        for row in rows:
+            s = 0.0
+            for zj, bj in zip(z, row):
+                s += zj * bj
+            if abs(s) > length:
+                length = abs(s)
+        if length < best:
+            best = length
+    return best
+
+
 def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
     """Exact shortest nonzero lattice vector in the sup or Euclidean norm.
 
@@ -291,20 +375,12 @@ def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
     if norm == "euclid":
         length, scale = lambda v: float(np.linalg.norm(v)), 1.0
     else:
-        length, scale = lambda v: max(map(abs, v)), sqrt(x.dim)
+        length, scale = _sup, sqrt(x.dim)
     rows = x.reduced.tolist()
-    radius = min(map(length, zip(*rows))) * scale * (1.0 + 1e-12)
     r = x.rfactor()
-    bound = 1.0
-    for j in range(x.dim):
-        bound *= 1.0 + 2.0 * radius / r[j][j]
-    if bound > 1e12:
-        raise ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12")
-    zs = _enumerate(r, radius, cap=10**7, rows=True)
-    if not zs:
-        raise LatticeError("enumeration returned no vectors; radius too small")
+    radius = _search_radius(rows, r, length, scale)
     cands = []
-    for z in zs:
+    for z in _search(r, radius):
         v = []
         for row in rows:
             s = 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from expwalk import catalog, cli
 from expwalk.dioph import FlowTrace, flow_trace
+from expwalk.fractal import ifs_to_dict
 from expwalk.kau import WeightPair
 from expwalk.lattices import TrajectoryRecord
 from expwalk.measures import save_measure
@@ -473,6 +474,30 @@ def test_dioph_flow_bad_matrix_entry_is_exit_2(tmp_path, capsys, entry):
     assert cli.run({"kind": "dioph-flow", "parameters": params,
                     "output": str(tmp_path / "o")}) == 2
     assert "config error: dioph-flow.M: " in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["dioph-flow", "dioph-fractal"])
+@pytest.mark.parametrize(
+    "grid, reason",
+    [
+        # before the check: a bare OverflowError, then numpy's "negative
+        # dimensions are not allowed" and "Maximum allowed size exceeded"
+        ({"t_max": 1e308}, "t_max / dt = inf grid points exceed the cap"),
+        ({"t_max": -1.0}, "t_max must be finite and non-negative, got -1.0"),
+        ({"t_max": 2.0, "dt": 1e-300}, "t_max / dt = 2e+300 grid points exceed the cap"),
+    ],
+    ids=["huge-t_max", "negative-t_max", "tiny-dt"],
+)
+def test_flow_grid_that_cannot_be_allocated_is_exit_2(tmp_path, capsys, kind, grid, reason):
+    if kind == "dioph-flow":
+        params = {"M": [[0.5]], "r": [1.0], "s": [1.0], **grid}
+    else:
+        params = {"ifs": ifs_to_dict(catalog.bm_carpet(2, 3)), "n_points": 2, **grid}
+    cfg = write_config(tmp_path, "grid", {"kind": kind, "parameters": params,
+                                          "output": str(tmp_path / "o")})
+    assert cli.main([kind, "--config", cfg]) == 2
+    assert f"config error: {kind}: {reason}" in capsys.readouterr().err
     assert not (tmp_path / "o.summary.json").exists()
 
 

@@ -3,18 +3,23 @@
 The references: LLL with numpy Gram-Schmidt and an object-dtype
 transform, the height's per-subset determinant loop, R from numpy QR,
 the brute-force search that built its box one tuple at a time, the
-minor-by-minor wedge power and the adjoint built on a fresh sl basis.
-The reduced basis must agree byte for byte and the transform entry for
-entry, on the inputs real walks and flows feed the kernel; heights and
-height profiles must agree in value and dtype; Siegel counts and
-shortest vectors must not move with R's bits; the chunked search must
-return the same quality bits, p and q; and the representations must
-agree byte for byte.
+flow step that built a lattice and its shortest vector at every grid
+point, the minor-by-minor wedge power and the adjoint built on a fresh
+sl basis.  The reduced basis must agree byte for byte and the transform
+entry for entry, on the inputs real walks and flows feed the kernel;
+heights and height profiles must agree in value and dtype; Siegel counts
+and shortest vectors must not move with R's bits; the chunked search must
+return the same quality bits, p and q; flow minima and Siegel counts, and
+the R the flow reads from the LLL's Gram-Schmidt data, must agree byte
+for byte; and the representations must agree byte for byte.
 """
 from itertools import combinations, product
+from math import frexp
+from operator import mul
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from expwalk import catalog, dioph, lattices, linalg
 from expwalk.dioph import SearchCapError, brute_force_quality, flow_trace
@@ -119,16 +124,23 @@ def _random_start(rng, d):
     return lll_reduce(q @ np.diag(np.exp(c - c.mean())))
 
 
-def _recorded_calls(monkeypatch, module, run):
-    """Every (args, kwargs) that ``run`` passes to ``module.lll_reduce``."""
+def _recorded_calls(monkeypatch, module, run, name="lll_reduce"):
+    """Every (basis, args, kwargs) that ``run`` passes to ``module.lll_reduce``,
+    or with ``name="_lll"`` to the scalar kernel, as the ``lll_reduce`` call
+    that reduces the same basis (the kernel takes columns and never
+    renormalizes)."""
     calls = []
-    real = module.lll_reduce
+    real = getattr(module, name)
 
     def record(*args, **kwargs):
-        calls.append((np.array(args[0], dtype=float), args[1:], kwargs))
+        if name == "_lll":
+            cols, delta = args
+            calls.append((np.array(cols, dtype=float).T, (delta,), {"renormalize": False}))
+        else:
+            calls.append((np.array(args[0], dtype=float), args[1:], kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "lll_reduce", record)
+    monkeypatch.setattr(module, name, record)
     run()
     monkeypatch.undo()
     return calls
@@ -151,7 +163,7 @@ def _carpet_inputs(monkeypatch):
         for mat in coding_sample(ifs, 4, seed=3):
             flow_trace(mat, weights, 20.0, dt=0.05)
 
-    return _recorded_calls(monkeypatch, dioph, run)
+    return _recorded_calls(monkeypatch, dioph, run, name="_lll")
 
 
 def _assert_same(new, ref):
@@ -294,6 +306,13 @@ def test_rfactor_matches_numpy_qr_reference(d):
     assert moved  # R's bits differ from QR's, the observables do not
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sup_systole_matches_shortest_vector(d):
+    for x in _bench_lattices(d):
+        length = lattices._sup_systole(x.reduced.tolist(), x.rfactor())
+        assert repr(length) == repr(shortest_vector(x, "sup")[1])
+
+
 def brute_force_quality_ref(mat, weights, t_max, cap=10**8):
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     r = np.asarray(weights.r)
@@ -347,6 +366,142 @@ def test_brute_force_matches_tuple_loop_reference(mat, weights, t_max):
     assert repr(quality) == repr(ref_quality)
     assert p.dtype == ref_p.dtype and p.tolist() == ref_p.tolist()
     assert q.dtype == ref_q.dtype and q.tolist() == ref_q.tolist()
+
+
+def _flow_orbit_ref(entries, weights, dt, bits):
+    """The orbit step as it was: each float snapshot scaled by ``np.ldexp``,
+    reduced by ``lll_reduce`` and yielded as an array."""
+    m, d = weights.m, weights.m + weights.n
+    one = 1 << bits
+    with mp.workprec(bits + 64):
+        factors = [
+            int(mp.nint(mp.ldexp(mp.exp(mp.mpf(dt) * w), bits)))
+            for w in (*weights.r, *(-s for s in weights.s))
+        ]
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows = [[v << bits for v in row] for row in identity]
+    for i in range(m):
+        rows[i][m:] = [-v for v in entries[i]]
+    while True:
+        snap = [[v / one for v in row] for row in rows]
+        exps = [frexp(v)[1] for row in snap for v in row if v]
+        scaled = np.ldexp(snap, (-25 - max(exps) - min(exps)) // 2)
+        transform = lll_reduce(scaled, renormalize=False).transform.tolist()
+        if transform != identity:
+            cols = list(zip(*transform))
+            rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            snap = [[v / one for v in row] for row in rows]
+        yield np.array(snap)
+        rows = [[(v * f) >> bits for v in row] for row, f in zip(rows, factors)]
+
+
+def flow_trace_ref(mat, weights, t_max, dt=0.05, siegel_radius=None, siegel_stride=20,
+                   siegel_cap=10**5):
+    """Minima and Siegel counts of the per-step path: every grid point builds
+    an ``UnimodularLattice`` of its snapshot and reads ``shortest_vector``,
+    whose ``rfactor`` the Siegel count reuses."""
+    raw = np.atleast_2d(np.asarray(mat, dtype=object))
+    t_grid = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
+    minima = np.empty(len(t_grid))
+    siegel = []
+    bits = dioph._needed_bits(weights, t_max)
+    with mp.workprec(bits + 64):
+        entries = [[int(mp.nint(mp.ldexp(mp.mpf(v), bits))) for v in row] for row in raw]
+    eye = np.eye(weights.m + weights.n, dtype=np.int64)
+    orbit = _flow_orbit_ref(entries, weights, dt, bits)
+    for k, t in enumerate(t_grid):
+        try:
+            snap = next(orbit)
+            x = UnimodularLattice(snap, snap, eye)
+            minima[k] = x.shortest("sup")[1]
+        except (lattices.LatticeError, OverflowError) as err:
+            raise lattices.ConditioningError(
+                f"flow orbit cannot be reduced at t={t:g}: {err}"
+            ) from err
+        if siegel_radius is not None and k % siegel_stride == 0:
+            try:
+                siegel.append(float(siegel_count(x, siegel_radius, cap=siegel_cap)))
+            except lattices.CountCapError:
+                siegel.append(float(siegel_cap))
+    return minima, np.asarray(siegel)
+
+
+GOLDEN_50 = "0.61803398874989484820458683436563811772030917980576"
+BLOCK_2X1 = ([[0.3217], [0.7731]], WeightPair((0.3, 0.7), (1.0,)))
+FLOW_REF_CASES = [
+    *[(mat, CARPET.weightpair, t, 0.05) for mat in coding_sample(CARPET, 3, seed=1)
+      for t in (20.0, 40.0)],
+    (GOLDEN_50, UNIT, 30.0, 0.05),
+    (*BLOCK_2X1, 60.0, 0.1),
+    (0.0, UNIT, 363.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("mat, weights, t_max, dt", FLOW_REF_CASES)
+def test_flow_trace_matches_per_step_reference(mat, weights, t_max, dt):
+    trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=3.0)
+    minima, siegel = flow_trace_ref(mat, weights, t_max, dt=dt, siegel_radius=3.0)
+    assert trace.minima.tobytes() == minima.tobytes()
+    assert trace.extras["siegel"].tobytes() == siegel.tobytes()
+
+
+def test_flow_trace_refusal_matches_per_step_reference():
+    messages = []
+    for trace in (flow_trace, flow_trace_ref):
+        with pytest.raises(lattices.ConditioningError) as err:
+            trace(0.0, UNIT, 364.0, dt=1.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("flow orbit cannot be reduced at t=364:")
+
+
+def _rfactor_mismatches(monkeypatch, mat, weights, t_max, dt):
+    """Grid times where the orbit's R differs in any bit from a fresh
+    ``_rfactor`` of its snapshot, and how many points read R from the LLL's
+    Gram-Schmidt data instead of calling ``_rfactor``."""
+    orbit, rfactor = dioph._flow_orbit, dioph._rfactor
+    fresh, mismatches = [], []
+
+    def counted_rfactor(columns):
+        fresh.append(columns)
+        return rfactor(columns)
+
+    def checked_orbit(*args):
+        for k, (snap, r) in enumerate(orbit(*args)):
+            ref = lattices._rfactor(list(zip(*snap)))
+            if np.array(r).tobytes() != np.array(ref).tobytes():
+                mismatches.append(k * dt)
+            yield snap, r
+
+    monkeypatch.setattr(dioph, "_rfactor", counted_rfactor)
+    monkeypatch.setattr(dioph, "_flow_orbit", checked_orbit)
+    points = len(flow_trace(mat, weights, t_max, dt=dt).minima)
+    return mismatches, points - len(fresh)
+
+
+RFACTOR_REUSE_CASES = [
+    (0.0, UNIT, 360.0, 1.0),
+    (0.37, UNIT, 200.0, 0.05),
+    (GOLDEN_50, UNIT, 200.0, 0.05),
+    *[(mat, CARPET.weightpair, 40.0, 0.05) for mat in coding_sample(CARPET, 6, seed=1)],
+    (*BLOCK_2X1, 60.0, 0.1),
+]
+
+
+@pytest.mark.parametrize("mat, weights, t_max, dt", RFACTOR_REUSE_CASES)
+def test_flow_rfactor_reuse_matches_fresh_rfactor(monkeypatch, mat, weights, t_max, dt):
+    mismatches, reused = _rfactor_mismatches(monkeypatch, mat, weights, t_max, dt)
+    assert mismatches == []
+    assert reused > 100  # the reading from Gram-Schmidt data is exercised
+
+
+def test_flow_rfactor_reuse_needs_the_spread_guard(monkeypatch):
+    # past t = 346 the common-scaled squares of the zero orbit are subnormal,
+    # and an R read from them loses bits
+    monkeypatch.setattr(dioph, "REUSE_SPREAD", 10**6)
+    mismatches, reused = _rfactor_mismatches(monkeypatch, 0.0, UNIT, 360.0, 1.0)
+    assert reused == 360  # every point but t = 1, where LLL swaps e^t past e^-t
+    assert mismatches == [float(t) for t in range(346, 361)]
 
 
 def wedge_power_ref(g, k):
