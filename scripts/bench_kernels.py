@@ -60,7 +60,8 @@ def _random_start(rng, d):
 
 
 def _walk_inputs(mu, d, steps, seed):
-    """The bases g x.reduced that a seeded walk hands to ``lll_reduce``."""
+    """The bases g x.reduced that a seeded walk hands to ``lll_reduce``,
+    which returns the reduced lattice alone (no change of basis)."""
     rng = np.random.default_rng(seed)
     x = _random_start(rng, d)
     inputs = []
@@ -88,7 +89,7 @@ def _carpet_inputs(steps, seed):
 
 def _fresh(lats):
     """Copies without cached R-factors or shortest vectors."""
-    return [UnimodularLattice(x.basis, x.reduced, x.transform) for x in lats]
+    return [UnimodularLattice(x.reduced) for x in lats]
 
 
 def _time(fn, inputs, fresh=False):

@@ -11,7 +11,7 @@ import numpy as np
 from mpmath import mp
 
 from expwalk.cli import emit_plotdata
-from expwalk.dioph import classify_point, flow_trace
+from expwalk.dioph import SIEGEL_RADIUS, classify_point, flow_trace
 from expwalk.kau import WeightPair
 
 
@@ -30,7 +30,7 @@ def main():
     random_point = "0." + "".join(str(d) for d in rng.integers(0, 10, size=60))
 
     for label, value in (("golden", golden), ("third", 1 / 3), ("random", random_point)):
-        trace = flow_trace(value, unit, args.t_max, dt=args.dt, siegel_radius=3.0)
+        trace = flow_trace(value, unit, args.t_max, dt=args.dt, siegel_radius=SIEGEL_RADIUS)
         report = classify_point(value, unit, args.t_max, trace=trace)
         path = f"{args.out_prefix}.{label}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -10,27 +10,24 @@ from .measures import GroupMeasure
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def positive_pair_sl2(seed: int = 0) -> GroupMeasure:
+def positive_pair_sl2() -> GroupMeasure:
     """Fair coin on the positive matrices [[2,1],[1,1]] and [[1,1],[1,2]]."""
     return GroupMeasure.uniform(
-        [np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 2.0]])],
-        seed=seed,
+        [np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 2.0]])]
     )
 
 
-def diagonal_geodesic_sl2(ratio: float = 3.0, seed: int = 0) -> GroupMeasure:
+def diagonal_geodesic_sl2(ratio: float = 3.0) -> GroupMeasure:
     """Deterministic diagonal flow diag(ratio, 1/ratio)."""
-    return GroupMeasure.dirac(np.diag([ratio, 1.0 / ratio]), seed=seed)
+    return GroupMeasure.dirac(np.diag([ratio, 1.0 / ratio]))
 
 
-def commuting_diagonal_sl3(seed: int = 0) -> GroupMeasure:
+def commuting_diagonal_sl3() -> GroupMeasure:
     """Fair coin on diag(4, 1/2, 1/2) and diag(1/4, 2, 2); top exponent 0 on e1."""
-    return GroupMeasure.uniform(
-        [np.diag([4.0, 0.5, 0.5]), np.diag([0.25, 2.0, 2.0])], seed=seed
-    )
+    return GroupMeasure.uniform([np.diag([4.0, 0.5, 0.5]), np.diag([0.25, 2.0, 2.0])])
 
 
-def sl4_five_generator_measure(seed: int = 0) -> GroupMeasure:
+def sl4_five_generator_measure() -> GroupMeasure:
     """Uniform measure on five upper-parabolic SL4 generators.
 
     One expanding diagonal plus two positive SL2 blocks and two elementary
@@ -45,7 +42,7 @@ def sl4_five_generator_measure(seed: int = 0) -> GroupMeasure:
     g4[1, 2] = 1.0
     g5 = np.eye(4)
     g5[2, 3] = 1.0
-    return GroupMeasure.uniform([g1, g2, g3, g4, g5], seed=seed)
+    return GroupMeasure.uniform([g1, g2, g3, g4, g5])
 
 
 def cantor_ifs() -> AffineIFS:
@@ -62,9 +59,9 @@ def cantor_ifs() -> AffineIFS:
     )
 
 
-def cantor_measure(seed: int = 0) -> GroupMeasure:
+def cantor_measure() -> GroupMeasure:
     """The embedded SL2 walk driven by the Cantor IFS."""
-    return measure_from_ifs(cantor_ifs(), seed=seed)
+    return measure_from_ifs(cantor_ifs())
 
 
 DEFAULT_CARPET_PATTERN = ((0, 0), (1, 1), (0, 2))

@@ -114,6 +114,12 @@ def _needed_bits(weights: WeightPair, t_max: float) -> int:
     return max(100, int(spread * t_max / log(2)) + 64)
 
 
+# Siegel counts of the flow: the Euclidean radius the census and
+# classify_point count at (its Haar mean is the ball volume), and the
+# enumeration budget a count saturates at instead of failing
+SIEGEL_RADIUS = 3.0
+SIEGEL_CAP = 10**5
+
 # largest t-grid flow_trace allocates: at tens of microseconds a point, 10^7
 # points are minutes of work and two 80 MB arrays
 MAX_GRID_POINTS = 10**7
@@ -174,7 +180,7 @@ def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
         exps = [frexp(v)[1] for row in snap for v in row if v]
         hi, lo = max(exps), min(exps)
         c = (-25 - hi - lo) // 2
-        _, t, mu, norms = _lll([[ldexp(v, c) for v in col] for col in zip(*snap)], 0.99)
+        _, t, mu, norms = _lll([[ldexp(v, c) for v in col] for col in zip(*snap)])
         moved = t != identity
         if moved:
             rows = [[sum(map(mul, row, col)) for col in t] for row in rows]
@@ -231,7 +237,6 @@ def flow_trace(
     dt: float = 0.05,
     siegel_radius: float | None = None,
     siegel_stride: int = 20,
-    siegel_cap: int = 10**5,
 ) -> FlowTrace:
     """Reduce a(t) u_M Z^d along the grid t = 0, dt, .., recording systoles.
 
@@ -248,7 +253,7 @@ def flow_trace(
 
     Optional Siegel counts (Euclidean radius ``siegel_radius``) are
     recorded every ``siegel_stride`` points and saturate at the
-    ``siegel_cap`` enumeration budget instead of failing on divergent
+    ``SIEGEL_CAP`` enumeration budget instead of failing on divergent
     orbits.
     """
     steps = _grid_points(t_max, dt)
@@ -270,7 +275,6 @@ def flow_trace(
     if siegel_radius is not None:
         extras["siegel"] = []
         extras["siegel_t"] = []
-    eye = np.eye(weights.m + weights.n, dtype=np.int64)
     orbit = _flow_orbit(entries, weights, dt, bits)
     for k, t in enumerate(t_grid):
         try:
@@ -279,12 +283,11 @@ def flow_trace(
         except (LatticeError, OverflowError) as err:
             raise ConditioningError(f"flow orbit cannot be reduced at t={t:g}: {err}") from err
         if siegel_radius is not None and k % siegel_stride == 0:
-            basis = np.array(snap)
-            x = UnimodularLattice(basis, basis, eye, _rfactor=r)
+            x = UnimodularLattice(np.array(snap), _rfactor=r)
             try:
-                cnt = float(siegel_count(x, siegel_radius, cap=siegel_cap))
+                cnt = float(siegel_count(x, siegel_radius, cap=SIEGEL_CAP))
             except CountCapError:
-                cnt = float(siegel_cap)
+                cnt = float(SIEGEL_CAP)
             extras["siegel"].append(cnt)
             extras["siegel_t"].append(float(t))
     extras_arr = {k: np.asarray(v) for k, v in extras.items()}
@@ -316,28 +319,26 @@ def classify_point(
     t_max: float,
     eps_grid=(0.05, 0.1, 0.2, 0.3),
     dt: float = 0.05,
-    ba_threshold: float = 0.1,
-    siegel_radius: float = 3.0,
     trace: FlowTrace | None = None,
 ) -> PointReport:
     """Evidence report for one matrix from its diagonal-flow trajectory.
 
-    Badly-approximable evidence: the systole infimum stays above the
-    threshold.  Dirichlet-improvable evidence: some K_eps is never
-    revisited after t_max/2.  Generic evidence: the Birkhoff average of the
-    Siegel count sits near its Haar value (the Euclidean ball volume) and
-    the K_eps occupation fractions agree between the two halves of the
-    orbit.
+    Badly-approximable evidence: the systole infimum stays at or above
+    0.1.  Dirichlet-improvable evidence: some K_eps is never revisited
+    after t_max/2.  Generic evidence: the Birkhoff average of the Siegel
+    count sits near its Haar value (the volume of the ball of radius
+    ``SIEGEL_RADIUS``, at which a given ``trace`` must count) and the K_eps
+    occupation fractions agree between the two halves of the orbit.
     """
     if trace is None:
-        trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=siegel_radius)
+        trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=SIEGEL_RADIUS)
     inf_minima = trace.inf_minima
     dirichlet_eps = 0.0
     for eps in sorted(eps_grid, reverse=True):
         if trace.escape_flag(eps, t_max / 2.0):
             dirichlet_eps = float(eps)
             break
-    expected = _ball_volume(weights.m + weights.n, siegel_radius)
+    expected = _ball_volume(weights.m + weights.n, SIEGEL_RADIUS)
     if "siegel" in trace.extras and len(trace.extras["siegel"]):
         siegel_avg = float(np.mean(trace.extras["siegel"]))
     else:
@@ -353,7 +354,7 @@ def classify_point(
     return PointReport(
         inf_minima=inf_minima,
         badly_approx_score=inf_minima,
-        badly_approx_evidence=inf_minima >= ba_threshold,
+        badly_approx_evidence=inf_minima >= 0.1,
         dirichlet_eps=dirichlet_eps,
         dirichlet_evidence=dirichlet_eps > 0.0,
         siegel_avg=siegel_avg,
@@ -372,8 +373,6 @@ def fractal_experiment(
     dt: float = 0.05,
     thresholds=(0.05, 0.1, 0.15, 0.2, 0.3),
     brute_t_max: float = 200.0,
-    eps_grid=(0.05, 0.1, 0.2, 0.3),
-    coding_tol: float = 1e-10,
 ):
     """Diophantine census of points sampled from the self-affine measure.
 
@@ -386,6 +385,8 @@ def fractal_experiment(
 
     Returns (summary, rows) with one row dict per point.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     _grid_points(t_max, dt)
     validation = ifs_validate(ifs)
     if not validation.contracting:
@@ -401,12 +402,12 @@ def fractal_experiment(
         if not chk.ok:
             raise ValueError(f"symbol {i} is not a sponge affinity for the weights: {chk.reason}")
 
-    points = coding_sample(ifs, n_points, tol=coding_tol, seed=seed)
+    points = coding_sample(ifs, n_points, seed=seed)
     rows = []
     for i in range(n_points):
         mat = points[i]
-        trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=3.0)
-        report = classify_point(mat, weights, t_max, eps_grid=eps_grid, dt=dt, trace=trace)
+        trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=SIEGEL_RADIUS)
+        report = classify_point(mat, weights, t_max, dt=dt, trace=trace)
         quality, _ = brute_force_quality(mat, weights, brute_t_max)
         row = {
             "point_id": i,

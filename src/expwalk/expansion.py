@@ -38,6 +38,7 @@ from .measures import GroupMeasure, _word_products, sample_indices
 from .rng import substream
 
 CONE_TOL = 1e-9
+SVD_TOL = 1e-8  # relative singular-value threshold of the fixed-space kernels
 
 
 class ExpansionFailure(RuntimeError):
@@ -311,14 +312,14 @@ def certificate_from_rep_atoms(
     N: int,
     rep_label: str = "custom",
     sphere_samples: int = 1000,
-    n_descent: int = 20,
     mode: str = "auto",
     mc_words: int = 4000,
     confidence: float = 0.95,
     cap: int = 10**6,
     seed: int = 0,
 ) -> ExpansionCertificate:
-    """Core certificate computation on precomputed representation atoms."""
+    """Core certificate computation on precomputed representation atoms;
+    Nelder-Mead descends from the 20 best sphere samples."""
     rep_atoms = np.asarray(rep_atoms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if N < 1:
@@ -331,7 +332,7 @@ def certificate_from_rep_atoms(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
     )
     best_val, best_v = _sphere_minimize(
-        word_mats, word_wts, sphere_samples, n_descent, substream(seed, 1)
+        word_mats, word_wts, sphere_samples, 20, substream(seed, 1)
     )
 
     if exact:
@@ -382,10 +383,7 @@ def moment_contraction_estimate(
     delta: float = 0.3,
     N: int = 1,
     sphere_samples: int = 500,
-    n_descent: int = 10,
     mode: str = "auto",
-    mc_words: int = 4000,
-    cap: int = 10**6,
     seed: int = 0,
 ):
     """Worst-case negative-moment ratio sup_v int |g v|^(-delta) dmu^{*N}(g).
@@ -393,7 +391,9 @@ def moment_contraction_estimate(
     An expanding walk contracts these moments: for small delta the ratio
     drops below 1 once N is large enough, which is the quantitative engine
     behind the height contraction.  The supremum over the unit sphere is
-    located heuristically like the certificate minimum.  Returns
+    located heuristically like the certificate minimum, descending from the
+    10 best samples; ``mode`` picks exact words (up to 10^6) or 4000 Monte
+    Carlo words as in :func:`measures._word_products`.  Returns
     (sup_ratio, witness direction).
     """
     if delta <= 0.0:
@@ -401,32 +401,31 @@ def moment_contraction_estimate(
     if sphere_samples < 1:
         raise ValueError("sphere_samples must be at least 1")
     rep_atoms = np.array([rep_matrix(rep, g) for g in mu.matrices])
-    word_mats, word_wts, _ = _word_products(
-        rep_atoms, mu.weights, N, mode, cap, mc_words, substream(seed, 2)
-    )
+    word_mats, word_wts, _ = _word_products(rep_atoms, mu.weights, N, mode, rng=substream(seed, 2))
     neg_ratio, best_v = _sphere_minimize(
         word_mats,
         word_wts,
         sphere_samples,
-        n_descent,
+        10,
         substream(seed, 3),
         transform=lambda norms: -(norms ** (-delta)),
     )
     return -neg_ratio, best_v
 
 
-def _fixed_subspace_complement(rep_elements, svd_tol=1e-8):
+def _fixed_subspace_complement(rep_elements):
     """Orthonormal basis of the complement of the joint fixed space.
 
     ``rep_elements`` are representation images whose joint fixed space is
-    removed; rows of (R - I) are stacked and the kernel read off the SVD.
+    removed; rows of (R - I) are stacked and the kernel read off the SVD
+    (threshold ``SVD_TOL``).
     Returns (Q, fixed_dim) with Q of shape (dim, dim - fixed_dim).
     """
     dim = rep_elements[0].shape[0]
     stacked = np.vstack([r - np.eye(dim) for r in rep_elements])
     _, s, vt = np.linalg.svd(stacked, full_matrices=True)
     smax = s.max(initial=0.0)
-    rank = int(np.sum(s > svd_tol * max(1.0, smax)))
+    rank = int(np.sum(s > SVD_TOL * max(1.0, smax)))
     fixed_dim = dim - rank
     return vt[:rank].T.copy(), fixed_dim
 
@@ -435,8 +434,6 @@ def relative_expansion_sweep(
     mu: GroupMeasure,
     k_max: int,
     N: int = 4,
-    n_fixed_words: int = 25,
-    word_length: int = 8,
     dim_cap: int = 300,
     seed: int = 0,
     **cert_kwargs,
@@ -445,7 +442,8 @@ def relative_expansion_sweep(
 
     For k = 1..k_max the representation is the k-th exterior power of the
     adjoint action on sl_d, quotiented by the joint fixed subspace of the
-    atoms together with ``n_fixed_words`` random words (a Zariski-density
+    atoms together with 25 random words of 1 to 8 letters, each one
+    Monte-Carlo word of :func:`measures._word_products` (a Zariski-density
     heuristic; atoms alone pin down the group-generated fixed space, the
     extra words guard against accidental kernels).  The quotient is modeled
     on the orthogonal complement, which is legitimate because every atom
@@ -464,13 +462,10 @@ def relative_expansion_sweep(
         rep_atoms = np.array([linalg.wedge_power(a, k) for a in ad_atoms])
         elements = list(rep_atoms)
         rng = substream(seed, 7, k)
-        for _ in range(n_fixed_words):
-            length = int(rng.integers(1, word_length + 1))
-            idx = rng.choice(mu.natoms, size=length, p=mu.weights)
-            w = np.eye(dim_k)
-            for i in idx:
-                w = rep_atoms[i] @ w
-            elements.append(w)
+        for _ in range(25):
+            length = int(rng.integers(1, 9))
+            words, _, _ = _word_products(rep_atoms, mu.weights, length, "mc", n_words=1, rng=rng)
+            elements.append(words[0])
         q, _ = _fixed_subspace_complement(elements)
         if q.shape[1] == 0:
             # everything is fixed; the zero quotient cannot expand
@@ -597,16 +592,14 @@ def expanding_cone_membership(
     return ConeMembership(False, tau, None, y)
 
 
-def a_expanding_check(
-    spec: ConeSpec, logs, k: int, svd_tol: float = 1e-8, weight_tol: float = CONE_TOL
-) -> bool:
+def a_expanding_check(spec: ConeSpec, logs, k: int) -> bool:
     """Does exp(diag(logs)) expand the u-fixed vectors in the k-th wedge?
 
     The fixed space of the unipotent radical is the joint kernel of its
     log-nilpotent generators acting on the exterior power (kernel read off
-    an SVD with threshold ``svd_tol``); the check passes when every weight
+    an SVD with threshold ``SVD_TOL``); the check passes when every weight
     of exp(diag(logs)) present on that kernel exceeds 1, i.e. every
-    log-weight is positive.
+    log-weight is above ``CONE_TOL``.
     """
     logs = linalg.cartan_vector(logs, tol=1e-9)
     d = spec.dim
@@ -620,10 +613,10 @@ def a_expanding_check(
     stacked = np.vstack(gens)
     _, s, vt = np.linalg.svd(stacked, full_matrices=True)
     smax = s.max(initial=0.0)
-    rank = int(np.sum(s > svd_tol * max(1.0, smax)))
+    rank = int(np.sum(s > SVD_TOL * max(1.0, smax)))
     kernel = vt[rank:].T  # columns span the u-fixed subspace
     if kernel.shape[1] == 0:
         return True  # vacuous: no u-fixed vectors to expand
     subset_weights = np.array([sum(logs[i] for i in s_) for s_ in linalg.k_subsets(d, k)])
-    present = np.abs(kernel).max(axis=1) > svd_tol
-    return bool(np.all(subset_weights[present] > weight_tol))
+    present = np.abs(kernel).max(axis=1) > SVD_TOL
+    return bool(np.all(subset_weights[present] > CONE_TOL))

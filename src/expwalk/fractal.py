@@ -18,6 +18,9 @@ from .kau import ParabolicProfile, WeightPair, unipotent
 from .measures import GroupMeasure, _word_products
 from .rng import substream
 
+SPONGE_TOL = 1e-8  # how far a symbol's linear part may sit from its weight coset
+SPAN_TOL = 1e-9  # rank threshold of the irreducibility certificate
+
 
 class CodingDepthError(RuntimeError):
     """Coding composition failed to contract within the depth cap."""
@@ -84,7 +87,7 @@ class SpongeCheck:
     reason: str = ""
 
 
-def _block_coset_parameter(a, weights, tol, label):
+def _block_coset_parameter(a, weights, label):
     """Per weight group, split a = (scalar e^{t w}) x orthogonal; return t."""
     weights = tuple(float(w) for w in weights)
     groups: list[tuple[float, list[int]]] = []
@@ -100,14 +103,14 @@ def _block_coset_parameter(a, weights, tol, label):
     for _, idx in groups:
         mask[np.ix_(idx, idx)] = True
     scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(np.where(mask, 0.0, a)).max(initial=0.0) > tol * scale:
+    if np.abs(np.where(mask, 0.0, a)).max(initial=0.0) > SPONGE_TOL * scale:
         return None, f"{label}: couples coordinates of distinct weights"
     ts = []
     for gw, idx in groups:
         block = a[np.ix_(idx, idx)]
         svals = np.linalg.svd(block, compute_uv=False)
         c = float(np.exp(np.mean(np.log(svals))))
-        if np.abs(block / c @ (block / c).T - np.eye(len(idx))).max() > tol:
+        if np.abs(block / c @ (block / c).T - np.eye(len(idx))).max() > SPONGE_TOL:
             return None, (
                 f"{label} block {tuple(idx)}: unequal moduli within an "
                 "equal-weight block (not scalar times orthogonal)"
@@ -116,24 +119,24 @@ def _block_coset_parameter(a, weights, tol, label):
     return ts, ""
 
 
-def sponge_check(phi: MatrixAffinity, weights: WeightPair, tol: float = 1e-8) -> SpongeCheck:
+def sponge_check(phi: MatrixAffinity, weights: WeightPair) -> SpongeCheck:
     """Test A1 in a_r(t) K_r and A2 in a_s(t) K_s for one common t.
 
     Per weight group the corresponding block must be a positive scalar
     e^{t w} times an orthogonal matrix; the t recovered from each block of
-    A1 and A2 must agree within ``tol``.
+    A1 and A2 must agree within ``SPONGE_TOL``.
     """
     if phi.m != weights.m or phi.n != weights.n:
         return SpongeCheck(False, None, "weight pair shape does not match the affinity")
-    ts1, why1 = _block_coset_parameter(phi.a1, weights.r, tol, "A1")
+    ts1, why1 = _block_coset_parameter(phi.a1, weights.r, "A1")
     if ts1 is None:
         return SpongeCheck(False, None, why1)
-    ts2, why2 = _block_coset_parameter(phi.a2, weights.s, tol, "A2")
+    ts2, why2 = _block_coset_parameter(phi.a2, weights.s, "A2")
     if ts2 is None:
         return SpongeCheck(False, None, why2)
     ts = ts1 + ts2
     t = float(np.mean(ts))
-    if max(abs(v - t) for v in ts) > tol * max(1.0, abs(t)):
+    if max(abs(v - t) for v in ts) > SPONGE_TOL * max(1.0, abs(t)):
         return SpongeCheck(False, None, f"inconsistent t across blocks: {ts}")
     return SpongeCheck(True, t, "")
 
@@ -248,9 +251,9 @@ def coding_limit(ifs: AffineIFS, symbols, tol: float = 1e-10, max_depth: int = 1
     )
 
 
-def _symbol_stream(rng, k, weights, block=512):
+def _symbol_stream(rng, k, weights):
     while True:
-        for i in rng.choice(k, size=block, p=weights):
+        for i in rng.choice(k, size=512, p=weights):
             yield i
 
 
@@ -364,28 +367,26 @@ def hat_matrix(phi: MatrixAffinity) -> np.ndarray:
     return out
 
 
-def embed_to_pgl(phi: MatrixAffinity, normalize: bool = True) -> np.ndarray:
+def embed_to_pgl(phi: MatrixAffinity) -> np.ndarray:
     """The group element g = blockdiag(A1, A2^{-1})^{-1} u_B of the affinity.
 
     Conjugation by blockdiag(A1, A2^{-1}) followed by u_B realizes the
     affinity on unipotent parameters: hat u_M hat^{-1} u_B = u_{phi(M)}.
-    With ``normalize`` the representative is rescaled to determinant +-1
-    (a no-op for sponge affinities, whose embedding is already unimodular).
+    The representative is rescaled to determinant +-1 (a no-op for sponge
+    affinities, whose embedding is already unimodular).
     """
     d = phi.m + phi.n
     g = np.linalg.inv(hat_matrix(phi)) @ unipotent(phi.b)
-    if normalize:
-        g = g / abs(np.linalg.det(g)) ** (1.0 / d)
-    return g
+    return g / abs(np.linalg.det(g)) ** (1.0 / d)
 
 
-def measure_from_ifs(ifs: AffineIFS, seed: int = 0) -> GroupMeasure:
+def measure_from_ifs(ifs: AffineIFS) -> GroupMeasure:
     """Driving measure of the embedded random walk, one atom per symbol."""
     mats = [embed_to_pgl(phi) for phi in ifs.symbols]
     profile = None
     if ifs.weightpair is not None:
         profile = ParabolicProfile(ifs.m, ifs.n, ifs.weightpair)
-    return GroupMeasure(np.array(mats), np.array(ifs.weights), seed=seed, profile=profile)
+    return GroupMeasure(np.array(mats), np.array(ifs.weights), profile=profile)
 
 
 @dataclass
@@ -411,7 +412,7 @@ def _attractor_anchor(ifs: AffineIFS):
         return None
 
 
-def irreducibility_check(ifs: AffineIFS, tol: float = 1e-9) -> IrreducibilityReport:
+def irreducibility_check(ifs: AffineIFS) -> IrreducibilityReport:
     """Sufficient test for the absence of a proper invariant affine subspace.
 
     Certificate: the span of the differences phi_i(x0) - phi_j(x0) at an
@@ -442,12 +443,12 @@ def irreducibility_check(ifs: AffineIFS, tol: float = 1e-9) -> IrreducibilityRep
         diffs = [img - images[0] for img in images[1:]]
         span = np.array(diffs).reshape(len(diffs), dim)
         for _ in range(dim):
-            rank = np.linalg.matrix_rank(span, tol=tol)
+            rank = np.linalg.matrix_rank(span, tol=SPAN_TOL)
             if rank == dim:
                 return IrreducibilityReport("irreducible", None, "difference span is full")
             grown = [span] + [span @ op.T for op in ops]
             new_span = np.vstack(grown)
-            if np.linalg.matrix_rank(new_span, tol=tol) == rank:
+            if np.linalg.matrix_rank(new_span, tol=SPAN_TOL) == rank:
                 break
             span = new_span
 
@@ -465,10 +466,10 @@ def irreducibility_check(ifs: AffineIFS, tol: float = 1e-9) -> IrreducibilityRep
         ps = []
         for phi, op in zip(ifs.symbols, ops):
             row = op[e]
-            if np.abs(np.delete(row, e)).max(initial=0.0) > tol:
+            if np.abs(np.delete(row, e)).max(initial=0.0) > SPAN_TOL:
                 break
             c = row[e]
-            if abs(1.0 - c) <= tol:
+            if abs(1.0 - c) <= SPAN_TOL:
                 break
             ps.append(phi.b.ravel()[e] / (1.0 - c))
         else:

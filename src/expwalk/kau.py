@@ -25,6 +25,7 @@ import numpy as np
 from .linalg import as_square
 
 WEIGHT_TOL = 1e-12
+KAU_TOL = 1e-7  # how far an element may sit from the parabolic K'A'U
 
 
 class FactorizationError(ValueError):
@@ -149,21 +150,21 @@ class KAUFactors:
         return self.k @ self.a() @ unipotent(self.u)
 
 
-def kau_factorize(g, profile: ParabolicProfile, tol: float = 1e-7) -> KAUFactors:
+def kau_factorize(g, profile: ParabolicProfile) -> KAUFactors:
     """Factorize a parabolic element into K'A'U components.
 
     Raises :class:`FactorizationError` when g is not block upper-triangular
     for (m, n) or its diagonal blocks do not lie on the K' exp(tA') cosets
-    within ``tol``.  The t parameter is recovered per weight group from the
-    log of the geometric mean of singular values, which averages out
-    numerical noise; group estimates must agree within ``tol``.
+    within ``KAU_TOL``.  The t parameter is recovered per weight group from
+    the log of the geometric mean of singular values, which averages out
+    numerical noise; group estimates must agree within ``KAU_TOL``.
     """
     g = as_square(g)
     m, n, d = profile.m, profile.n, profile.d
     if g.shape[0] != d:
         raise FactorizationError(f"element has dimension {g.shape[0]}, profile needs {d}")
     scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g[m:, :m]).max(initial=0.0) > tol * scale:
+    if np.abs(g[m:, :m]).max(initial=0.0) > KAU_TOL * scale:
         raise FactorizationError("element is not block upper-triangular for (m, n)")
 
     groups = profile.weight_groups()
@@ -173,7 +174,7 @@ def kau_factorize(g, profile: ParabolicProfile, tol: float = 1e-7) -> KAUFactors
     diag_part = np.zeros((d, d))
     diag_part[:m, :m] = g[:m, :m]
     diag_part[m:, m:] = g[m:, m:]
-    if np.abs(np.where(allowed, 0.0, diag_part)).max(initial=0.0) > tol * scale:
+    if np.abs(np.where(allowed, 0.0, diag_part)).max(initial=0.0) > KAU_TOL * scale:
         raise FactorizationError(
             "diagonal blocks couple coordinates of distinct weights; not in K'A'"
         )
@@ -188,7 +189,7 @@ def kau_factorize(g, profile: ParabolicProfile, tol: float = 1e-7) -> KAUFactors
             raise FactorizationError(f"diagonal block {idx} is singular")
         c = float(np.exp(np.mean(np.log(svals))))
         q = block / c
-        if np.abs(q.T @ q - np.eye(len(idx))).max() > tol:
+        if np.abs(q.T @ q - np.eye(len(idx))).max() > KAU_TOL:
             raise FactorizationError(
                 f"diagonal block {idx} is not scalar times orthogonal"
             )
@@ -196,7 +197,7 @@ def kau_factorize(g, profile: ParabolicProfile, tol: float = 1e-7) -> KAUFactors
         t_estimates.append(np.log(c) / gv)
         t_weights.append(len(idx) * abs(gv))
     t = float(np.average(t_estimates, weights=t_weights))
-    if max(abs(est - t) for est in t_estimates) > tol * max(1.0, abs(t)):
+    if max(abs(est - t) for est in t_estimates) > KAU_TOL * max(1.0, abs(t)):
         raise FactorizationError(
             f"inconsistent flow parameter across weight groups: {t_estimates}"
         )
@@ -204,9 +205,9 @@ def kau_factorize(g, profile: ParabolicProfile, tol: float = 1e-7) -> KAUFactors
     a_inv = flow_element(profile.weights, -t)
     u = a_inv @ k.T @ g
     if (
-        np.abs(u[:m, :m] - np.eye(m)).max() > tol
-        or np.abs(u[m:, m:] - np.eye(n)).max() > tol
-        or np.abs(u[m:, :m]).max(initial=0.0) > tol
+        np.abs(u[:m, :m] - np.eye(m)).max() > KAU_TOL
+        or np.abs(u[m:, m:] - np.eye(n)).max() > KAU_TOL
+        or np.abs(u[m:, :m]).max(initial=0.0) > KAU_TOL
     ):
         raise FactorizationError("residual unipotent part is not upper block unipotent")
     return KAUFactors(k=k, t=t, u=-u[:m, m:].copy(), profile=profile)
@@ -231,7 +232,6 @@ def u_limit(
     profile: ParabolicProfile,
     tol: float = 1e-12,
     n_max: int = 10_000,
-    quiet_steps: int = 10,
 ):
     """Limit of the unipotent parameters of growing prefix products.
 
@@ -240,8 +240,8 @@ def u_limit(
     the step-k tail term is P1^{-1} B_k P2 in the parameter picture, where
     blockdiag(P1, P2) is the product of the k a(t) parts of the first k-1
     elements and B_k is the unipotent parameter of element k.  Iteration
-    stops once the tail norm stays below ``tol`` for ``quiet_steps``
-    consecutive steps (a single accidentally small term is not trusted).
+    stops once the tail norm stays below ``tol`` for ten consecutive steps
+    (a single accidentally small term is not trusted).
 
     Returns (M_limit, n_used).  Raises :class:`UnipotentLimitError` with
     the partial value if the tail does not settle within ``n_max`` terms.
@@ -259,7 +259,7 @@ def u_limit(
         total += tail
         if np.abs(tail).max(initial=0.0) < tol:
             quiet += 1
-            if quiet >= quiet_steps:
+            if quiet >= 10:
                 return total, n_used
         else:
             quiet = 0

@@ -1,9 +1,9 @@
 """The space of unimodular lattices SL_d(R)/SL_d(Z).
 
-A point is represented by a determinant +-1 basis matrix (columns generate
-the lattice) together with an LLL-reduced basis of the same lattice and
-the integer change of basis relating them.  Reduction is applied at every
-random-walk step so representatives stay numerically tame over long runs.
+A point is a lattice, not a choice of basis: it is held as its LLL-reduced
+basis (columns generate it, determinant +-1), and no other basis or change
+of basis is kept.  Reduction is applied at every random-walk step so
+representatives stay numerically tame over long runs.
 
 Provides exact shortest vectors, membership in the Mahler sets K_eps,
 Siegel lattice-point counts, the cusp height built from wedge norms of
@@ -22,15 +22,16 @@ in the cusp) fails at once.  ``_sup_systole`` is the sup-norm search of
 
 Reduction is one scalar LLL kernel for every dimension (``_lll``), on
 Python floats and ints (numpy's per-call overhead dominates on 2x2 to 4x4
-bases).  ``lll_reduce`` is its numpy wrapper; the diagonal flow of
-:mod:`expwalk.dioph` calls it on list columns and, where it changed
-nothing, reads R from the Gram-Schmidt data it returns, under the
-400-bit rule of ``dioph._flow_orbit``.  The kernel keeps to three rules
-so that its results do not depend on how numpy or the Python version
-sums: dots accumulate left to right (``s += a * b``, never ``sum()``,
-which compensates from Python 3.12 on), coefficients round half to even
-(``round``, like ``np.rint``), and the Lovasz test squares with
-``m ** 2`` (C ``pow``, like numpy's scalar power, which can
+bases).  ``lll_reduce`` is its numpy wrapper and returns the reduced
+lattice alone; the diagonal flow of :mod:`expwalk.dioph` calls the kernel
+on list columns, applies the integer transform it returns to its exact
+integers and, where it changed nothing, reads R from its Gram-Schmidt
+data, under the 400-bit rule of ``dioph._flow_orbit``.  The kernel keeps
+to three rules so that its results do not depend on how numpy or the
+Python version sums: dots accumulate left to right (``s += a * b``,
+never ``sum()``, which compensates from Python 3.12 on), coefficients
+round half to even (``round``, like ``np.rint``), and the Lovasz test
+squares with ``m ** 2`` (C ``pow``, like numpy's scalar power, which can
 differ from ``m * m`` in the last bit).  The height reads a plan cached
 per (spec, d): grade exponents and stacked subset indices, so one call
 is one Gram product and one batched determinant per grade.
@@ -47,6 +48,9 @@ import numpy as np
 from .linalg import weyl_interior_vector
 from .measures import GroupMeasure, ConvolutionCapError, convolution_support, sample_indices
 from .rng import substream
+
+LLL_DELTA = 0.99  # the Lovasz parameter of every reduction
+DET_TOL = 1e-6  # how far from +-1 the determinant of an input basis may be
 
 
 class LatticeError(RuntimeError):
@@ -67,17 +71,15 @@ class ContractionUnverified(LatticeError):
 
 @dataclass
 class UnimodularLattice:
-    """Lattice g Z^d with |det g| = 1; columns of ``basis`` generate it."""
+    """Lattice g Z^d with |det g| = 1, held as the columns of its reduced basis."""
 
-    basis: np.ndarray
     reduced: np.ndarray
-    transform: np.ndarray  # integer, det +-1: reduced = basis @ transform
     _shortest: dict = field(default_factory=dict, repr=False)
     _rfactor: list | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.reduced.shape[0]
 
     def shortest(self, norm: str = "sup"):
         """Cached exact shortest nonzero vector as (vector, length)."""
@@ -94,8 +96,7 @@ class UnimodularLattice:
 
 
 def standard_lattice(d: int) -> UnimodularLattice:
-    eye = np.eye(d)
-    return UnimodularLattice(eye, eye.copy(), np.eye(d, dtype=np.int64))
+    return UnimodularLattice(np.eye(d))
 
 
 def _gso(cols):
@@ -158,7 +159,7 @@ def _rfactor(columns) -> list:
     return _rfactor_from_gso(*_gso(cols), exps)
 
 
-def _lll(cols: list, delta: float):
+def _lll(cols: list):
     """The scalar LLL kernel (module docstring) on float-list columns.
 
     Reduces ``cols`` in place and returns (cols, t, mu, norms): t holds
@@ -166,8 +167,8 @@ def _lll(cols: list, delta: float):
     the Gram-Schmidt data (:func:`_gso`) as the loop left them.  With no
     swap and no size reduction, t is the identity and mu and norms are
     exactly ``_gso`` of the input; a swap can never be undone (each one
-    cuts the LLL potential by the factor delta), and without swaps a
-    size-reduced column keeps its changed transform column.
+    cuts the LLL potential by the factor ``LLL_DELTA``), and without swaps
+    a size-reduced column keeps its changed transform column.
     """
     d = len(cols)
     t = [[0] * d for _ in range(d)]  # columns of the transform
@@ -195,7 +196,7 @@ def _lll(cols: list, delta: float):
                 for i in range(j):
                     mk[i] -= r * mj[i]
                 mk[j] -= r
-        if norms[k] >= (delta - mk[k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (LLL_DELTA - mk[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             cols[k - 1], cols[k] = ck, cols[k - 1]
@@ -205,21 +206,20 @@ def _lll(cols: list, delta: float):
     return cols, t, mu, norms
 
 
-def lll_reduce(
-    basis, delta: float = 0.99, det_tol: float = 1e-6, renormalize: bool = True
-) -> UnimodularLattice:
-    """LLL reduction (Lovasz parameter ``delta``) with integral transform.
+def lll_reduce(basis, renormalize: bool = True) -> UnimodularLattice:
+    """The lattice spanned by the columns of ``basis``, LLL-reduced
+    (Lovasz parameter ``LLL_DELTA``); no change of basis is returned.
 
-    The input must be unimodular up to ``det_tol``; it is rescaled to
+    The input must be unimodular up to ``DET_TOL``; it is rescaled to
     determinant exactly +-1 before reduction.  Callers that construct the
     basis from exactly unimodular factors pass ``renormalize=False``: the
     floating determinant of an ill-conditioned (deep cusp) basis is too
     noisy to validate against, and repeated renormalization by a noisy
     determinant would corrupt the lattice.
 
-    The scalar kernel :func:`_lll` holds float-list columns and a
-    Python-int transform, returned as int64 or, past int64 deep in the
-    cusp, as object integers; Gram-Schmidt data is recomputed on each swap.
+    The scalar kernel :func:`_lll` reduces float-list columns; its
+    Python-int transform is read only by the flow orbit, and Gram-Schmidt
+    data is recomputed on each swap.
     BLAS dots may fuse multiply-adds, so numpy's Gram-Schmidt data can
     differ in the last bit; that moves the reduced basis only if a
     coefficient rounds within it of a half-integer or the Lovasz test ties.
@@ -237,17 +237,12 @@ def lll_reduce(
         det = np.linalg.det(b)
         if abs(det) <= 1e-12:
             raise ConditioningError("basis is numerically singular")
-        if abs(abs(det) - 1.0) >= det_tol:
-            raise ValueError(f"basis determinant {det!r} is not within {det_tol} of +-1")
+        if abs(abs(det) - 1.0) >= DET_TOL:
+            raise ValueError(f"basis determinant {det!r} is not within {DET_TOL} of +-1")
         b = b / abs(det) ** (1.0 / d)
         cols = b.T.tolist()
-    cols, t, _, _ = _lll(cols, delta)
-    try:
-        transform = np.array(t, dtype=np.int64).T
-    except OverflowError:
-        transform = np.array(t, dtype=object).T  # multipliers past int64 deep in the cusp
-    reduced = np.array(cols, order="F").T  # C-contiguous
-    return UnimodularLattice(basis=b, reduced=reduced, transform=transform)
+    cols = _lll(cols)[0]
+    return UnimodularLattice(np.array(cols, order="F").T)  # C-contiguous
 
 
 def _enumerate(r: list, radius: float, cap: int, rows: bool):
@@ -596,13 +591,12 @@ def walk_simulate(
     n_steps: int,
     observables,
     seed: int = 0,
-    path=(),
 ) -> TrajectoryRecord:
     """Left random walk x <- g x with reduction at every step.
 
     ``observables`` is a sequence of (label, callable) pairs or compact
     strings understood by :func:`parse_observable`.  Identical
-    (seed, path, config) reproduce the trajectory bit for bit.
+    (seed, config) reproduce the trajectory bit for bit.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -612,7 +606,7 @@ def walk_simulate(
             obs.append(parse_observable(ob))
         else:
             obs.append(ob)
-    idx = sample_indices(mu, n_steps, seed=seed, path=path)
+    idx = sample_indices(mu, n_steps, seed=seed)
     values = {label: np.empty(n_steps + 1) for label, _ in obs}
     x = x0
     for label, fn in obs:
@@ -663,14 +657,14 @@ class ContractionFit:
         return int(len(self.violations))
 
 
-def _cusp_ladder_points(mu, d, count, seed, cusp_decades, burst_len, walk_burst):
+def _cusp_ladder_points(mu, d, count, seed):
     """Sample cloud mixing three families, round robin by index.
 
-    (0) randomly rotated diagonal cusp excursions of random depth, probing
-    properness in arbitrary directions; (1) walk bursts of the measure
-    itself started at Z^d, probing its own trajectory (this is where a
-    degenerate measure reveals its divergent direction); (2) cusp points
-    followed by a short burst.
+    (0) randomly rotated diagonal cusp excursions of random depth (up to
+    12 decades), probing properness in arbitrary directions; (1) walk
+    bursts of up to 24 steps of the measure itself started at Z^d, probing
+    its own trajectory (this is where a degenerate measure reveals its
+    divergent direction); (2) cusp points followed by a burst of up to 8.
     """
     pts = []
     for i in range(count):
@@ -678,16 +672,16 @@ def _cusp_ladder_points(mu, d, count, seed, cusp_decades, burst_len, walk_burst)
         family = i % 3
         if family == 1:
             x = standard_lattice(d)
-            burst = int(rng.integers(0, walk_burst + 1))
+            burst = int(rng.integers(0, 25))
         else:
-            t = rng.uniform(0.0, cusp_decades * np.log(10.0))
+            t = rng.uniform(0.0, 12.0 * np.log(10.0))
             direction = weyl_interior_vector(d)
             direction = direction / np.abs(direction).max()
             a = np.diag(np.exp(t * direction))
             q, _ = np.linalg.qr(rng.normal(size=(d, d)))
             basis = q @ a
             x = lll_reduce(basis / abs(np.linalg.det(basis)) ** (1.0 / d))
-            burst = 0 if family == 0 else int(rng.integers(0, burst_len + 1))
+            burst = 0 if family == 0 else int(rng.integers(0, 9))
         for g in mu.matrices[rng.choice(mu.natoms, size=burst, p=mu.weights)]:
             x = lll_reduce(g @ x.reduced, renormalize=False)
         pts.append(x)
@@ -718,32 +712,32 @@ def contraction_fit(
     sample_points: int = 200,
     mc_trials: int = 200,
     seed: int = 0,
-    points=None,
-    cusp_decades: float = 12.0,
-    burst_len: int = 8,
-    walk_burst: int = 24,
-    exact_cap: int = 4096,
 ) -> ContractionFit:
     """Fit contraction constants for the m-step averaged height.
 
-    Sample points are spread along a cusp ladder (diagonal excursions up to
-    ``cusp_decades`` decades, randomly rotated) followed by short walk
-    bursts, so the fit probes genuinely high heights whatever the measure
-    does.  The averaged height is computed exactly when atom_count**m is
-    small, else by Monte Carlo with the reported standard errors.
+    ``sample_points`` points are spread along a cusp ladder (randomly
+    rotated diagonal excursions) followed by short walk bursts
+    (:func:`_cusp_ladder_points`), so the fit probes genuinely high heights
+    whatever the measure does.  The averaged height is computed exactly
+    when the m-fold convolution has at most 4096 atoms, else by Monte Carlo
+    over ``mc_trials`` walks (at least two, for a standard error) with the
+    reported standard errors.
     """
     if m < 1:
         raise ValueError("averaging length m must be at least 1")
-    d = mu.dim
-    if points is None:
-        points = _cusp_ladder_points(
-            mu, d, sample_points, seed, cusp_decades, burst_len, walk_burst
-        )
-    beta = np.array([margulis_height(x, height) for x in points])
+    if sample_points < 1:
+        raise ValueError(f"sample_points must be at least 1, got {sample_points}")
     try:
-        conv = convolution_support(mu, m, cap=exact_cap)
+        conv = convolution_support(mu, m, cap=4096)
     except ConvolutionCapError:
         conv = None
+    if conv is None and mc_trials < 2:
+        raise ValueError(
+            f"mc_trials must be at least 2 for the Monte-Carlo averaged height (m={m}), "
+            f"got {mc_trials}: a standard error needs two draws"
+        )
+    points = _cusp_ladder_points(mu, mu.dim, sample_points, seed)
+    beta = np.array([margulis_height(x, height) for x in points])
     averaged = np.empty(len(points))
     stderr = np.empty(len(points))
     for i, x in enumerate(points):
@@ -808,7 +802,7 @@ def recurrence_experiment(
     seed: int = 0,
     fit: ContractionFit | None = None,
     m: int = 4,
-    **fit_kwargs,
+    sample_points: int = 200,
 ) -> RecurrenceTable:
     """Estimate how much of the walk sits inside the recurrence set.
 
@@ -817,12 +811,16 @@ def recurrence_experiment(
     is refused.  For each requested n the mass mu^{*n} * delta_{x0} of the
     set is estimated over ``mc_trials`` independent walks (trial words are
     shared along the grid: each trial is one long walk read at the grid
-    times, which has the correct per-n marginal).
+    times, which has the correct per-n marginal).  Without a given ``fit``
+    one is made by :func:`contraction_fit` from ``m``, ``sample_points``,
+    ``mc_trials`` and ``seed``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if mc_trials < 1:
+        raise ValueError(f"mc_trials must be at least 1, got {mc_trials}")
     if fit is None:
-        fit = contraction_fit(mu, height, m, seed=seed, mc_trials=mc_trials, **fit_kwargs)
+        fit = contraction_fit(mu, height, m, sample_points, mc_trials, seed)
     if not fit.ok:
         raise ContractionUnverified(
             f"contraction fit failed (a_hat={fit.a_hat!r}, "

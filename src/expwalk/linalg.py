@@ -114,13 +114,13 @@ def wedge_derivation(x, k: int) -> np.ndarray:
     return out
 
 
-def weight_decomposition(logs, k: int, tol: float = 1e-9):
+def weight_decomposition(logs, k: int):
     """Split the grade-k wedge basis by the eigenvalue of exp(diag(logs)).
 
     Weights are reported in log scale (the eigenvalue on e_S is
     exp(sum of logs over S)).  Returns a list of (weight, subsets) pairs
     sorted by descending weight; ``subsets`` lists the wedge basis elements
-    in that eigenspace.  Weights closer than ``tol`` are merged.
+    in that eigenspace.  Weights closer than 1e-9 are merged.
     """
     a = cartan_vector(logs)
     d = len(a)
@@ -132,7 +132,7 @@ def weight_decomposition(logs, k: int, tol: float = 1e-9):
     )
     groups: list[tuple[float, list[tuple[int, ...]]]] = []
     for w, s in pairs:
-        if groups and abs(groups[-1][0] - w) <= tol:
+        if groups and abs(groups[-1][0] - w) <= 1e-9:
             groups[-1][1].append(s)
         else:
             groups.append((w, [s]))

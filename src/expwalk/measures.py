@@ -1,8 +1,9 @@
 """Finitely supported probability measures on matrix groups.
 
 A measure is a list of invertible atom matrices with positive weights
-summing to one.  Sampling is driven by the splittable streams in
-:mod:`expwalk.rng`, so words are reproducible given (seed, path).
+summing to one; it carries no seed.  Every sampling call takes its seed,
+one per call, and draws from the splittable streams in :mod:`expwalk.rng`,
+so words are reproducible given (seed, path).
 Continuous laws can be plugged in behind the same sampling interface by
 passing generators to the word-based routines; atoms are the first-class
 representation.
@@ -38,7 +39,6 @@ class GroupMeasure:
 
     matrices: np.ndarray  # (k, d, d)
     weights: np.ndarray  # (k,)
-    seed: int = 0
     profile: ParabolicProfile | None = field(default=None)
 
     def __post_init__(self):
@@ -72,21 +72,21 @@ class GroupMeasure:
         self.weights = wts
 
     @classmethod
-    def from_atoms(cls, atoms, seed: int = 0, profile=None) -> "GroupMeasure":
+    def from_atoms(cls, atoms, profile=None) -> "GroupMeasure":
         """Build from an iterable of (matrix, weight) pairs."""
         atoms = list(atoms)
         mats = np.array([np.asarray(g, dtype=float) for g, _ in atoms])
         wts = np.array([float(w) for _, w in atoms])
-        return cls(mats, wts, seed=seed, profile=profile)
+        return cls(mats, wts, profile=profile)
 
     @classmethod
-    def dirac(cls, g, seed: int = 0, profile=None) -> "GroupMeasure":
-        return cls.from_atoms([(g, 1.0)], seed=seed, profile=profile)
+    def dirac(cls, g, profile=None) -> "GroupMeasure":
+        return cls.from_atoms([(g, 1.0)], profile=profile)
 
     @classmethod
-    def uniform(cls, mats, seed: int = 0, profile=None) -> "GroupMeasure":
+    def uniform(cls, mats, profile=None) -> "GroupMeasure":
         mats = list(mats)
-        return cls.from_atoms([(g, 1.0 / len(mats)) for g in mats], seed=seed, profile=profile)
+        return cls.from_atoms([(g, 1.0 / len(mats)) for g in mats], profile=profile)
 
     @property
     def dim(self) -> int:
@@ -97,24 +97,24 @@ class GroupMeasure:
         return self.matrices.shape[0]
 
 
-def sample_indices(mu: GroupMeasure, n: int, seed=None, path=()) -> np.ndarray:
+def sample_indices(mu: GroupMeasure, n: int, seed: int, path=()) -> np.ndarray:
     """n i.i.d. atom indices, deterministic given (seed, path)."""
     if n < 0:
         raise ValueError("word length must be nonnegative")
-    rng = substream(mu.seed if seed is None else seed, *path)
-    return rng.choice(mu.natoms, size=n, p=mu.weights)
+    return substream(seed, *path).choice(mu.natoms, size=n, p=mu.weights)
 
 
-def sample_word(mu: GroupMeasure, n: int, seed=None, path=()) -> np.ndarray:
+def sample_word(mu: GroupMeasure, n: int, seed: int, path=()) -> np.ndarray:
     """n i.i.d. atom draws as an (n, d, d) array."""
-    return mu.matrices[sample_indices(mu, n, seed=seed, path=path)]
+    return mu.matrices[sample_indices(mu, n, seed, path)]
 
 
-def sample_stream(mu: GroupMeasure, seed=None, path=(), block: int = 256):
-    """Infinite generator of i.i.d. atom draws (same law as sample_word)."""
-    rng = substream(mu.seed if seed is None else seed, *path)
+def sample_stream(mu: GroupMeasure, seed: int, path=()):
+    """Infinite generator of i.i.d. atom draws (same law as sample_word),
+    drawn in blocks of 256."""
+    rng = substream(seed, *path)
     while True:
-        for i in rng.choice(mu.natoms, size=block, p=mu.weights):
+        for i in rng.choice(mu.natoms, size=256, p=mu.weights):
             yield mu.matrices[i]
 
 
@@ -179,19 +179,17 @@ def _word_products(
     return mats, np.full(n_words, 1.0 / n_words), False
 
 
-def convolution_support(
-    mu: GroupMeasure, n: int, cap: int = 10**6, merge_tol: float = MERGE_TOL
-) -> GroupMeasure:
+def convolution_support(mu: GroupMeasure, n: int, cap: int = 10**6) -> GroupMeasure:
     """Exact n-fold convolution power as an atomic measure.
 
     Atoms are all length-n products with multiplied weights; products that
-    coincide within ``merge_tol`` (max-entry distance, grid semantics) are
+    coincide within ``MERGE_TOL`` (max-entry distance, grid semantics) are
     merged after each step, which keeps commuting families polynomial.
     """
     if n < 0:
         raise ValueError("convolution order must be nonnegative")
-    mats, wts, _ = _word_products(mu.matrices, mu.weights, n, cap=cap, merge_tol=merge_tol)
-    return GroupMeasure(mats, wts, seed=mu.seed, profile=mu.profile)
+    mats, wts, _ = _word_products(mu.matrices, mu.weights, n, cap=cap)
+    return GroupMeasure(mats, wts, profile=mu.profile)
 
 
 def exp_moment_estimate(mu: GroupMeasure, delta: float) -> float:
@@ -204,13 +202,13 @@ def exp_moment_estimate(mu: GroupMeasure, delta: float) -> float:
     return float(total)
 
 
-def lambda_average(mu: GroupMeasure, profile: ParabolicProfile | None = None) -> float:
-    """Average diagonal-flow parameter of the K'A'U factorization of atoms."""
-    profile = profile if profile is not None else mu.profile
-    if profile is None:
+def lambda_average(mu: GroupMeasure) -> float:
+    """Average diagonal-flow parameter of the K'A'U factorization of atoms,
+    for the measure's parabolic profile."""
+    if mu.profile is None:
         raise ValueError("a parabolic profile is required")
     return float(
-        sum(w * kau_factorize(g, profile).t for g, w in zip(mu.matrices, mu.weights))
+        sum(w * kau_factorize(g, mu.profile).t for g, w in zip(mu.matrices, mu.weights))
     )
 
 

@@ -531,3 +531,46 @@ def test_dioph_brute_huge_horizon_is_exit_3_naming_the_cap(tmp_path):
     assert summary["error"] == (
         "dioph-brute: SearchCapError: search box of 2e+20 points exceeds the cap 100000000"
     )
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_dioph_fractal_without_points_is_exit_2(tmp_path, capsys, n_points):
+    # before the check: a bare IndexError from np.quantile on no points, and
+    # numpy's "negative dimensions are not allowed"
+    params = {"ifs": ifs_to_dict(catalog.bm_carpet(2, 3)), "n_points": n_points, "t_max": 2.0}
+    assert cli.run({"kind": "dioph-fractal", "parameters": params,
+                    "output": str(tmp_path / "o")}) == 2
+    err = capsys.readouterr().err
+    assert f"config error: dioph-fractal: n_points must be at least 1, got {n_points}" in err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "counts, reason",
+    [
+        # before the checks: a bare ZeroDivisionError, masses -0 with exit 0,
+        # a bare IndexError twice, and NaN standard errors with exit 0
+        ({"mc_trials": 0}, "mc_trials must be at least 1, got 0"),
+        ({"mc_trials": -1}, "mc_trials must be at least 1, got -1"),
+        ({"sample_points": 0}, "sample_points must be at least 1, got 0"),
+        ({"sample_points": -1}, "sample_points must be at least 1, got -1"),
+        ({"mc_trials": 1, "m": 13},
+         "mc_trials must be at least 2 for the Monte-Carlo averaged height (m=13), got 1"),
+    ],
+    ids=["no-trials", "negative-trials", "no-points", "negative-points", "one-mc-trial"],
+)
+def test_recur_with_unusable_counts_is_exit_2(tmp_path, capsys, counts, reason):
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {
+        "measure": str(mpath),
+        "height": {"epsilon": 0.1, "delta": 0.3},
+        "delta": 0.1,
+        "n_grid": [2, 6],
+        "sample_points": 30,
+        **counts,
+    }
+    assert cli.run({"kind": "recur", "parameters": params, "seed": 3,
+                    "output": str(tmp_path / "o")}) == 2
+    assert f"config error: recur: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()

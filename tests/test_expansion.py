@@ -163,18 +163,21 @@ def test_relative_sweep_positive_pair():
     sweep = relative_expansion_sweep(catalog.positive_pair_sl2(), 2, N=3, seed=0)
     assert len(sweep) == 2
     assert all(c.passed for c in sweep)
+    # the bits of the fixed-space words' products (one word-product path)
+    assert [repr(c.C_lower) for c in sweep] == ["0.5883437327179072", "0.5883437327179353"]
 
 
 def test_relative_sweep_identity_fails():
     mu = GroupMeasure.dirac(np.eye(2))
     sweep = relative_expansion_sweep(mu, 1, N=2, seed=0)
     assert not sweep[0].passed
-    assert abs(sweep[0].C_lower) < 1e-9
+    assert repr(sweep[0].C_lower) == "0.0"
 
 
 def test_relative_sweep_diagonal_adjoint_value():
     sweep = relative_expansion_sweep(catalog.diagonal_geodesic_sl2(), 1, N=1, seed=0)
     assert abs(sweep[0].C_lower + 2 * np.log(3)) < 1e-6
+    assert repr(sweep[0].C_lower) == "-2.1972245773362196"
 
 
 def test_fk_consistent_with_certificate():

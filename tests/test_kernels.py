@@ -1,12 +1,13 @@
 """The scalar kernels against the numpy references they replaced.
 
-The references: LLL with numpy Gram-Schmidt and an object-dtype
-transform, the height's per-subset determinant loop, R from numpy QR,
-the brute-force search that built its box one tuple at a time, the
-flow step that built a lattice and its shortest vector at every grid
-point, the minor-by-minor wedge power and the adjoint built on a fresh
-sl basis.  The reduced basis must agree byte for byte and the transform
-entry for entry, on the inputs real walks and flows feed the kernel;
+The references: LLL with numpy Gram-Schmidt and an integer transform,
+the height's per-subset determinant loop, R from numpy QR, the
+brute-force search that built its box one tuple at a time, the flow step
+that built a lattice and its shortest vector at every grid point, the
+minor-by-minor wedge power and the adjoint built on a fresh sl basis.
+The reduced basis must agree byte for byte, and the Python-int transform
+of the scalar kernel ``_lll`` entry for entry with the reference's, on
+the inputs real walks and flows feed the kernel;
 heights and height profiles must agree in value and dtype; Siegel counts
 and shortest vectors must not move with R's bits; the chunked search must
 return the same quality bits, p and q; flow minima and Siegel counts, and
@@ -55,15 +56,18 @@ def _gso_ref(b):
     return q, mu, norms
 
 
-def lll_reduce_ref(basis, delta=0.99, det_tol=1e-6, renormalize=True):
+def lll_reduce_ref(basis, renormalize=True):
+    """(input rescaled to determinant +-1, reduced basis, integer transform
+    as an object array with reduced = input @ transform)."""
+    delta = lattices.LLL_DELTA
     b = as_square(basis)
     d = b.shape[0]
     if renormalize:
         det = np.linalg.det(b)
         if abs(det) <= 1e-12:
             raise lattices.ConditioningError("basis is numerically singular")
-        if abs(abs(det) - 1.0) >= det_tol:
-            raise ValueError(f"basis determinant {det!r} is not within {det_tol} of +-1")
+        if abs(abs(det) - 1.0) >= lattices.DET_TOL:
+            raise ValueError(f"basis determinant {det!r} is not within 1e-06 of +-1")
         b = b / abs(det) ** (1.0 / d)
     work = b.copy()
     t = np.eye(d, dtype=object)
@@ -84,11 +88,14 @@ def lll_reduce_ref(basis, delta=0.99, det_tol=1e-6, renormalize=True):
             t[:, [k - 1, k]] = t[:, [k, k - 1]]
             q, mu, norms = _gso_ref(work)
             k = max(k - 1, 1)
-    try:
-        t = t.astype(np.int64)
-    except OverflowError:
-        pass
-    return lattices.UnimodularLattice(basis=b, reduced=work, transform=t)
+    return b, work, t
+
+
+def _kernel_transform(basis):
+    """The transform of the scalar kernel ``_lll`` on ``basis``'s columns,
+    rows of Python ints like the reference's ``tolist()``."""
+    t = lattices._lll(np.asarray(basis, dtype=float).T.tolist())[1]
+    return [list(row) for row in zip(*t)]
 
 
 def _subset_phis_ref(x, spec):
@@ -134,8 +141,8 @@ def _recorded_calls(monkeypatch, module, run, name="lll_reduce"):
 
     def record(*args, **kwargs):
         if name == "_lll":
-            cols, delta = args
-            calls.append((np.array(cols, dtype=float).T, (delta,), {"renormalize": False}))
+            (cols,) = args
+            calls.append((np.array(cols, dtype=float).T, (), {"renormalize": False}))
         else:
             calls.append((np.array(args[0], dtype=float), args[1:], kwargs))
         return real(*args, **kwargs)
@@ -167,11 +174,15 @@ def _carpet_inputs(monkeypatch):
 
 
 def _assert_same(new, ref):
-    assert new.reduced.tobytes() == ref.reduced.tobytes()
-    assert new.reduced.flags.c_contiguous and new.reduced.dtype == ref.reduced.dtype
-    assert new.basis.tobytes() == ref.basis.tobytes()
-    assert new.transform.dtype == ref.transform.dtype
-    assert new.transform.tolist() == ref.transform.tolist()
+    """``lll_reduce``'s lattice against the reference, and the kernel's
+    transform on the rescaled input against the reference's; returns that
+    transform."""
+    b, reduced, t = ref
+    assert new.reduced.tobytes() == reduced.tobytes()
+    assert new.reduced.flags.c_contiguous and new.reduced.dtype == reduced.dtype
+    transform = _kernel_transform(b)
+    assert transform == t.tolist()
+    return transform
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -184,22 +195,20 @@ def test_lll_matches_numpy_reference(monkeypatch, d):
         calls = _walk_inputs(monkeypatch, catalog.sl4_five_generator_measure(), 4, 400, range(3))
     assert len(calls) > 1000
     swaps = 0
+    identity = np.eye(d, dtype=int).tolist()
     for basis, args, kwargs in calls:
         new = lll_reduce(basis, *args, **kwargs)
-        _assert_same(new, lll_reduce_ref(basis, *args, **kwargs))
-        swaps += not np.array_equal(new.transform, np.eye(d, dtype=np.int64))
+        swaps += _assert_same(new, lll_reduce_ref(basis, *args, **kwargs)) != identity
     assert swaps > 100  # the inputs exercise reduction, not only reduced bases
 
 
 def test_lll_object_transform_matches_numpy_reference():
     # diag(1e-10, 1e10) sheared by ~1e22: the size-reduction multiplier is
-    # past int64, so the transform stays exact object integers
+    # past int64; the kernel's Python ints and the reference's object
+    # integers keep it exact
     basis = np.diag([1e-10, 1e10]) @ np.array([[1.0, 1e22 + 3e6], [0.0, 1.0]])
-    new = lll_reduce(basis)
-    ref = lll_reduce_ref(basis)
-    assert new.transform.dtype == object
-    assert abs(new.transform[0, 1]) > 2**63
-    _assert_same(new, ref)
+    transform = _assert_same(lll_reduce(basis), lll_reduce_ref(basis))
+    assert abs(transform[0][1]) > 2**63
 
 
 @pytest.mark.parametrize("renormalize", [True, False])
@@ -284,7 +293,7 @@ def _bench_lattices(d):
     out = []
     for g in steps:
         x = lll_reduce(g @ x.reduced, renormalize=False)
-        out.append(UnimodularLattice(x.basis, x.reduced, x.transform))
+        out.append(UnimodularLattice(x.reduced))
     return out
 
 
@@ -297,7 +306,7 @@ def test_rfactor_matches_numpy_qr_reference(d):
         assert all(r[j][j] > 0.0 for j in range(d)) and np.all(np.tril(ra, -1) == 0.0)
         gram = x.reduced.T @ x.reduced
         assert np.abs(ra.T @ ra - gram).max() <= 1e-12 * np.abs(gram).max()
-        ref = UnimodularLattice(x.basis, x.reduced, x.transform, _rfactor=rfactor_ref(x))
+        ref = UnimodularLattice(x.reduced, _rfactor=rfactor_ref(x))
         moved += r != ref.rfactor()
         assert siegel_count(x, 3.0) == siegel_count(ref, 3.0)
         for norm in ("sup", "euclid"):
@@ -370,7 +379,8 @@ def test_brute_force_matches_tuple_loop_reference(mat, weights, t_max):
 
 def _flow_orbit_ref(entries, weights, dt, bits):
     """The orbit step as it was: each float snapshot scaled by ``np.ldexp``,
-    reduced by ``lll_reduce`` and yielded as an array."""
+    reduced by the numpy reference LLL, whose transform must equal the
+    scalar kernel's, and yielded as an array."""
     m, d = weights.m, weights.m + weights.n
     one = 1 << bits
     with mp.workprec(bits + 64):
@@ -386,7 +396,8 @@ def _flow_orbit_ref(entries, weights, dt, bits):
         snap = [[v / one for v in row] for row in rows]
         exps = [frexp(v)[1] for row in snap for v in row if v]
         scaled = np.ldexp(snap, (-25 - max(exps) - min(exps)) // 2)
-        transform = lll_reduce(scaled, renormalize=False).transform.tolist()
+        transform = lll_reduce_ref(scaled, renormalize=False)[2].tolist()
+        assert transform == _kernel_transform(scaled)
         if transform != identity:
             cols = list(zip(*transform))
             rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
@@ -396,7 +407,7 @@ def _flow_orbit_ref(entries, weights, dt, bits):
 
 
 def flow_trace_ref(mat, weights, t_max, dt=0.05, siegel_radius=None, siegel_stride=20,
-                   siegel_cap=10**5):
+                   siegel_cap=dioph.SIEGEL_CAP):
     """Minima and Siegel counts of the per-step path: every grid point builds
     an ``UnimodularLattice`` of its snapshot and reads ``shortest_vector``,
     whose ``rfactor`` the Siegel count reuses."""
@@ -407,12 +418,11 @@ def flow_trace_ref(mat, weights, t_max, dt=0.05, siegel_radius=None, siegel_stri
     bits = dioph._needed_bits(weights, t_max)
     with mp.workprec(bits + 64):
         entries = [[int(mp.nint(mp.ldexp(mp.mpf(v), bits))) for v in row] for row in raw]
-    eye = np.eye(weights.m + weights.n, dtype=np.int64)
     orbit = _flow_orbit_ref(entries, weights, dt, bits)
     for k, t in enumerate(t_grid):
         try:
             snap = next(orbit)
-            x = UnimodularLattice(snap, snap, eye)
+            x = UnimodularLattice(snap)
             minima[k] = x.shortest("sup")[1]
         except (lattices.LatticeError, OverflowError) as err:
             raise lattices.ConditioningError(
