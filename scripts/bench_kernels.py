@@ -10,12 +10,15 @@ hand to it) and from a float-carried carpet orbit, carpet points, a
 50-digit golden ratio and the zero 1x1 orbit deep into the cusp for the
 flow, seeded scalars and carpet points for the brute-force box (at the
 census's horizons), seeded Gaussian matrices for the representations,
-and two SL4 certificates as the certify benchmark runs them (whole-call
-time, sphere optimizer included).  One repeat times the whole list with
-``time.perf_counter``, and the per-call time is the fastest of ``REPEATS``
-repeats divided by the list length.  The JSON file holds the machine, the
-library versions and, per kernel, the per-call microseconds and the number
-of calls per repeat; a table is printed as well.
+two SL4 certificates as the certify benchmark runs them and an exact
+positive-pair certificate whose sphere samples outnumber its descent
+evaluations (whole-call time, sphere optimizer included).  One repeat
+times the whole list with ``time.perf_counter``, and the per-call time is
+the fastest of ``REPEATS`` repeats divided by the list length.  The JSON
+file holds the machine, the library versions, the line count of the
+``.py`` files under ``src/`` (``src_lines``) and, per kernel, the
+per-call microseconds and the number of calls per repeat; a table is
+printed as well.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
@@ -195,6 +199,10 @@ def main(argv=None) -> int:
         ("certificate.five.std.mc.N24", five_cert("std", 24, "mc", 200, mc_words=150), [0],
          False, 1),
         ("certificate.five.adj.exact.N1", five_cert("adj", 1, "exact", 100), [0], False, 1),
+        # 256 words, 1,000 sphere samples: the sample pass outweighs the descents
+        ("certificate.pair.std.exact.N8",
+         lambda seed: expansion_certificate(pair, "std", N=8, mode="exact", seed=seed), [0],
+         False, 1),
     ]
     kernels = {}
     for name, fn, inputs, fresh, per_input in rows:
@@ -204,6 +212,7 @@ def main(argv=None) -> int:
     doc = {
         "machine": _machine(),
         "method": f"min over {REPEATS} repeats of the whole input list, per call",
+        "src_lines": sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py")),
         "kernels": kernels,
     }
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -461,6 +461,7 @@ def _run_dioph_flow(p, seed):
             repr(eps): trace.escape_flag(eps, p["t_max"] / 2.0) for eps in p["eps_grid"]
         },
     }
+    summary.update(trace.extras)  # "siegel" and "siegel_t" when siegel_radius is set
     return summary, {"t": trace.t_grid, "minima": trace.minima}, {}
 
 

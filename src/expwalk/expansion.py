@@ -10,14 +10,15 @@ from the best samples), so a positive result is reported as
 The N-step words come from the one word-product engine in
 :mod:`expwalk.measures`, and :func:`_sphere_minimize` is the one sphere
 optimizer: the certificate minimizes the mean of log|gv|, the moment
-contraction estimate the mean of -|gv|^(-delta).  Its descents run in
-lockstep as one batch (:func:`_nelder_mead_batch`), which reproduces
-scipy's Nelder-Mead bit for bit without its per-start Python loop.  The
-batch objective takes the images of a point under all words in one gemv
-over the stacked word matrices wherever OpenBLAS rounds that like one
-gemv per word (:func:`_word_images`), so the certificates, witnesses and
-benchmark outputs equal those of the scalar per-word objective bit for
-bit.
+contraction estimate the mean of -|gv|^(-delta).  One batch objective
+scores the sphere samples and the descents, and its memory is bounded by
+image elements, whatever the sample count.  The descents run in lockstep
+as one batch (:func:`_nelder_mead_batch`), which reproduces scipy's
+Nelder-Mead bit for bit without its per-start Python loop.  The objective
+takes the images of a point under all words in one gemv over the stacked
+word matrices wherever OpenBLAS rounds that like one gemv per word
+(:func:`_word_images`), so the certificates, witnesses and benchmark
+outputs equal those of the scalar per-word objective bit for bit.
 
 Also decides membership in the expanding cone of a block parabolic of
 sl_d via a small linear program, and checks a-expansion of the unipotent
@@ -39,6 +40,7 @@ from .rng import substream
 
 CONE_TOL = 1e-9
 SVD_TOL = 1e-8  # relative singular-value threshold of the fixed-space kernels
+IMAGE_FLOATS = 2**22  # rows x words x dim floats per batched objective call (32 MB)
 
 
 class ExpansionFailure(RuntimeError):
@@ -280,21 +282,21 @@ def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
 def _sphere_minimize(word_mats, word_wts, sphere_samples, n_descent, rng, transform=np.log):
     """Minimum over the unit sphere of the objective of :func:`_batch_objective_factory`.
 
-    The objective is evaluated on ``sphere_samples`` random directions in
-    one batch, then Nelder-Mead descends from the ``n_descent`` best, all
-    descents in lockstep (:func:`_nelder_mead_batch`, scipy's algorithm
-    bit for bit).  No batched call evaluates more than ``sphere_samples``
-    points, so the descents never outgrow the sample batch's memory.
-    Returns (minimum, unit witness direction); a descent replaces the
-    running best only when strictly lower, in sample order.
+    One objective scores the ``sphere_samples`` random directions, then
+    the Nelder-Mead descents from the ``n_descent`` best, all in lockstep
+    (:func:`_nelder_mead_batch`, scipy's algorithm bit for bit).  A call
+    holds at most ``IMAGE_FLOATS`` image elements (at least one row), so
+    memory is bounded by elements, not by the sample count.  Returns
+    (minimum, unit witness direction); a descent replaces the running best
+    only when strictly lower, in sample order.
     """
-    dim = word_mats.shape[-1]
+    n_words, dim, _ = word_mats.shape
     dirs = rng.normal(size=(sphere_samples, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    images = np.einsum("wij,sj->wsi", word_mats, dirs)
-    vals = word_wts @ transform(np.linalg.norm(images, axis=-1))
+    chunk = max(1, IMAGE_FLOATS // (n_words * dim))
+    objective = _batch_objective_factory(word_mats, word_wts, transform, chunk)
+    vals = objective(dirs)
     order = np.argsort(vals)
-    objective = _batch_objective_factory(word_mats, word_wts, transform, sphere_samples)
     xs, funs = _nelder_mead_batch(objective, dirs[order[:n_descent]], 1e-8, 1e-13, 300 * dim)
 
     best_val = float(vals[order[0]])
@@ -413,21 +415,25 @@ def moment_contraction_estimate(
     return -neg_ratio, best_v
 
 
+def _stacked_rank(blocks):
+    """SVD of the row-stacked ``blocks``: (rank, Vt), the rank counting the
+    singular values above ``SVD_TOL * max(1, s_max)``; the rows of Vt past
+    the rank span the joint kernel."""
+    _, s, vt = np.linalg.svd(np.vstack(blocks), full_matrices=True)
+    return int(np.sum(s > SVD_TOL * max(1.0, s.max(initial=0.0)))), vt
+
+
 def _fixed_subspace_complement(rep_elements):
     """Orthonormal basis of the complement of the joint fixed space.
 
     ``rep_elements`` are representation images whose joint fixed space is
-    removed; rows of (R - I) are stacked and the kernel read off the SVD
-    (threshold ``SVD_TOL``).
+    removed: the kernel of the stacked rows of (R - I)
+    (:func:`_stacked_rank`).
     Returns (Q, fixed_dim) with Q of shape (dim, dim - fixed_dim).
     """
     dim = rep_elements[0].shape[0]
-    stacked = np.vstack([r - np.eye(dim) for r in rep_elements])
-    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
-    smax = s.max(initial=0.0)
-    rank = int(np.sum(s > SVD_TOL * max(1.0, smax)))
-    fixed_dim = dim - rank
-    return vt[:rank].T.copy(), fixed_dim
+    rank, vt = _stacked_rank([r - np.eye(dim) for r in rep_elements])
+    return vt[:rank].T.copy(), dim - rank
 
 
 def relative_expansion_sweep(
@@ -596,8 +602,8 @@ def a_expanding_check(spec: ConeSpec, logs, k: int) -> bool:
     """Does exp(diag(logs)) expand the u-fixed vectors in the k-th wedge?
 
     The fixed space of the unipotent radical is the joint kernel of its
-    log-nilpotent generators acting on the exterior power (kernel read off
-    an SVD with threshold ``SVD_TOL``); the check passes when every weight
+    log-nilpotent generators acting on the exterior power
+    (:func:`_stacked_rank`); the check passes when every weight
     of exp(diag(logs)) present on that kernel exceeds 1, i.e. every
     log-weight is above ``CONE_TOL``.
     """
@@ -610,10 +616,7 @@ def a_expanding_check(spec: ConeSpec, logs, k: int) -> bool:
         e = np.zeros((d, d))
         e[i, j] = 1.0
         gens.append(linalg.wedge_derivation(e, k))
-    stacked = np.vstack(gens)
-    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
-    smax = s.max(initial=0.0)
-    rank = int(np.sum(s > SVD_TOL * max(1.0, smax)))
+    rank, vt = _stacked_rank(gens)
     kernel = vt[rank:].T  # columns span the u-fixed subspace
     if kernel.shape[1] == 0:
         return True  # vacuous: no u-fixed vectors to expand

@@ -4,7 +4,9 @@ A matrix affinity acts on m x n matrices by M -> A1 M A2 + B.  Those whose
 linear parts lie on the cosets a_r(t) K_r x a_s(t) K_s for a common t are
 the sponge affinities of a weight pair (r, s); they embed into the (m, n)
 block parabolic of SL_{m+n} by g = blockdiag(A1, A2^{-1})^{-1} u_B, which
-turns IFS coding orbits into random-walk unipotent parameters.
+turns IFS coding orbits into random-walk unipotent parameters.  The sponge
+check is the K'A' split of :mod:`expwalk.kau` applied to
+blockdiag(A1, A2^{-1}), so a sponge's t is minus the t of its embedding.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from math import log
 
 import numpy as np
 
-from .kau import ParabolicProfile, WeightPair, unipotent
-from .measures import GroupMeasure, _word_products
+from .kau import FactorizationError, ParabolicProfile, WeightPair, _coset_split, unipotent
+from .measures import GroupMeasure, _index_stream, _word_products
 from .rng import substream
 
 SPONGE_TOL = 1e-8  # how far a symbol's linear part may sit from its weight coset
@@ -87,57 +89,23 @@ class SpongeCheck:
     reason: str = ""
 
 
-def _block_coset_parameter(a, weights, label):
-    """Per weight group, split a = (scalar e^{t w}) x orthogonal; return t."""
-    weights = tuple(float(w) for w in weights)
-    groups: list[tuple[float, list[int]]] = []
-    for i, w in enumerate(weights):
-        for gw, idx in groups:
-            if abs(gw - w) <= 1e-12:
-                idx.append(i)
-                break
-        else:
-            groups.append((w, [i]))
-    d = len(weights)
-    mask = np.zeros((d, d), dtype=bool)
-    for _, idx in groups:
-        mask[np.ix_(idx, idx)] = True
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(np.where(mask, 0.0, a)).max(initial=0.0) > SPONGE_TOL * scale:
-        return None, f"{label}: couples coordinates of distinct weights"
-    ts = []
-    for gw, idx in groups:
-        block = a[np.ix_(idx, idx)]
-        svals = np.linalg.svd(block, compute_uv=False)
-        c = float(np.exp(np.mean(np.log(svals))))
-        if np.abs(block / c @ (block / c).T - np.eye(len(idx))).max() > SPONGE_TOL:
-            return None, (
-                f"{label} block {tuple(idx)}: unequal moduli within an "
-                "equal-weight block (not scalar times orthogonal)"
-            )
-        ts.append(log(c) / gw)
-    return ts, ""
-
-
 def sponge_check(phi: MatrixAffinity, weights: WeightPair) -> SpongeCheck:
     """Test A1 in a_r(t) K_r and A2 in a_s(t) K_s for one common t.
 
-    Per weight group the corresponding block must be a positive scalar
-    e^{t w} times an orthogonal matrix; the t recovered from each block of
-    A1 and A2 must agree within ``SPONGE_TOL``.
+    This is :func:`expwalk.kau._coset_split` of
+    blockdiag(A1, A2^{-1}) = k a(t) for the (m, n) profile of ``weights``
+    within ``SPONGE_TOL``: per weight group the block must be a positive
+    scalar e^{t w} times an orthogonal matrix, and the t of every group
+    must agree.  A failure's reason names block coordinates counted over
+    A1 first, then A2.
     """
     if phi.m != weights.m or phi.n != weights.n:
         return SpongeCheck(False, None, "weight pair shape does not match the affinity")
-    ts1, why1 = _block_coset_parameter(phi.a1, weights.r, "A1")
-    if ts1 is None:
-        return SpongeCheck(False, None, why1)
-    ts2, why2 = _block_coset_parameter(phi.a2, weights.s, "A2")
-    if ts2 is None:
-        return SpongeCheck(False, None, why2)
-    ts = ts1 + ts2
-    t = float(np.mean(ts))
-    if max(abs(v - t) for v in ts) > SPONGE_TOL * max(1.0, abs(t)):
-        return SpongeCheck(False, None, f"inconsistent t across blocks: {ts}")
+    profile = ParabolicProfile(phi.m, phi.n, weights)
+    try:
+        _, t = _coset_split(hat_matrix(phi), profile, SPONGE_TOL)
+    except FactorizationError as err:
+        return SpongeCheck(False, None, str(err))
     return SpongeCheck(True, t, "")
 
 
@@ -251,12 +219,6 @@ def coding_limit(ifs: AffineIFS, symbols, tol: float = 1e-10, max_depth: int = 1
     )
 
 
-def _symbol_stream(rng, k, weights):
-    while True:
-        for i in rng.choice(k, size=512, p=weights):
-            yield i
-
-
 def coding_sample(ifs: AffineIFS, n_points: int, tol: float = 1e-10, seed: int = 0):
     """n_points i.i.d. draws from the self-affine measure via the coding map.
 
@@ -265,8 +227,7 @@ def coding_sample(ifs: AffineIFS, n_points: int, tol: float = 1e-10, seed: int =
     """
     out = np.empty((n_points, ifs.m, ifs.n))
     for i in range(n_points):
-        rng = substream(seed, i)
-        out[i] = coding_limit(ifs, _symbol_stream(rng, len(ifs.symbols), ifs.weights), tol)
+        out[i] = coding_limit(ifs, _index_stream(substream(seed, i), ifs.weights), tol)
     return out
 
 

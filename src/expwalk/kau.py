@@ -10,6 +10,9 @@ An element of the parabolic P factors uniquely as g = k * a(t) * u_M, where
   an m x n matrix.  The minus sign matches the Diophantine convention used
   throughout the package.
 
+The split k a(t) of the diagonal blocks, :func:`_coset_split`, is also the
+sponge check of :mod:`expwalk.fractal`.
+
 The scalar lambda(g) = t is additive along words.  Prefix products of a
 word admit factor sequences (k_n, t_n, M_n); when the average of lambda
 over the driving measure is positive the unipotent parameters M_n converge
@@ -150,21 +153,19 @@ class KAUFactors:
         return self.k @ self.a() @ unipotent(self.u)
 
 
-def kau_factorize(g, profile: ParabolicProfile) -> KAUFactors:
-    """Factorize a parabolic element into K'A'U components.
+def _coset_split(g, profile: ParabolicProfile, tol: float):
+    """(k, t) with k a(t) the diagonal blocks of ``g``, within ``tol``.
 
-    Raises :class:`FactorizationError` when g is not block upper-triangular
-    for (m, n) or its diagonal blocks do not lie on the K' exp(tA') cosets
-    within ``KAU_TOL``.  The t parameter is recovered per weight group from
-    the log of the geometric mean of singular values, which averages out
-    numerical noise; group estimates must agree within ``KAU_TOL``.
+    ``g`` must be block upper-triangular for (m, n) with no coupling of
+    distinct weight groups (:meth:`ParabolicProfile.weight_groups`), both
+    relative to its largest entry.  Each group's block is a scalar c, the
+    geometric mean of its singular values, times an orthogonal matrix, and
+    reads t = log c / w; the groups' t must agree.  Raises
+    :class:`FactorizationError` naming the first condition that fails.
     """
-    g = as_square(g)
-    m, n, d = profile.m, profile.n, profile.d
-    if g.shape[0] != d:
-        raise FactorizationError(f"element has dimension {g.shape[0]}, profile needs {d}")
+    m, d = profile.m, profile.d
     scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g[m:, :m]).max(initial=0.0) > KAU_TOL * scale:
+    if np.abs(g[m:, :m]).max(initial=0.0) > tol * scale:
         raise FactorizationError("element is not block upper-triangular for (m, n)")
 
     groups = profile.weight_groups()
@@ -174,7 +175,7 @@ def kau_factorize(g, profile: ParabolicProfile) -> KAUFactors:
     diag_part = np.zeros((d, d))
     diag_part[:m, :m] = g[:m, :m]
     diag_part[m:, m:] = g[m:, m:]
-    if np.abs(np.where(allowed, 0.0, diag_part)).max(initial=0.0) > KAU_TOL * scale:
+    if np.abs(np.where(allowed, 0.0, diag_part)).max(initial=0.0) > tol * scale:
         raise FactorizationError(
             "diagonal blocks couple coordinates of distinct weights; not in K'A'"
         )
@@ -189,18 +190,33 @@ def kau_factorize(g, profile: ParabolicProfile) -> KAUFactors:
             raise FactorizationError(f"diagonal block {idx} is singular")
         c = float(np.exp(np.mean(np.log(svals))))
         q = block / c
-        if np.abs(q.T @ q - np.eye(len(idx))).max() > KAU_TOL:
+        if np.abs(q.T @ q - np.eye(len(idx))).max() > tol:
             raise FactorizationError(
-                f"diagonal block {idx} is not scalar times orthogonal"
+                f"diagonal block {idx}: unequal moduli within an equal-weight block "
+                "(not scalar times orthogonal)"
             )
         k[np.ix_(idx, idx)] = q
         t_estimates.append(np.log(c) / gv)
         t_weights.append(len(idx) * abs(gv))
     t = float(np.average(t_estimates, weights=t_weights))
-    if max(abs(est - t) for est in t_estimates) > KAU_TOL * max(1.0, abs(t)):
-        raise FactorizationError(
-            f"inconsistent flow parameter across weight groups: {t_estimates}"
-        )
+    if max(abs(est - t) for est in t_estimates) > tol * max(1.0, abs(t)):
+        raise FactorizationError(f"inconsistent t across weight groups: {t_estimates}")
+    return k, t
+
+
+def kau_factorize(g, profile: ParabolicProfile) -> KAUFactors:
+    """Factorize a parabolic element into K'A'U components.
+
+    Raises :class:`FactorizationError` when g is not block upper-triangular
+    for (m, n) or its diagonal blocks do not lie on the K' exp(tA') cosets
+    within ``KAU_TOL`` (:func:`_coset_split`), or when the residual
+    a(t)^{-1} k^T g is not upper block unipotent within ``KAU_TOL``.
+    """
+    g = as_square(g)
+    m, n, d = profile.m, profile.n, profile.d
+    if g.shape[0] != d:
+        raise FactorizationError(f"element has dimension {g.shape[0]}, profile needs {d}")
+    k, t = _coset_split(g, profile, KAU_TOL)
 
     a_inv = flow_element(profile.weights, -t)
     u = a_inv @ k.T @ g

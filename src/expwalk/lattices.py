@@ -585,6 +585,21 @@ def _running_average(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _walk(x: UnimodularLattice, mats):
+    """The lattices g_1 x, g_2 g_1 x, .. for the matrices ``mats`` in order.
+
+    This is the one walk loop: each step is :func:`lll_reduce` of g times
+    the reduced basis, without renormalization (the factors are
+    unimodular), and a reduction failure names its step.
+    """
+    for step, g in enumerate(mats, 1):
+        try:
+            x = lll_reduce(g @ x.reduced, renormalize=False)
+        except ConditioningError as err:
+            raise ConditioningError(f"reduction failed at step {step}: {err}") from err
+        yield x
+
+
 def walk_simulate(
     mu: GroupMeasure,
     x0: UnimodularLattice,
@@ -608,15 +623,9 @@ def walk_simulate(
             obs.append(ob)
     idx = sample_indices(mu, n_steps, seed=seed)
     values = {label: np.empty(n_steps + 1) for label, _ in obs}
-    x = x0
     for label, fn in obs:
-        values[label][0] = fn(x)
-    for step in range(1, n_steps + 1):
-        g = mu.matrices[idx[step - 1]]
-        try:
-            x = lll_reduce(g @ x.reduced, renormalize=False)
-        except ConditioningError as err:
-            raise ConditioningError(f"reduction failed at step {step}: {err}") from err
+        values[label][0] = fn(x0)
+    for step, x in enumerate(_walk(x0, (mu.matrices[i] for i in idx)), 1):
         for label, fn in obs:
             values[label][step] = fn(x)
     running = {label: _running_average(vals) for label, vals in values.items()}
@@ -682,8 +691,8 @@ def _cusp_ladder_points(mu, d, count, seed):
             basis = q @ a
             x = lll_reduce(basis / abs(np.linalg.det(basis)) ** (1.0 / d))
             burst = 0 if family == 0 else int(rng.integers(0, 9))
-        for g in mu.matrices[rng.choice(mu.natoms, size=burst, p=mu.weights)]:
-            x = lll_reduce(g @ x.reduced, renormalize=False)
+        for x in _walk(x, mu.matrices[rng.choice(mu.natoms, size=burst, p=mu.weights)]):
+            pass
         pts.append(x)
     return pts
 
@@ -697,10 +706,8 @@ def _averaged_height(mu, conv, x, height, m, mc_trials, seed, tag):
     rng = substream(seed, 13, tag)
     samples = np.empty(mc_trials)
     for trial in range(mc_trials):
-        idx = rng.choice(mu.natoms, size=m, p=mu.weights)
-        y = x
-        for i in idx:
-            y = lll_reduce(mu.matrices[i] @ y.reduced, renormalize=False)
+        for y in _walk(x, mu.matrices[rng.choice(mu.natoms, size=m, p=mu.weights)]):
+            pass
         samples[trial] = margulis_height(y, height)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(mc_trials))
 
@@ -835,11 +842,8 @@ def recurrence_experiment(
     hits = {n: 0 for n in n_grid}
     for trial in range(mc_trials):
         idx = sample_indices(mu, n_max, seed=seed, path=(17, trial))
-        x = x0
-        for step in range(1, n_max + 1):
-            x = lll_reduce(mu.matrices[idx[step - 1]] @ x.reduced, renormalize=False)
-            if step in grid_set:
-                if margulis_height(x, height) <= level:
-                    hits[step] += 1
+        for step, x in enumerate(_walk(x0, (mu.matrices[i] for i in idx)), 1):
+            if step in grid_set and margulis_height(x, height) <= level:
+                hits[step] += 1
     entries = [(n, hits[n] / mc_trials) for n in n_grid]
     return RecurrenceTable(level=level, delta=delta, fit=fit, entries=entries)

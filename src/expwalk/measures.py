@@ -109,13 +109,17 @@ def sample_word(mu: GroupMeasure, n: int, seed: int, path=()) -> np.ndarray:
     return mu.matrices[sample_indices(mu, n, seed, path)]
 
 
-def sample_stream(mu: GroupMeasure, seed: int, path=()):
-    """Infinite generator of i.i.d. atom draws (same law as sample_word),
-    drawn in blocks of 256."""
-    rng = substream(seed, *path)
+def _index_stream(rng, weights):
+    """Infinite generator of i.i.d. indices into ``weights``, drawn from
+    ``rng`` in blocks of 256 (the block size does not change the draws)."""
     while True:
-        for i in rng.choice(mu.natoms, size=256, p=mu.weights):
-            yield mu.matrices[i]
+        yield from rng.choice(len(weights), size=256, p=weights)
+
+
+def sample_stream(mu: GroupMeasure, seed: int, path=()):
+    """Infinite generator of i.i.d. atom draws (same law as sample_word)."""
+    for i in _index_stream(substream(seed, *path), mu.weights):
+        yield mu.matrices[i]
 
 
 def _merge_atoms(mats: np.ndarray, wts: np.ndarray, tol: float):

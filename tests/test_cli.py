@@ -468,6 +468,20 @@ def test_dioph_flow_decimal_string_keeps_its_precision(tmp_path):
     assert expected > 0.6
 
 
+def test_dioph_flow_summary_records_siegel_counts(tmp_path):
+    params = {"M": [["0.37"]], "r": [1.0], "s": [1.0], "t_max": 3.0, "siegel_radius": 3.0}
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "s")}) == 0
+    summary = json.loads((tmp_path / "s.summary.json").read_text())
+    trace = flow_trace("0.37", WeightPair((1.0,), (1.0,)), 3.0, siegel_radius=3.0)
+    assert summary["siegel"] == trace.extras["siegel"].tolist()
+    assert summary["siegel_t"] == [0.0, 1.0, 2.0, 3.0]  # every 20th point at dt 0.05
+    del params["siegel_radius"]
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "n")}) == 0
+    assert "siegel" not in json.loads((tmp_path / "n.summary.json").read_text())
+
+
 @pytest.mark.parametrize("entry", [float("nan"), "-inf", "1e400", "0.5x"])
 def test_dioph_flow_bad_matrix_entry_is_exit_2(tmp_path, capsys, entry):
     params = {"M": [[entry]], "r": [1.0], "s": [1.0], "t_max": 2.0}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +283,21 @@ def test_certificate_exact_on_large_commuting_products():
     cert = expansion_certificate(mu, "std", N=30, mode="exact", cap=10**12, seed=0)
     assert cert.mode == "exact" and not cert.passed
     assert abs(cert.C_lower + 15 * np.log(6)) < 1e-9
+
+
+def test_exact_certificate_memory_is_bounded_by_image_elements():
+    # 1,024 words x 10,000 sphere samples x dim 2: one pass over all samples
+    # would hold 164 MB of images and about 0.5 GB at its peak
+    tracemalloc.start()
+    try:
+        cert = expansion_certificate(
+            catalog.positive_pair_sl2(), "std", N=10, mode="exact", sphere_samples=10_000
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.mode == "exact" and cert.passed
+    assert peak < 150 * 2**20
 
 
 def test_relative_sweep_dimension_cap():

@@ -23,7 +23,7 @@ from expwalk.fractal import (
     sponge_builder,
     sponge_check,
 )
-from expwalk.kau import WeightPair, unipotent
+from expwalk.kau import FactorizationError, ParabolicProfile, WeightPair, kau_factorize, unipotent
 from expwalk.measures import lambda_average
 
 
@@ -70,6 +70,31 @@ def test_sponge_check_t_consistency_across_factors():
     bad = MatrixAffinity(np.diag([2.0, 2.0]), np.array([[2.0]]), np.zeros((2, 1)))
     chk = sponge_check(bad, wp)
     assert not chk.ok and "inconsistent t" in chk.reason
+
+
+@pytest.mark.parametrize(
+    "ifs", [catalog.cantor_ifs(), catalog.bm_carpet(2, 3), catalog.rotation_sponge_ifs()]
+)
+def test_sponge_t_is_minus_the_kau_t_of_the_embedding(ifs):
+    profile = ParabolicProfile(ifs.m, ifs.n, ifs.weightpair)
+    for phi in ifs.symbols:
+        t = sponge_check(phi, ifs.weightpair).t
+        assert abs(t + kau_factorize(embed_to_pgl(phi), profile).t) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "a1, a2", [(np.diag([2.0, 3.0]), [[0.1]]), (np.diag([2.0, 2.0]), [[2.0]])],
+    ids=["unequal-moduli", "inconsistent-t"],
+)
+def test_sponge_check_and_kau_reject_non_sponges(a1, a2):
+    wp = WeightPair((0.5, 0.5), (1.0,))
+    phi = MatrixAffinity(a1, np.array(a2), np.zeros((2, 1)))
+    assert not sponge_check(phi, wp).ok
+    # the embedding before embed_to_pgl's rescaling: a scalar multiple of
+    # blockdiag(A1, A2^-1) can sit on a K'A' coset that the affinity misses
+    g = np.linalg.inv(hat_matrix(phi)) @ unipotent(phi.b)
+    with pytest.raises(FactorizationError):
+        kau_factorize(g, ParabolicProfile(2, 1, wp))
 
 
 def test_ifs_validate_cantor():

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from expwalk import catalog
 from expwalk.lattices import (
+    ConditioningError,
+    ContractionFit,
     ContractionUnverified,
     HeightSpec,
     contraction_fit,
@@ -212,6 +214,20 @@ def test_walk_divergent_geodesic_leaves_mahler_forever():
     rec = walk_simulate(mu, standard_lattice(2), 60, ["mahler:0.5"], seed=0)
     vals = rec.values["mahler:0.5"]
     assert np.all(vals[10:] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["walk", "recur"])
+def test_walk_step_failure_names_its_step(kind):
+    # diag(1e100, 1e-100) twice collapses the Gram-Schmidt data at step 2
+    mu = GroupMeasure.dirac(np.diag([1e100, 1e-100]))
+    one = np.ones(1)
+    fit = ContractionFit(0.5, 1.0, np.array([], dtype=int), True, one, one, one, 1)
+    with pytest.raises(ConditioningError, match="reduction failed at step 2: Gram-Schmidt"):
+        if kind == "walk":
+            walk_simulate(mu, standard_lattice(2), 5, ["shortest:sup"], seed=0)
+        else:
+            recurrence_experiment(mu, HeightSpec(0.1, 0.3), 0.5, standard_lattice(2), [3],
+                                  mc_trials=1, fit=fit)
 
 
 def test_walk_bit_reproducible():
