@@ -34,7 +34,7 @@ def main():
         report = classify_point(value, unit, args.t_max, trace=trace)
         path = f"{args.out_prefix}.{label}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_plotdata(trace, ["t", "minima"]))
+            fh.write(emit_plotdata({"t": trace.t_grid, "minima": trace.minima}))
         print(
             f"{label:>7}: inf_minima={trace.inf_minima:.5f}  "
             f"ba={report.badly_approx_evidence}  dirichlet={report.dirichlet_evidence}  "

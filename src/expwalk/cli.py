@@ -11,13 +11,19 @@ must be non-empty, lists are checked element by element, and every error
 names ``kind.key``.  The non-finite constants NaN, Infinity and -Infinity
 are rejected.  The config as given, with its seed and output prefix, is
 recorded next to the results, so every artifact carries its provenance.
-Each run writes ``<prefix>.config.json``, ``<prefix>.data.csv`` (17
-significant digits, LF line endings) and ``<prefix>.summary.json``.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure
-(conditioning, non-convergence, enumeration caps) with partial artifacts
-preserved.  Execution is sequential, hence deterministic for a fixed
-config.
+Nothing is written until the kind returns.  Exit codes and what each writes:
+
+* 0, success: ``<prefix>.config.json``, ``<prefix>.data.csv`` (17
+  significant digits, LF line endings) and ``<prefix>.summary.json``, plus
+  ``<prefix>.ifs.json`` for ``sponge``;
+* 2, config or validation error: no file, a named reason on stderr;
+* 3, numerical failure (a ``linalg.NumericalError`` such as conditioning,
+  non-convergence or an enumeration cap, or a ``LinAlgError``):
+  ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
+  ``error`` and, where the error carries one, the ``partial`` value.
+
+Execution is sequential, hence deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -31,21 +37,9 @@ from math import isfinite
 import numpy as np
 from mpmath import mp
 
-from .dioph import (
-    SearchCapError,
-    brute_force_quality,
-    flow_trace,
-    fractal_experiment,
-)
-from .expansion import ConeSpec, ExpansionFailure, expanding_cone_membership, expansion_certificate
-from .fractal import (
-    CodingDepthError,
-    ifs_from_dict,
-    load_ifs,
-    save_ifs,
-    sponge_builder,
-    sponge_check,
-)
+from .dioph import brute_force_quality, flow_trace, fractal_experiment
+from .expansion import ConeSpec, expanding_cone_membership, expansion_certificate
+from .fractal import ifs_from_dict, ifs_to_dict, load_ifs, sponge_builder, sponge_check
 from .kau import (
     ParabolicProfile,
     UnipotentLimitError,
@@ -56,7 +50,6 @@ from .kau import (
 )
 from .lattices import (
     HeightSpec,
-    LatticeError,
     lll_reduce,
     margulis_height,
     margulis_height_profile,
@@ -65,17 +58,8 @@ from .lattices import (
     standard_lattice,
     walk_simulate,
 )
-from .measures import ConvolutionCapError, load_measure, measure_from_dict, sample_word
-
-NUMERICAL_ERRORS = (
-    LatticeError,  # conditioning, enumeration caps, unverified contraction
-    UnipotentLimitError,
-    CodingDepthError,
-    ConvolutionCapError,
-    SearchCapError,
-    ExpansionFailure,
-    np.linalg.LinAlgError,
-)
+from .linalg import NumericalError
+from .measures import load_measure, measure_from_dict, sample_word
 
 
 class ConfigError(ValueError):
@@ -194,10 +178,8 @@ def _symbol_weights(value, where: str):
 
 def _sponge(p: dict):
     """The carpet IFS of a parsed ``SPONGE`` object."""
-    if p["weights"] == "uniform":
-        return sponge_builder(p["bases"], p["pattern"])
-    return sponge_builder(p["bases"], p["pattern"], weights_mode="custom",
-                          symbol_weights=p["weights"])
+    weights = None if p["weights"] == "uniform" else p["weights"]
+    return sponge_builder(p["bases"], p["pattern"], weights)
 
 
 def _weightpair(p: dict, where: str):
@@ -284,25 +266,20 @@ SCHEMA = {
 KINDS = tuple(SCHEMA)
 
 
-def emit_plotdata(record, columns) -> str:
-    """Bit-stable CSV for a record exposing ``.columns()`` or a plain dict.
+def emit_plotdata(table: dict) -> str:
+    """Bit-stable CSV of a dict of equal-length columns, in the dict's order.
 
     Floats are rendered with 17 significant digits, rows end with LF, the
-    header row lists the requested columns.  Unknown columns are a named
-    error.
+    header row lists the keys.
     """
-    table = record.columns() if hasattr(record, "columns") else dict(record)
-    missing = [c for c in columns if c not in table]
-    if missing:
-        raise ConfigError(f"unknown columns requested: {missing}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    arrays = [np.asarray(table[c]) for c in columns]
+    writer.writerow(table)
+    arrays = [np.asarray(a) for a in table.values()]
     length = max((len(a) for a in arrays), default=0)
     for a in arrays:
         if len(a) != length:
-            raise ConfigError("requested columns have mismatched lengths")
+            raise ConfigError("columns have mismatched lengths")
     for i in range(length):
         row = []
         for a in arrays:
@@ -319,7 +296,7 @@ def emit_plotdata(record, columns) -> str:
 
 # ---------------------------------------------------------------------------
 # kind handlers: each takes the parsed parameters and the seed and returns
-# (summary, columns in CSV order, extra files)
+# (summary, columns in CSV order, extra JSON documents by file suffix)
 
 
 def _run_cone(p, seed):
@@ -353,6 +330,8 @@ def _run_expand_cert(p, seed):
 def _run_walk(p, seed):
     mu = p["measure"]
     x0 = p["x0"] or standard_lattice(mu.dim)
+    if not p["observables"]:  # the library walks without any, for its reductions alone
+        raise ConfigError("walk.observables: need at least one observable")
     obs = [parse_observable(s, p["height"]) for s in p["observables"]]
     record = walk_simulate(mu, x0, p["n_steps"], obs, seed=seed)
     finals = {label: record.running[label][-1] for label, _ in obs}
@@ -438,7 +417,7 @@ def _run_sponge(p, seed):
     }
     for i in range(ifs.m):
         cols[f"offset_{i}"] = np.array([phi.b[i, 0] for phi in ifs.symbols])
-    return summary, cols, {"ifs.json": ifs}
+    return summary, cols, {"ifs.json": ifs_to_dict(ifs)}
 
 
 def _run_dioph_brute(p, seed):
@@ -494,27 +473,32 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+
+
 def run(config: dict) -> int:
-    """Execute one experiment config; returns the process exit code."""
+    """Execute one experiment config; returns the process exit code.
+
+    The config is parsed and the kind run before anything is written, so a
+    config error (exit 2) writes nothing and a numerical failure (exit 3)
+    writes the config and the failure summary.
+    """
+    kind = config.get("kind")
     try:
-        kind = config.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
         resolved = _parse(CONFIG, config, kind)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-
-    prefix = resolved["output"]
-    with open(f"{prefix}.config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-    try:
         params = _parse(SCHEMA[kind], resolved["parameters"], kind)
         summary, cols, extra = HANDLERS[kind](params, resolved["seed"])
-    except NUMERICAL_ERRORS as err:
-        return _write_failure(prefix, kind, err)
+    except (NumericalError, np.linalg.LinAlgError) as err:
+        summary, cols, extra = {"error": f"{kind}: {type(err).__name__}: {err}"}, None, {}
+        partial = getattr(err, "partial", None)
+        if partial is not None:
+            summary["partial"] = np.asarray(partial).ravel().tolist()
+        print(f"numerical failure: {summary['error']}", file=sys.stderr)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -522,26 +506,14 @@ def run(config: dict) -> int:
         print(f"config error: {kind}: {err}", file=sys.stderr)
         return 2
 
+    prefix = resolved["output"]
+    for suffix, doc in {"config.json": resolved, "summary.json": summary, **extra}.items():
+        _write_json(f"{prefix}.{suffix}", doc)
+    if cols is None:  # the numerical failure above
+        return 3
     with open(f"{prefix}.data.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_plotdata(cols, list(cols)))
-    with open(f"{prefix}.summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    for name, obj in extra.items():
-        save_ifs(obj, f"{prefix}.{name}")
+        fh.write(emit_plotdata(cols))
     return 0
-
-
-def _write_failure(prefix, kind, err) -> int:
-    doc = {"error": f"{kind}: {type(err).__name__}: {err}"}
-    partial = getattr(err, "partial", None)
-    if partial is not None:
-        doc["partial"] = np.asarray(partial).ravel().tolist()
-    with open(f"{prefix}.summary.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    print(f"numerical failure: {doc['error']}", file=sys.stderr)
-    return 3
 
 
 def _reject_constant(name):

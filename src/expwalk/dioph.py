@@ -24,6 +24,7 @@ from mpmath import mp
 
 from .fractal import AffineIFS, coding_sample, ifs_validate, irreducibility_check, sponge_check
 from .kau import WeightPair
+from .linalg import NumericalError
 from .lattices import (
     ConditioningError,
     CountCapError,
@@ -37,7 +38,7 @@ from .lattices import (
 )
 
 
-class SearchCapError(ValueError):
+class SearchCapError(NumericalError):
     """Brute-force search box exceeds the configured cap."""
 
 
@@ -224,11 +225,6 @@ class FlowTrace:
         tail = self.t_grid > after
         return bool(np.all(self.minima[tail] < epsilon)) if np.any(tail) else False
 
-    def columns(self) -> dict[str, np.ndarray]:
-        cols = {"t": self.t_grid, "minima": self.minima}
-        cols.update(self.extras)
-        return cols
-
 
 def flow_trace(
     mat,
@@ -387,6 +383,8 @@ def fractal_experiment(
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if not (isfinite(brute_t_max) and brute_t_max >= 1.0):
+        raise ValueError(f"brute_t_max must be finite and at least 1, got {brute_t_max!r}")
     _grid_points(t_max, dt)
     validation = ifs_validate(ifs)
     if not validation.contracting:

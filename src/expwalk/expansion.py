@@ -43,7 +43,7 @@ SVD_TOL = 1e-8  # relative singular-value threshold of the fixed-space kernels
 IMAGE_FLOATS = 2**22  # rows x words x dim floats per batched objective call (32 MB)
 
 
-class ExpansionFailure(RuntimeError):
+class ExpansionFailure(linalg.NumericalError):
     """Numerical trouble: a non-finite certificate bound, or a cone LP that
     does not solve."""
 
@@ -330,6 +330,8 @@ def certificate_from_rep_atoms(
         raise ValueError("sphere_samples must be at least 1")
     if mode != "exact" and mc_words < 2:  # the Monte-Carlo bound needs a standard error
         raise ValueError("mc_words must be at least 2")
+    if mode != "exact" and not 0.0 < confidence < 1.0:  # ndtri is finite only inside (0, 1)
+        raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence!r}")
     word_mats, word_wts, exact = _word_products(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
     )

@@ -17,6 +17,7 @@ from math import log
 import numpy as np
 
 from .kau import FactorizationError, ParabolicProfile, WeightPair, _coset_split, unipotent
+from .linalg import NumericalError
 from .measures import GroupMeasure, _index_stream, _word_products
 from .rng import substream
 
@@ -24,7 +25,7 @@ SPONGE_TOL = 1e-8  # how far a symbol's linear part may sit from its weight cose
 SPAN_TOL = 1e-9  # rank threshold of the irreducibility certificate
 
 
-class CodingDepthError(RuntimeError):
+class CodingDepthError(NumericalError):
     """Coding composition failed to contract within the depth cap."""
 
 
@@ -266,12 +267,7 @@ def sierpinski_weights(bases) -> tuple[float, ...]:
     return tuple((m * logs[i] - (total - logs[i])) / total for i in range(m))
 
 
-def sponge_builder(
-    bases,
-    pattern,
-    weights_mode: str = "corollary",
-    symbol_weights=None,
-) -> AffineIFS:
+def sponge_builder(bases, pattern, symbol_weights=None) -> AffineIFS:
     """Grid-subdivision sponge IFS on R^m as (r, 1)-sponge affinities.
 
     Each kept cell (c_1, .., c_m), 0 <= c_i < a_i, becomes the map
@@ -279,10 +275,9 @@ def sponge_builder(
     t-budget shared between the factors: A2 = e^t with
     t = -(sum log a_j) / (m + 1) and A1 = diag(1/a_i) e^{-t}, which puts
     the linear parts on the weight cosets for the r of
-    :func:`sierpinski_weights`.  ``weights_mode="corollary"`` takes uniform
-    symbol probabilities; ``"custom"`` uses ``symbol_weights`` (e.g. the
-    externally computed full-dimension weights, which this package does
-    not derive).
+    :func:`sierpinski_weights`.  Symbol probabilities are uniform unless
+    ``symbol_weights`` gives them (e.g. the externally computed
+    full-dimension weights, which this package does not derive).
     """
     bases = [int(a) for a in bases]
     if any(a < 2 for a in bases):
@@ -299,14 +294,10 @@ def sponge_builder(
     for cell in cells:
         if len(cell) != m or any(not 0 <= cell[i] < bases[i] for i in range(m)):
             raise ValueError(f"cell {cell} outside the {tuple(bases)} grid")
-    if weights_mode == "corollary":
+    if symbol_weights is None:
         wts = np.full(len(cells), 1.0 / len(cells))
-    elif weights_mode == "custom":
-        if symbol_weights is None:
-            raise ValueError("custom mode requires symbol weights")
-        wts = np.asarray(symbol_weights, dtype=float)
     else:
-        raise ValueError(f"unknown weights mode {weights_mode!r}")
+        wts = np.asarray(symbol_weights, dtype=float)
 
     r = sierpinski_weights(bases)
     t = -sum(log(a) for a in bases) / (m + 1)

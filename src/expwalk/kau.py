@@ -25,7 +25,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import as_square
+from .linalg import NumericalError, as_square
 
 WEIGHT_TOL = 1e-12
 KAU_TOL = 1e-7  # how far an element may sit from the parabolic K'A'U
@@ -35,7 +35,7 @@ class FactorizationError(ValueError):
     """Element is not in the parabolic P = K'A'U within tolerance."""
 
 
-class UnipotentLimitError(RuntimeError):
+class UnipotentLimitError(NumericalError):
     """Unipotent parameters failed to settle; carries the partial value."""
 
     def __init__(self, message, partial, n_used):

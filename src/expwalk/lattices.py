@@ -45,7 +45,7 @@ from math import ceil, floor, frexp, inf, isfinite, ldexp, sqrt
 
 import numpy as np
 
-from .linalg import weyl_interior_vector
+from .linalg import NumericalError, weyl_interior_vector
 from .measures import GroupMeasure, ConvolutionCapError, convolution_support, sample_indices
 from .rng import substream
 
@@ -53,7 +53,7 @@ LLL_DELTA = 0.99  # the Lovasz parameter of every reduction
 DET_TOL = 1e-6  # how far from +-1 the determinant of an input basis may be
 
 
-class LatticeError(RuntimeError):
+class LatticeError(NumericalError):
     pass
 
 
@@ -826,6 +826,9 @@ def recurrence_experiment(
         raise ValueError("delta must lie in (0, 1)")
     if mc_trials < 1:
         raise ValueError(f"mc_trials must be at least 1, got {mc_trials}")
+    n_grid = sorted(int(n) for n in n_grid)
+    if not n_grid or n_grid[0] < 1:
+        raise ValueError("the n-grid must contain positive integers")
     if fit is None:
         fit = contraction_fit(mu, height, m, sample_points, mc_trials, seed)
     if not fit.ok:
@@ -834,9 +837,6 @@ def recurrence_experiment(
             f"violations={fit.violation_count}); cannot build a recurrence set"
         )
     level = (2.0 * fit.b_hat + 2.0) / (delta * (1.0 - fit.a_hat))
-    n_grid = sorted(int(n) for n in n_grid)
-    if not n_grid or n_grid[0] < 1:
-        raise ValueError("the n-grid must contain positive integers")
     n_max = n_grid[-1]
     grid_set = set(n_grid)
     hits = {n: 0 for n in n_grid}

@@ -20,6 +20,10 @@ import numpy as np
 ABS_TOL = 1e-12
 
 
+class NumericalError(RuntimeError):
+    """Numerical trouble (conditioning, non-convergence, caps); the runner exits 3."""
+
+
 def as_square(g) -> np.ndarray:
     """Coerce to a float square matrix with finite entries."""
     g = np.asarray(g, dtype=float)

@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kau import ParabolicProfile, WeightPair, kau_factorize
-from .linalg import operator_norms
+from .linalg import NumericalError, operator_norms
 from .rng import substream
 
 WEIGHT_SUM_TOL = 1e-12
 MERGE_TOL = 1e-10
 
 
-class ConvolutionCapError(ValueError):
+class ConvolutionCapError(NumericalError):
     """Exact convolution power would exceed the atom cap; use Monte Carlo."""
 
 

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from expwalk import catalog, cli
-from expwalk.dioph import FlowTrace, flow_trace
-from expwalk.fractal import ifs_to_dict
-from expwalk.kau import WeightPair
-from expwalk.lattices import TrajectoryRecord
-from expwalk.measures import save_measure
+from expwalk.dioph import FlowTrace, SearchCapError, flow_trace
+from expwalk.expansion import ExpansionFailure
+from expwalk.fractal import CodingDepthError, ifs_to_dict
+from expwalk.kau import FactorizationError, UnipotentLimitError, WeightPair
+from expwalk.lattices import (
+    ConditioningError,
+    ContractionUnverified,
+    CountCapError,
+    LatticeError,
+    TrajectoryRecord,
+)
+from expwalk.linalg import NumericalError
+from expwalk.measures import ConvolutionCapError, save_measure
 
 
 def write_config(tmp_path, name, doc):
@@ -147,9 +155,21 @@ def test_numerical_failure_is_exit_3_with_partial_artifacts(tmp_path):
         },
     )
     assert cli.main(["recur", "--config", cfg]) == 3
-    assert (tmp_path / "recur.config.json").exists()
+    written = {p.name for p in tmp_path.iterdir()} - {"id.json", "recur.json"}
+    assert written == {"recur.config.json", "recur.summary.json"}
     summary = json.loads((tmp_path / "recur.summary.json").read_text())
     assert "error" in summary
+
+
+def test_exit_3_classes_are_numerical_errors_and_not_value_errors():
+    exit_3 = [LatticeError, ConditioningError, CountCapError, ContractionUnverified,
+              UnipotentLimitError, CodingDepthError, ConvolutionCapError, SearchCapError,
+              ExpansionFailure]
+    for cls in exit_3:
+        assert issubclass(cls, NumericalError) and not issubclass(cls, ValueError), cls
+    # an atom outside the parabolic is bad input
+    assert issubclass(FactorizationError, ValueError)
+    assert not issubclass(FactorizationError, NumericalError)
 
 
 def test_height_subcommand(tmp_path):
@@ -249,7 +269,7 @@ def test_emit_plotdata_flowtrace_two_columns():
         np.array([0.0, 0.5]),
         np.array([1.0, 0.5]),
     )
-    out = cli.emit_plotdata(trace, ["t", "minima"])
+    out = cli.emit_plotdata({"t": trace.t_grid, "minima": trace.minima})
     assert out.splitlines() == ["t,minima", "0,1", "0.5,0.5"]
 
 
@@ -259,15 +279,19 @@ def test_emit_plotdata_trajectory_columns():
         {"siegel:3.0": np.array([28.0, 30.0])},
         {"siegel:3.0": np.array([28.0, 30.0])},
     )
-    out = cli.emit_plotdata(rec, ["step", "value", "running_avg"])
-    assert out.startswith("step,value,running_avg\n")
+    out = cli.emit_plotdata(rec.columns())
+    assert out.splitlines() == [
+        "step,observable_name,value,running_avg",
+        "0,siegel:3.0,28,28",
+        "1,siegel:3.0,30,30",
+    ]
 
 
-def test_emit_plotdata_empty_and_missing():
-    out = cli.emit_plotdata({"t": np.array([]), "minima": np.array([])}, ["t", "minima"])
+def test_emit_plotdata_empty_and_mismatched():
+    out = cli.emit_plotdata({"t": np.array([]), "minima": np.array([])})
     assert out == "t,minima\n"
-    with pytest.raises(cli.ConfigError, match="missing"):
-        cli.emit_plotdata({"t": np.array([1.0])}, ["missing"])
+    with pytest.raises(cli.ConfigError, match="mismatched lengths"):
+        cli.emit_plotdata({"t": np.array([1.0]), "minima": np.array([1.0, 2.0])})
 
 
 def test_config_provenance_recorded(tmp_path):

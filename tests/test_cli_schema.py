@@ -112,6 +112,56 @@ def test_schema_rejects_with_kind_and_key(tmp_path, capsys, kind, changes, top, 
     assert not (tmp_path / "o.summary.json").exists()
 
 
+# (kind, parameter changes, text expected on stderr); each exited 2 and left a
+# lone config.json behind
+WRITES_NOTHING = [
+    ("cone", {"oops": 1}, "cone.oops"),
+    ("expand-cert", {"N": 2.7}, "expand-cert.N: expected an integer, got 2.7"),
+    ("walk", {"observables": ["mahler:nan"]}, "observable 'mahler:nan': argument is NaN"),
+    ("dioph-fractal", {"n_points": 0}, "n_points must be at least 1, got 0"),
+    ("dioph-flow", {"t_max": -1.0}, "t_max must be finite and non-negative, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("kind, changes, expected", WRITES_NOTHING,
+                         ids=[c[2] for c in WRITES_NOTHING])
+def test_config_error_writes_no_file(tmp_path, capsys, kind, changes, expected):
+    assert cli.main([kind, "--config", config(tmp_path, kind, changes)]) == 2
+    assert expected in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # the input alone
+
+
+GEODESIC = measure_doc(catalog.diagonal_geodesic_sl2())
+# (kind, parameter changes, text expected on stderr)
+REFUSED_BEFORE_WORK = [
+    # ndtri gave NaN or +-inf, an exit 3 "bound must be finite"; 1 read
+    # "mode=exact iff confidence=1"
+    pytest.param("expand-cert", {"mode": "mc", "confidence": c},
+                 f"expand-cert: confidence must lie strictly between 0 and 1, got {c}",
+                 id=f"confidence-{c}")
+    for c in (0.0, 1.0, 1.5)
+] + [
+    # numpy's "need at least one array to concatenate", after the walk
+    pytest.param("walk", {"observables": []}, "walk.observables: need at least one observable",
+                 id="no-observables"),
+    # "t_max must be at least 1", after point 0 was flowed
+    pytest.param("dioph-fractal", {"brute_T": 0.5},
+                 "brute_t_max must be finite and at least 1, got 0.5", id="brute_T-0.5"),
+    # exit 3 from the contraction fit that ran first
+    pytest.param("recur", {"measure": GEODESIC, "n_grid": [0]},
+                 "recur: the n-grid must contain positive integers", id="n_grid-0"),
+    pytest.param("recur", {"measure": GEODESIC, "n_grid": []},
+                 "recur: the n-grid must contain positive integers", id="n_grid-empty"),
+]
+
+
+@pytest.mark.parametrize("kind, changes, expected", REFUSED_BEFORE_WORK)
+def test_out_of_range_value_is_exit_2_naming_it(tmp_path, capsys, kind, changes, expected):
+    assert cli.main([kind, "--config", config(tmp_path, kind, changes)]) == 2
+    assert expected in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_parse_fills_defaults_and_coerces():
     params = {"M": [[0.5]], "r": [1], "s": [1], "t_max": 2, "dt": 0.1, "siegel_radius": None}
     p = cli._parse(cli.SCHEMA["dioph-flow"], params, "dioph-flow")

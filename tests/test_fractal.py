@@ -219,9 +219,7 @@ def test_sponge_builder_line_ifs():
 
 
 def test_sponge_builder_custom_weights():
-    ifs = sponge_builder(
-        (2, 3), [(0, 0), (1, 1)], weights_mode="custom", symbol_weights=[0.3, 0.7]
-    )
+    ifs = sponge_builder((2, 3), [(0, 0), (1, 1)], symbol_weights=[0.3, 0.7])
     assert np.allclose(ifs.weights, [0.3, 0.7])
 
 
