@@ -12,7 +12,10 @@ flow, seeded scalars and carpet points for the brute-force box (at the
 census's horizons), seeded Gaussian matrices for the representations,
 two SL4 certificates as the certify benchmark runs them and an exact
 positive-pair certificate whose sphere samples outnumber its descent
-evaluations (whole-call time, sphere optimizer included).  One repeat
+evaluations (whole-call time, sphere optimizer included).  The row
+``import.expwalk_cli`` is the time a fresh interpreter takes to
+``import expwalk.cli`` (timed inside the child, interpreter start-up
+excluded), the fastest of ``REPEATS`` children.  One repeat
 times the whole list with ``time.perf_counter``, and the per-call time is
 the fastest of ``REPEATS`` repeats divided by the list length.  The JSON
 file holds the machine, the library versions, the line count of the
@@ -26,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -105,6 +109,22 @@ def _time(fn, inputs, fresh=False):
             fn(a)
         best = min(best, time.perf_counter() - t0)
     return best / len(inputs)
+
+
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, {src!r}); t = time.perf_counter(); "
+    "import expwalk.cli; print(time.perf_counter() - t)"
+)
+
+
+def _import_time():
+    """Seconds for a fresh interpreter to import ``expwalk.cli``, min of ``REPEATS``."""
+    code = IMPORT_PROBE.format(src=str(SRC))
+    return min(
+        float(subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True).stdout)
+        for _ in range(REPEATS)
+    )
 
 
 def _machine():
@@ -209,6 +229,9 @@ def main(argv=None) -> int:
         per_call = _time(fn, inputs, fresh) / per_input
         kernels[name] = {"per_call_us": round(per_call * 1e6, 3), "calls": len(inputs) * per_input}
         print(f"{name:30s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
+    import_s = _import_time()
+    kernels["import.expwalk_cli"] = {"per_call_us": round(import_s * 1e6, 3), "calls": 1}
+    print(f"{'import.expwalk_cli':30s} {import_s * 1e6:9.2f} us  (1 calls)")
     doc = {
         "machine": _machine(),
         "method": f"min over {REPEATS} repeats of the whole input list, per call",

@@ -23,16 +23,17 @@ outputs equal those of the scalar per-word objective bit for bit.
 Also decides membership in the expanding cone of a block parabolic of
 sl_d via a small linear program, and checks a-expansion of the unipotent
 radical in exterior powers of the standard representation.
+
+scipy is loaded only by the two computations that call it, at their first
+call: the cone LP (``linprog``) and the normal quantile of the Monte-Carlo
+confidence bound (``ndtri``).  Importing this module does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.optimize import minimize  # noqa: F401  unused; perfbench's tracer patches this name
-from scipy.special import ndtri
 
 from . import linalg
 from .measures import GroupMeasure, _word_products, sample_indices
@@ -41,6 +42,16 @@ from .rng import substream
 CONE_TOL = 1e-9
 SVD_TOL = 1e-8  # relative singular-value threshold of the fixed-space kernels
 IMAGE_FLOATS = 2**22  # rows x words x dim floats per batched objective call (32 MB)
+
+
+def __getattr__(name):
+    # scipy's minimize, kept for the benchmark tracer, which patches this
+    # name, until the tracer reads run counters (ROADMAP item 5)
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ExpansionFailure(linalg.NumericalError):
@@ -351,6 +362,8 @@ def certificate_from_rep_atoms(
         )
     per_word = np.log(np.linalg.norm(_word_images(word_mats, best_v[None])[0], axis=-1))
     stderr = float(per_word.std(ddof=1) / np.sqrt(len(per_word)))
+    from scipy.special import ndtri
+
     z = float(ndtri(confidence))
     return ExpansionCertificate(
         N=N,
@@ -556,10 +569,14 @@ def expanding_cone_membership(
     e_i - e_j over root pairs (i, j) of the parabolic (Killing duals up to
     positive scale, which does not change the cone).  Solved as the LP
     "maximize tau subject to sum t_ij (e_i - e_j) = logs, t_ij >= tau";
-    inside iff the optimum exceeds ``tol``.  The witness is the coefficient
-    family; outside, the dual vector y is returned, which satisfies
+    inside iff the optimum exceeds ``tol``, which must be finite and
+    non-negative (a negative one would call points outside the cone
+    inside).  The witness is the coefficient family; outside, the dual
+    vector y is returned, which satisfies
     <y, e_i - e_j> >= 0 for every root and <y, logs> = margin <= tol.
     """
+    if not (isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"cone tol must be finite and non-negative, got {tol!r}")
     logs = linalg.cartan_vector(logs, tol=1e-9)
     d = spec.dim
     if len(logs) != d:
@@ -580,6 +597,8 @@ def expanding_cone_membership(
     b_ub = np.zeros(p)
     c = np.zeros(p + 1)
     c[p] = -1.0
+    from scipy.optimize import linprog
+
     res = linprog(
         c,
         A_ub=a_ub,

@@ -35,6 +35,12 @@ class FactorizationError(ValueError):
     """Element is not in the parabolic P = K'A'U within tolerance."""
 
 
+class PrefixProductError(NumericalError):
+    """A prefix product does not factorize although its letter does: the
+    product of elements of P left P in floating point (a diagonal block
+    underflowed, or rounding passed ``KAU_TOL``), which is not bad input."""
+
+
 class UnipotentLimitError(NumericalError):
     """Unipotent parameters failed to settle; carries the partial value."""
 
@@ -233,13 +239,25 @@ def word_factors(word, profile: ParabolicProfile) -> list[KAUFactors]:
     """Factors of every prefix product g_n .. g_1 of the word.
 
     ``word`` lists the increments in application order (g_1 first).  The t
-    components are prefix sums of lambda over the word.
+    components are prefix sums of lambda over the word.  When a prefix
+    does not factorize, its letter is factorized alone: a letter outside P
+    raises its :class:`FactorizationError` (bad input), while a letter in P
+    means the product left P numerically, and :class:`PrefixProductError`
+    names the step.
     """
     out = []
     prefix = np.eye(profile.d)
-    for g in word:
-        prefix = as_square(g) @ prefix
-        out.append(kau_factorize(prefix, profile))
+    for step, g in enumerate(word, 1):
+        g = as_square(g)
+        prefix = g @ prefix
+        try:
+            out.append(kau_factorize(prefix, profile))
+        except FactorizationError as err:
+            kau_factorize(g, profile)
+            raise PrefixProductError(
+                f"prefix product of step {step} does not factorize although its letter "
+                f"does (underflow or rounding): {err}"
+            ) from err
     return out
 
 
@@ -260,8 +278,12 @@ def u_limit(
     (a single accidentally small term is not trusted).
 
     Returns (M_limit, n_used).  Raises :class:`UnipotentLimitError` with
-    the partial value if the tail does not settle within ``n_max`` terms.
+    the partial value if the tail does not settle within ``n_max`` terms,
+    and ``ValueError`` up front when ``tol`` is not positive, since no
+    tail norm is below a tolerance <= 0.
     """
+    if not tol > 0.0:
+        raise ValueError(f"u_limit tol must be positive, got {tol!r}")
     m, n = profile.m, profile.n
     p1 = np.eye(m)
     p2 = np.eye(n)

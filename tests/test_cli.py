@@ -1,13 +1,18 @@
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expwalk
 from expwalk import catalog, cli
 from expwalk.dioph import FlowTrace, SearchCapError, flow_trace
 from expwalk.expansion import ExpansionFailure
 from expwalk.fractal import CodingDepthError, ifs_to_dict
-from expwalk.kau import FactorizationError, UnipotentLimitError, WeightPair
+from expwalk.kau import FactorizationError, PrefixProductError, UnipotentLimitError, WeightPair
 from expwalk.lattices import (
     ConditioningError,
     ContractionUnverified,
@@ -164,7 +169,7 @@ def test_numerical_failure_is_exit_3_with_partial_artifacts(tmp_path):
 def test_exit_3_classes_are_numerical_errors_and_not_value_errors():
     exit_3 = [LatticeError, ConditioningError, CountCapError, ContractionUnverified,
               UnipotentLimitError, CodingDepthError, ConvolutionCapError, SearchCapError,
-              ExpansionFailure]
+              ExpansionFailure, PrefixProductError]
     for cls in exit_3:
         assert issubclass(cls, NumericalError) and not issubclass(cls, ValueError), cls
     # an atom outside the parabolic is bad input
@@ -455,12 +460,12 @@ def test_expand_cert_non_finite_bound_is_numerical_failure(tmp_path, mode):
 
 
 def test_cone_lp_failure_is_numerical_failure(tmp_path, monkeypatch):
+    import scipy.optimize
     from scipy.optimize import OptimizeResult
 
-    from expwalk import expansion
-
+    # the cone LP imports linprog from scipy.optimize at its call
     monkeypatch.setattr(
-        expansion,
+        scipy.optimize,
         "linprog",
         lambda *a, **k: OptimizeResult(status=2, message="The problem is infeasible."),
     )
@@ -476,6 +481,102 @@ def test_cone_lp_failure_is_numerical_failure(tmp_path, monkeypatch):
         "cone: ExpansionFailure: cone LP did not solve: The problem is infeasible."
     )
     assert not (tmp_path / "lp.data.csv").exists()
+
+
+def _cantor_kau(length, **params):
+    mu = catalog.cantor_measure()
+    atoms = [{"matrix": g.ravel().tolist(), "weight": float(w)}
+             for g, w in zip(mu.matrices, mu.weights)]
+    return {"kind": "kau", "seed": 0,
+            "parameters": {"measure": {"dim": 2, "atoms": atoms}, "profile": {"m": 1, "n": 1},
+                           "len": length, **params}}
+
+
+def test_cone_negative_tol_is_exit_2(tmp_path, capsys):
+    # margin -0.5: outside the cone, which a negative tol would call inside
+    doc = {"kind": "cone", "output": str(tmp_path / "c"),
+           "parameters": {"blocks": [2, 2], "logs": [-1, -1, 1, 1], "tol": -1.0}}
+    assert cli.run(doc) == 2
+    assert "tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kau_negative_tol_is_exit_2(tmp_path, capsys):
+    assert cli.run({**_cantor_kau(40, tol=-1.0), "output": str(tmp_path / "k")}) == 2
+    assert "tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kau_prefix_underflow_is_exit_3(tmp_path):
+    # every Cantor letter factorizes; the diagonal of the prefix of 59 letters
+    # falls below the singular-block threshold
+    assert cli.run({**_cantor_kau(60), "output": str(tmp_path / "k60")}) == 3
+    summary = json.loads((tmp_path / "k60.summary.json").read_text())
+    assert summary["error"].startswith(
+        "kau: PrefixProductError: prefix product of step 59 does not factorize"
+    )
+    assert summary["error"].endswith("diagonal block (1,) is singular")
+    assert not (tmp_path / "k60.data.csv").exists()
+    # a shorter word runs as before, bytes recorded before the change
+    assert cli.run({**_cantor_kau(40), "output": str(tmp_path / "k40")}) == 0
+    digests = {
+        "data.csv": "0453f0f05cdf7981452113f6444e7fbf9b2a03dacd16ccf2a7f23bb24d549037",
+        "summary.json": "c78badf0b4a04174e880b4288ca4409a0caea61dd30f733988ac62eb33dad831",
+    }
+    for suffix, digest in digests.items():
+        assert hashlib.sha256((tmp_path / f"k40.{suffix}").read_bytes()).hexdigest() == digest
+
+
+def test_kau_singular_letter_is_exit_2(tmp_path, capsys):
+    letter = {"matrix": [1e-15, 0.0, 0.0, 1e15], "weight": 1.0}
+    doc = {"kind": "kau", "output": str(tmp_path / "k"),
+           "parameters": {"measure": {"dim": 2, "atoms": [letter]},
+                          "profile": {"m": 1, "n": 1}, "len": 5}}
+    assert cli.run(doc) == 2
+    assert "diagonal block (0,) is singular" in capsys.readouterr().err
+
+
+SCIPY_OPS = {
+    "cone": {"kind": "cone", "parameters": {"blocks": [2, 2], "logs": [1, 1, -1, -1]}},
+    "mc": {"kind": "expand-cert", "seed": 3,
+           "parameters": {"measure": {"dim": 2, "atoms": [
+               {"matrix": [2.0, 1.0, 1.0, 1.0], "weight": 0.5},
+               {"matrix": [1.0, 1.0, 1.0, 2.0], "weight": 0.5}]},
+               "N": 3, "mode": "mc", "mc_words": 50, "sphere_samples": 40}},
+}
+FRESH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import expwalk, expwalk.cli
+scipy_parts = lambda: sorted(m for m in ("scipy.optimize", "scipy.special") if m in sys.modules)
+at_import = scipy_parts()
+codes = [expwalk.cli.run(doc) for doc in json.loads(sys.argv[2])]
+print(json.dumps({"at_import": at_import, "codes": codes, "after_ops": scipy_parts()}))
+"""
+
+
+def test_fresh_import_loads_no_scipy_and_ops_match_in_process(tmp_path):
+    docs = [{**doc, "output": str(tmp_path / f"fresh-{name}")} for name, doc in SCIPY_OPS.items()]
+    src = str(Path(expwalk.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", FRESH, src, json.dumps(docs)],
+                         check=True, capture_output=True, text=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report == {"at_import": [], "codes": [0, 0],
+                      "after_ops": ["scipy.optimize", "scipy.special"]}
+    for name, doc in SCIPY_OPS.items():
+        assert cli.run({**doc, "output": str(tmp_path / f"here-{name}")}) == 0
+        for suffix in ("data.csv", "summary.json"):
+            fresh = (tmp_path / f"fresh-{name}.{suffix}").read_bytes()
+            assert fresh == (tmp_path / f"here-{name}.{suffix}").read_bytes(), (name, suffix)
+
+
+def test_expansion_serves_minimize_on_access():
+    from scipy.optimize import minimize
+
+    from expwalk import expansion
+
+    assert expansion.minimize is minimize
+    assert not hasattr(expansion, "linprog")
 
 
 GOLDEN_50 = "0.61803398874989484820458683436563811772030917980576"

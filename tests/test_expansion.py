@@ -200,6 +200,18 @@ def test_cone_block_22_examples():
     assert not expanding_cone_membership(spec, [0, 0, 0, 0]).inside
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_cone_refuses_negative_or_non_finite_tol(tol, monkeypatch):
+    import scipy.optimize
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    with pytest.raises(ValueError, match="tol"):
+        expanding_cone_membership(ConeSpec(4, (2, 2)), [-1, -1, 1, 1], tol=tol)
+
+
 def test_cone_witness_reconstructs_logs():
     spec = ConeSpec(4, (2, 2))
     res = expanding_cone_membership(spec, [1, 1, -1, -1])

@@ -6,6 +6,7 @@ from expwalk.fractal import embed_to_pgl
 from expwalk.kau import (
     FactorizationError,
     ParabolicProfile,
+    PrefixProductError,
     UnipotentLimitError,
     WeightPair,
     equivariance_residual,
@@ -153,6 +154,26 @@ def test_u_limit_nonconvergence_carries_partial():
         u_limit(iter(word), prof, tol=1e-12, n_max=50)
     assert err.value.n_used == 50
     assert abs(err.value.partial[0, 0] - 50.0) < 1e-9
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+def test_u_limit_refuses_a_tol_no_tail_can_meet(tol):
+    words = iter([unipotent(np.array([[1.0]]))] * 50)
+    with pytest.raises(ValueError, match="tol"):
+        u_limit(words, ParabolicProfile(1, 1), tol=tol)
+    assert len(list(words)) == 50  # refused before reading a letter
+
+
+def test_word_factors_tells_a_bad_letter_from_a_prefix_that_left_p():
+    prof = ParabolicProfile(1, 1)
+    shrink = flow_element(prof.weights, -3.0)
+    # the letter of step 2 has a singular block: bad input, not a prefix error
+    with pytest.raises(FactorizationError, match=r"block \(0,\) is singular"):
+        word_factors([np.eye(2), np.diag([1e-15, 1e15])], prof)
+    # every letter factorizes, the product's top block reaches e^-33 < 1e-14
+    with pytest.raises(PrefixProductError, match="prefix product of step 11 .*singular"):
+        word_factors([shrink] * 12, prof)
+    assert len(word_factors([shrink] * 10, prof)) == 10
 
 
 def test_u_limit_tail_bound_shape():
