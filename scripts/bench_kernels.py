@@ -15,13 +15,14 @@ positive-pair certificate whose sphere samples outnumber its descent
 evaluations (whole-call time, sphere optimizer included).  The row
 ``import.expwalk_cli`` is the time a fresh interpreter takes to
 ``import expwalk.cli`` (timed inside the child, interpreter start-up
-excluded), the fastest of ``REPEATS`` children.  One repeat
+excluded) over ``REPEATS`` children.  One repeat
 times the whole list with ``time.perf_counter``, and the per-call time is
-the fastest of ``REPEATS`` repeats divided by the list length.  The JSON
-file holds the machine, the library versions, the line count of the
-``.py`` files under ``src/`` (``src_lines``) and, per kernel, the
-per-call microseconds and the number of calls per repeat; a table is
-printed as well.
+the fastest of ``REPEATS`` repeats divided by the list length; the median
+repeat is recorded beside it, so that the spread of a row shows in the
+file.  The JSON file holds the machine, the library versions, the line
+count of the ``.py`` files under ``src/`` (``src_lines``) and, per kernel,
+the per-call microseconds (fastest and median repeat) and the number of
+calls per repeat; a table is printed as well.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -101,14 +103,15 @@ def _fresh(lats):
 
 
 def _time(fn, inputs, fresh=False):
-    best = float("inf")
+    """(fastest, median) seconds per input over ``REPEATS`` repeats."""
+    times = []
     for _ in range(REPEATS):
         args = _fresh(inputs) if fresh else inputs
         t0 = time.perf_counter()
         for a in args:
             fn(a)
-        best = min(best, time.perf_counter() - t0)
-    return best / len(inputs)
+        times.append((time.perf_counter() - t0) / len(inputs))
+    return min(times), statistics.median(times)
 
 
 IMPORT_PROBE = (
@@ -118,13 +121,15 @@ IMPORT_PROBE = (
 
 
 def _import_time():
-    """Seconds for a fresh interpreter to import ``expwalk.cli``, min of ``REPEATS``."""
+    """(fastest, median) seconds for a fresh interpreter to import ``expwalk.cli``
+    over ``REPEATS`` children."""
     code = IMPORT_PROBE.format(src=str(SRC))
-    return min(
+    times = [
         float(subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                              text=True).stdout)
         for _ in range(REPEATS)
-    )
+    ]
+    return min(times), statistics.median(times)
 
 
 def _machine():
@@ -225,16 +230,23 @@ def main(argv=None) -> int:
          False, 1),
     ]
     kernels = {}
+
+    def record(name, fastest, median, calls):
+        kernels[name] = {
+            "per_call_us": round(fastest * 1e6, 3),
+            "median_us": round(median * 1e6, 3),
+            "calls": calls,
+        }
+        print(f"{name:30s} {fastest * 1e6:12.2f} {median * 1e6:12.2f}  ({calls} calls)")
+
+    print(f"{'kernel':30s} {'min us':>12s} {'median us':>12s}")
     for name, fn, inputs, fresh, per_input in rows:
-        per_call = _time(fn, inputs, fresh) / per_input
-        kernels[name] = {"per_call_us": round(per_call * 1e6, 3), "calls": len(inputs) * per_input}
-        print(f"{name:30s} {per_call * 1e6:9.2f} us  ({len(inputs) * per_input} calls)")
-    import_s = _import_time()
-    kernels["import.expwalk_cli"] = {"per_call_us": round(import_s * 1e6, 3), "calls": 1}
-    print(f"{'import.expwalk_cli':30s} {import_s * 1e6:9.2f} us  (1 calls)")
+        fastest, median = _time(fn, inputs, fresh)
+        record(name, fastest / per_input, median / per_input, len(inputs) * per_input)
+    record("import.expwalk_cli", *_import_time(), 1)
     doc = {
         "machine": _machine(),
-        "method": f"min over {REPEATS} repeats of the whole input list, per call",
+        "method": f"min and median over {REPEATS} repeats of the whole input list, per call",
         "src_lines": sum(len(p.read_text().splitlines()) for p in SRC.rglob("*.py")),
         "kernels": kernels,
     }

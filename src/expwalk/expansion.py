@@ -14,7 +14,10 @@ contraction estimate the mean of -|gv|^(-delta).  One batch objective
 scores the sphere samples and the descents, and its memory is bounded by
 image elements, whatever the sample count.  The descents run in lockstep
 as one batch (:func:`_nelder_mead_batch`), which reproduces scipy's
-Nelder-Mead bit for bit without its per-start Python loop.  The objective
+Nelder-Mead bit for bit without its per-start Python loop; a start that
+reaches a bitwise fixed point leaves the batch with the result scipy
+returns at ``maxiter``, which is exact because each row's objective value
+does not depend on the rest of the batch.  The objective
 takes the images of a point under all words in one gemv over the stacked
 word matrices wherever OpenBLAS rounds that like one gemv per word
 (:func:`_word_images`), so the certificates, witnesses and benchmark
@@ -148,6 +151,8 @@ class ExpansionCertificate:
     def verdict(self) -> str:
         if self.passed:
             return "PASS (heuristic min > 0)"
+        if self.C_lower == 0.0:  # e.g. wedge:2 of SL2, where every word acts by det = 1
+            return "FAIL (witness v with zero lower bound)"
         return "FAIL (witness v with negative integral)"
 
 
@@ -200,19 +205,32 @@ def _batch_objective_factory(word_mats, word_wts, transform, chunk):
     computes (:func:`_sum_squares`), and the weighting is a per-row dot, so
     each row goes through the same kernels.  At most
     ``chunk`` rows are evaluated per batched call, which bounds the
-    rows x words x dim image buffer.
+    rows x words x dim image buffer.  A call that fits one chunk and whose
+    norms all lie in [1e-300, inf), as almost every optimizer call does,
+    returns the values directly, without the 1e6 fill, the masks and the
+    scatter; the values are the same, since each row is computed alone.
     """
     wts_row = word_wts[None, None, :]
 
+    def row_norms(pts):
+        return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+
+    def values(pts, nrm):
+        images = _word_images(word_mats, pts / nrm[:, None])
+        vals = transform(np.sqrt(_sum_squares(images)))
+        return (wts_row @ vals[:, :, None])[:, 0, 0]
+
     def objective(points):
+        if 0 < len(points) <= chunk:  # one chunk of good rows: no mask, no scatter
+            nrm = row_norms(points)
+            if 1e-300 <= np.minimum.reduce(nrm) and np.maximum.reduce(nrm) < np.inf:
+                return values(points, nrm)
         out = np.full(len(points), 1e6)
         for lo in range(0, len(points), chunk):
             pts = points[lo : lo + chunk]
-            nrm = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
+            nrm = row_norms(pts)
             good = np.isfinite(nrm) & (nrm >= 1e-300)
-            images = _word_images(word_mats, pts[good] / nrm[good, None])
-            vals = transform(np.sqrt(_sum_squares(images)))
-            out[lo : lo + chunk][good] = (wts_row @ vals[:, :, None])[:, 0, 0]
+            out[lo : lo + chunk][good] = values(pts[good], nrm[good])
         return out
 
     return objective
@@ -225,14 +243,23 @@ def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
     so that the centroid sums whole contiguous vertex slices; each
     iteration advances every running start with at most three batched
     objective calls (reflections, then expansions or contractions, then
-    shrink vertices).  ``objective`` maps (P, dim) points to P values.  A
-    start leaves the batch on scipy's convergence test or at ``maxiter``.
-    Returns (x, fun) per start, equal bit for bit to
-    ``scipy.optimize.minimize(..., method="Nelder-Mead")`` with the same
-    xatol, fatol and maxiter.
+    shrink vertices).  ``objective`` maps (P, dim) points to P values, each
+    row's value independent of the other rows.  A start leaves the batch on
+    scipy's convergence test, at ``maxiter``, or when an iteration with a
+    shrink leaves its simplex and values bitwise unchanged.  An iteration
+    is a function of the start's own simplex and values alone, so such a
+    start is a fixed point: scipy would repeat that iteration until
+    ``maxiter`` and then return its best vertex and least value, which is
+    what the start returns at once.  Returns (x, fun) per start, equal bit
+    for bit to ``scipy.optimize.minimize(..., method="Nelder-Mead")`` with
+    the same xatol, fatol and maxiter.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    chi, psi, sigma = 2, 0.5, 0.5  # rho = 1
     nonzdelt, zdelt = 0.05, 0.00025
+    # rows (1 + c, c) of the step (1 + c) xbar - c worst: inside contraction,
+    # outside contraction, expansion; 1 + c is exact, and x - (-y) rounds like
+    # x + y, so each step matches scipy's formula
+    steps = np.array([[1 - psi, -psi], [1 + psi, psi], [1 + chi, chi]])
     b, n = x0.shape
     diag = np.arange(n)
     sim = np.repeat(x0[None], n + 1, axis=0)
@@ -245,9 +272,16 @@ def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
         c = cols[: len(fsim)]
         return sim[ind.T, c], fsim[c[:, None], ind]
 
-    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts the first simplex twice
     x_out, f_out = np.empty((b, n)), np.empty(b)
     ids = np.arange(b)
+
+    def retire(leave, ids, sim, fsim):
+        x_out[ids[leave]] = sim[0, leave]
+        f_out[ids[leave]] = fsim[leave].min(axis=1)
+        stay = ~leave
+        return ids[stay], sim[:, stay], fsim[stay]
+
+    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts the first simplex twice
     iterations = 1
     while ids.size and iterations < maxiter:
         # each fsim row is sorted (NaN last), so f[-1] - f[0] <= fatol exactly
@@ -255,36 +289,41 @@ def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
         done = fsim[:, -1] - fsim[:, 0] <= fatol
         if done.any():
             done[done] = np.abs(sim[1:, done] - sim[:1, done]).max(axis=(0, 2)) <= xatol
-            x_out[ids[done]] = sim[0, done]
-            f_out[ids[done]] = fsim[done].min(axis=1)
-            ids, sim, fsim = ids[~done], sim[:, ~done], fsim[~done]
-        worst = sim[-1]
+            ids, sim, fsim = retire(done, ids, sim, fsim)
+        worst, f_hi = sim[-1], fsim[:, -1]
         xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * worst
+        xr = 2 * xbar - worst  # (1 + rho) xbar - rho worst, exactly
         fxr = objective(xr)
 
         expand = fxr < fsim[:, 0]
-        accept_r = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~accept_r & (fxr < fsim[:, -1])
-        inside = ~expand & ~accept_r & ~outside
-        # expansion, outside or inside contraction as one step (1 + c) xbar - c worst;
-        # 1 + c is exact and x - (-y) rounds like x + y, so each matches scipy's formula
-        c = np.where(expand, rho * chi, np.where(outside, psi * rho, -psi))[:, None]
-        x2 = (1 + c) * xbar - c * worst
-        f2 = np.full(ids.size, np.nan)
-        f2[~accept_r] = objective(x2[~accept_r])
+        rest = ~((fxr < fsim[:, -2]) > expand)  # all but the accepted reflections
+        below_hi = fxr < f_hi
+        coef = steps[np.where(expand, 2, below_hi)]
+        x2 = coef[:, :1] * xbar - coef[:, 1:] * worst
+        f2 = np.full(ids.size, np.nan)  # NaN fails every test below
+        f2[rest] = objective(x2[rest])
 
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
-        shrink = (outside | inside) & ~take2
-        sim[-1] = np.where(take2[:, None], x2, np.where(shrink[:, None], worst, xr))
-        fsim[:, -1] = np.where(take2, f2, np.where(shrink, fsim[:, -1], fxr))
-        if shrink.any():
-            s = sim[:, shrink]
-            s[1:] = s[:1] + sigma * (s[1:] - s[:1])
-            sim[:, shrink] = s
-            fsim[shrink, 1:] = objective(s[1:].reshape(-1, n)).reshape(n, -1).T
+        take2 = np.where(expand, f2 < fxr, np.where(below_hi, f2 <= fxr, f2 < f_hi))
+        shrink = (rest > expand) > take2  # the contractions not taken
+        shrunk = shrink.any()
+        if shrunk:  # the simplex and values of the shrinking starts before the step
+            s0, f0 = sim[:, shrink], fsim[shrink]
+        # a shrinking start's last vertex and value are overwritten below
+        sim[-1] = np.where(take2[:, None], x2, xr)
+        fsim[:, -1] = np.where(take2, f2, fxr)
+        if shrunk:
+            s = s0[:1] + sigma * (s0[1:] - s0[:1])
+            sim[1:, shrink] = s
+            fsim[shrink, 1:] = objective(s.reshape(-1, n)).reshape(n, -1).T
         iterations += 1
         sim, fsim = ordered(sim, fsim)
+        if shrunk:  # a start that the step left bitwise unchanged is at a fixed point
+            same_x = sim[:, shrink].view(np.int64) == s0.view(np.int64)
+            same_f = fsim[shrink].view(np.int64) == f0.view(np.int64)
+            stuck = np.zeros(ids.size, dtype=bool)
+            stuck[shrink] = same_x.all(axis=(0, 2)) & same_f.all(axis=1)
+            if stuck.any():
+                ids, sim, fsim = retire(stuck, ids, sim, fsim)
     x_out[ids] = sim[0]
     f_out[ids] = fsim.min(axis=1)
     return x_out, f_out

@@ -163,6 +163,8 @@ def _word_products(
     """
     if mode not in ("auto", "exact", "mc", "monte-carlo"):
         raise ValueError(f"unknown mode {mode!r}; expected 'auto', 'exact' or 'mc'")
+    if cap < 1:  # no product fits: exact mode could only fail, and auto would sample
+        raise ValueError(f"cap must be at least 1, got {cap}")
     k, d = atoms.shape[0], atoms.shape[1]
     exact = k**n <= cap if mode == "auto" else mode == "exact"
     if exact:

@@ -407,6 +407,22 @@ def test_expand_cert_exact_cap_is_numerical_failure(tmp_path):
     assert not (tmp_path / "cap.data.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "auto"])
+def test_expand_cert_cap_below_one_is_exit_2(tmp_path, capsys, mode):
+    # exact mode used to fail on the cap (exit 3), auto to sample instead
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    doc = {
+        "kind": "expand-cert",
+        "parameters": {"measure": str(mpath), "N": 2, "mode": mode, "cap": -1},
+        "output": str(tmp_path / "o"),
+    }
+    cfg = write_config(tmp_path, "cap", doc)
+    assert cli.main(["expand-cert", "--config", cfg]) == 2
+    assert "cap must be at least 1, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o.summary.json").exists()
+
+
 @pytest.mark.parametrize("words", [1, 0])
 def test_expand_cert_with_too_few_mc_words_is_exit_2(tmp_path, capsys, words):
     mpath = tmp_path / "pair.json"

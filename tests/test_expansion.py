@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from expwalk import catalog
+from expwalk import catalog, expansion
 from expwalk.expansion import (
     ConeSpec,
     a_expanding_check,
@@ -51,6 +51,17 @@ def test_certificate_single_diagonal_fails_at_log3():
     assert abs(cert.C_lower + np.log(3)) < 1e-6
     assert abs(abs(cert.witness[1]) - 1.0) < 1e-4
     assert cert.verdict.startswith("FAIL")
+
+
+def test_zero_bound_verdict_claims_no_negative_integral():
+    # every word of SL2 acts on wedge:2 by its determinant 1, so the bound is 0
+    mu = catalog.positive_pair_sl2()
+    for kwargs in ({}, {"mode": "mc", "mc_words": 50}):
+        cert = expansion_certificate(mu, "wedge:2", N=3, seed=0, **kwargs)
+        assert cert.C_lower == 0.0 and not cert.passed
+        assert cert.verdict == "FAIL (witness v with zero lower bound)"
+    negative = expansion_certificate(catalog.diagonal_geodesic_sl2(), "std", N=1, seed=0)
+    assert negative.verdict == "FAIL (witness v with negative integral)"
 
 
 def test_certificate_positive_pair_passes_by_six():
@@ -109,6 +120,27 @@ def test_batch_objective_matches_scalar_reference_for_every_dim(dim):
         assert batch(points).tobytes() == np.array([scalar(p) for p in points]).tobytes()
 
 
+@pytest.mark.parametrize("dim", range(1, 25))
+def test_batch_objective_one_chunk_matches_scalar_reference(dim):
+    # calls that fit one chunk: all-good rows take the unmasked path, a zero,
+    # infinite or NaN row sends the call down the masked one; no rows, no values
+    rng = np.random.default_rng(200 + dim)
+    for n_words in (1, 7, 300, 301):
+        word_mats = rng.normal(size=(n_words, dim, dim)) * rng.uniform(0.1, 10.0, (n_words, 1, 1))
+        word_wts = rng.dirichlet(np.ones(n_words))
+        points = rng.normal(size=(9, dim)) * rng.uniform(1e-3, 1e3, (9, 1))
+        batch = _batch_objective_factory(word_mats, word_wts, np.log, chunk=9)
+        scalar = objective_ref(word_mats, word_wts)
+        for bad in (None, 0.0, np.inf, np.nan):
+            rows = points.copy()
+            if bad is not None:
+                rows[4] = bad
+            for part in (rows[:1], rows[:5], rows):
+                expected = np.array([scalar(p) for p in part])
+                assert batch(part).tobytes() == expected.tobytes()
+        assert batch(points[:0]).shape == (0,)
+
+
 def _moment(norms):
     return -(norms ** (-0.3))
 
@@ -149,6 +181,46 @@ def test_nelder_mead_batch_matches_scipy_bit_for_bit(dim, transform):
         shrinks += int(np.any(np.diff(per_iter) > 2))
     if dim < 12:  # these descents reach the shrink step; the 12- and 15-dim ones do not
         assert shrinks > 0
+
+
+def test_nelder_mead_batch_retires_fixed_points_exactly(monkeypatch):
+    # the descents of a five-generator Monte-Carlo certificate (std, N=24,
+    # 150 words, seed 937876283), of which some reach a bitwise fixed point
+    # before maxiter: each start still returns scipy's (x, fun), and leaving
+    # the batch at the fixed point saves objective rows
+    seen = {}
+
+    def factory(word_mats, word_wts, transform, chunk):
+        seen["words"] = word_mats, word_wts
+        return _batch_objective_factory(word_mats, word_wts, transform, chunk)
+
+    def descents(objective, x0, *options):
+        seen["descents"] = objective, x0, options
+        return _nelder_mead_batch(objective, x0, *options)
+
+    monkeypatch.setattr(expansion, "_batch_objective_factory", factory)
+    monkeypatch.setattr(expansion, "_nelder_mead_batch", descents)
+    expansion_certificate(
+        catalog.sl4_five_generator_measure(), "std", N=24, mode="mc", mc_words=150,
+        sphere_samples=200, seed=937876283,
+    )
+    objective, x0, (xatol, fatol, maxiter) = seen["descents"]
+    rows = [0]
+
+    def counted(points):
+        rows[0] += len(points)
+        return objective(points)
+
+    xs, funs = _nelder_mead_batch(counted, x0, xatol, fatol, maxiter)
+    scalar = objective_ref(*seen["words"])
+    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
+    nfev = 0
+    for x, fun, start in zip(xs, funs, x0):
+        res = minimize(scalar, start, method="Nelder-Mead", options=options)
+        assert x.tobytes() == np.asarray(res.x).tobytes()
+        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+        nfev += res.nfev
+    assert rows[0] < nfev
 
 
 def test_monte_carlo_certificate_confidence_invariant():

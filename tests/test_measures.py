@@ -8,6 +8,7 @@ from expwalk.measures import (
     ConvolutionCapError,
     GroupMeasure,
     _merge_atoms,
+    _word_products,
     convolution_support,
     exp_moment_estimate,
     lambda_average,
@@ -91,6 +92,13 @@ def test_convolution_cap_error_mentions_monte_carlo():
     mu = catalog.positive_pair_sl2()
     with pytest.raises(ConvolutionCapError, match="Monte Carlo"):
         convolution_support(mu, 30, cap=10**6)
+
+
+@pytest.mark.parametrize("mode", ["exact", "auto", "mc"])
+def test_word_products_refuse_cap_below_one(mode):
+    pair = catalog.positive_pair_sl2()
+    with pytest.raises(ValueError, match="cap must be at least 1, got 0"):
+        _word_products(pair.matrices, pair.weights, 2, mode, cap=0, rng=np.random.default_rng(0))
 
 
 def test_convolution_keeps_distinct_large_products(recwarn):
