@@ -12,7 +12,9 @@ flow, seeded scalars and carpet points for the brute-force box (at the
 census's horizons), seeded Gaussian matrices for the representations,
 two SL4 certificates as the certify benchmark runs them and an exact
 positive-pair certificate whose sphere samples outnumber its descent
-evaluations (whole-call time, sphere optimizer included).  The row
+evaluations (whole-call time, sphere optimizer included), and criterion
+06's contraction fit and one of its recurrence tables (150 trials of 48
+steps).  The row
 ``import.expwalk_cli`` is the time a fresh interpreter takes to
 ``import expwalk.cli`` (timed inside the child, interpreter start-up
 excluded) over ``REPEATS`` children.  One repeat
@@ -49,8 +51,10 @@ from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
 from expwalk.lattices import (  # noqa: E402
     HeightSpec,
     UnimodularLattice,
+    contraction_fit,
     lll_reduce,
     margulis_height,
+    recurrence_experiment,
     shortest_vector,
     siegel_count,
     walk_simulate,
@@ -194,6 +198,15 @@ def main(argv=None) -> int:
             five, rep, N=n, mode=mode, sphere_samples=sphere_samples, seed=seed, **kwargs
         )
 
+    # criterion 06's settings: the m=6 fit on 200 points at seed 6, then
+    # 150 recurrence trials read on the grid 2, 4, .., 48
+    fit = contraction_fit(pair, HEIGHT, 6, sample_points=200, seed=6)
+    grid = list(range(2, 49, 2))
+
+    def recurrence(j):
+        x0 = lll_reduce(np.diag([10.0**j, 10.0**-j]))
+        recurrence_experiment(pair, HEIGHT, 0.1, x0, grid, mc_trials=150, seed=60 + j, fit=fit)
+
     unit = WeightPair((1.0,), (1.0,))
     scalars = [[[v]] for v in np.random.default_rng(7).uniform(0.01, 0.99, size=4)]
 
@@ -207,6 +220,10 @@ def main(argv=None) -> int:
         ("siegel_count.d3", lambda x: siegel_count(x, 3.0), lat3, True, 1),
         ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), lat2, True, 1),
         ("walk_step.d2", walk_steps, lat2[:1], True, n_walk),
+        ("contraction_fit.pair.m6",
+         lambda seed: contraction_fit(pair, HEIGHT, 6, sample_points=200, seed=seed), [6],
+         False, 1),
+        ("recurrence.pair.150x48", recurrence, [3], False, 1),
         ("flow_trace.d3.t10", carpet_flow(10.0), carpet_points, False, 1),
         ("flow_trace.d3.t20", carpet_flow(20.0), carpet_points, False, 1),
         ("flow_trace.d3.t40", carpet_flow(40.0), carpet_points, False, 1),

@@ -153,6 +153,8 @@ class ExpansionCertificate:
             return "PASS (heuristic min > 0)"
         if self.C_lower == 0.0:  # e.g. wedge:2 of SL2, where every word acts by det = 1
             return "FAIL (witness v with zero lower bound)"
+        if self.mode == "monte-carlo":  # the sampled mean at v may still be positive
+            return "FAIL (negative lower confidence bound at witness v)"
         return "FAIL (witness v with negative integral)"
 
 

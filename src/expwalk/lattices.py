@@ -32,9 +32,25 @@ Python version sums: dots accumulate left to right (``s += a * b``,
 never ``sum()``, which compensates from Python 3.12 on), coefficients
 round half to even (``round``, like ``np.rint``), and the Lovasz test
 squares with ``m ** 2`` (C ``pow``, like numpy's scalar power, which can
-differ from ``m * m`` in the last bit).  The height reads a plan cached
-per (spec, d): grade exponents and stacked subset indices, so one call
-is one Gram product and one batched determinant per grade.
+differ from ``m * m`` in the last bit).
+
+Independent members -- the point x atom products and Monte-Carlo walks of
+the contraction fit, the recurrence trials and the cusp-ladder bursts --
+are reduced together by the lockstep kernel ``_lll_stack`` on a (B, d, d)
+stack, each member at its own ``k``, failed or finished members masked.
+It gives every member the bits of ``_lll`` by the same three rules, read
+elementwise: dots accumulate left to right as elementwise numpy products
+and sums in scalar order, coefficients round with ``np.rint``, and the
+Lovasz square is Python ``v ** 2`` on the gathered coefficients.  Products
+and Gram matrices are stacked ``np.matmul`` calls and minors stacked
+``np.linalg.det`` calls; both work one matrix at a time, so each member
+gets the bits of its own 2-d call.  A stack raises the error that the
+scalar loop over its members would raise first: the lowest failing
+member's.  A stack of one costs several times a scalar call, so the walk
+loop of ``walk_simulate`` and the flow keep the scalar kernel.  The height
+reads a plan cached per (spec, d): grade exponents and each subset's
+minor as indices into the flat Gram matrix, so a stack is one Gram product
+and one batched determinant per grade (``margulis_height``: a stack of 1).
 """
 from __future__ import annotations
 
@@ -51,6 +67,7 @@ from .rng import substream
 
 LLL_DELTA = 0.99  # the Lovasz parameter of every reduction
 DET_TOL = 1e-6  # how far from +-1 the determinant of an input basis may be
+STACK = 4096  # members per lockstep stack of the contraction fit and recurrence trials
 
 
 class LatticeError(NumericalError):
@@ -243,6 +260,100 @@ def lll_reduce(basis, renormalize: bool = True) -> UnimodularLattice:
         cols = b.T.tolist()
     cols = _lll(cols)[0]
     return UnimodularLattice(np.array(cols, order="F").T)  # C-contiguous
+
+
+def _gso_stack(c):
+    """:func:`_gso` of each member of a (n, d, d) stack of columns
+    (``c[:, j]`` is column j), as (mu, norms, collapsed): mu[:, i, j] for
+    j < i, zero elsewhere, and the mask of members whose data collapsed."""
+    n, d, _ = c.shape
+    q = np.empty_like(c)
+    mu = np.zeros((n, d, d))
+    norms = np.empty((n, d))
+    for i in range(d):
+        b = v = c[:, i]
+        for j in range(i):
+            s = np.zeros(n)
+            for t in range(d):
+                s += b[:, t] * q[:, j, t]
+            mu[:, i, j] = m = s / norms[:, j]
+            v = v - m[:, None] * q[:, j]
+        s = np.zeros(n)
+        for t in range(d):
+            s += v[:, t] * v[:, t]
+        q[:, i] = v
+        norms[:, i] = s
+    return mu, norms, ~((norms > 0.0) & np.isfinite(norms)).all(axis=1)
+
+
+def _lll_stack(bases):
+    """:func:`lll_reduce` (without renormalization) of every basis of a
+    (B, d, d) stack, in lockstep (module docstring).
+
+    Returns (reduced, errors): the C-contiguous stack of reduced bases and
+    a dict from each failed member to the exception its scalar reduction
+    raises; a failed member's rows are not a lattice.
+    """
+    cols = np.swapaxes(np.asarray(bases, dtype=float), 1, 2).copy()
+    n, d, _ = cols.shape
+    errors = {}
+    failed = np.zeros(n, dtype=bool)
+
+    def fail(members, exc):
+        errors.update(dict.fromkeys(members.tolist(), exc))
+        failed[members] = True
+
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(cols).all(axis=(1, 2))
+        fail(np.flatnonzero(~finite), ValueError("matrix entries must be finite"))
+        mu, norms, collapsed = _gso_stack(cols)
+        collapse = ConditioningError("Gram-Schmidt collapsed; basis near-singular")
+        fail(np.flatnonzero(finite & collapsed), collapse)
+        k = np.ones(n, dtype=int)
+        act = np.flatnonzero(finite & ~collapsed)
+        iterations = 0
+        while act.size:
+            iterations += 1
+            if iterations > 10_000 * d * d:
+                fail(act, ConditioningError("LLL failed to terminate; basis ill-conditioned"))
+                break
+            ks = k[act]
+            for kv in range(1, d):
+                grp = act[ks == kv]
+                if not grp.size:
+                    continue
+                ck, mk = cols[grp, kv], mu[grp, kv]
+                for j in range(kv - 1, -1, -1):
+                    bad = ~np.isfinite(mk[:, j])
+                    if bad.any():
+                        fail(grp[bad], ConditioningError("non-finite Gram-Schmidt coefficient"))
+                        grp, ck, mk = grp[~bad], ck[~bad], mk[~bad]
+                    r = np.rint(mk[:, j])
+                    nz = np.flatnonzero(r)
+                    if nz.size:
+                        rz, gz = r[nz, None], grp[nz]
+                        ck[nz] = ck[nz] - rz * cols[gz, j]
+                        mk[nz, :j] = mk[nz, :j] - rz * mu[gz, j, :j]
+                        mk[nz, j] = mk[nz, j] - r[nz]
+                cols[grp, kv], mu[grp, kv] = ck, mk
+                square = np.array([v ** 2 for v in mk[:, kv - 1].tolist()])
+                lovasz = norms[grp, kv] >= (LLL_DELTA - square) * norms[grp, kv - 1]
+                k[grp[lovasz]] += 1
+                sw = grp[~lovasz]
+                if sw.size:
+                    cols[sw, kv - 1], cols[sw, kv] = cols[sw, kv], cols[sw, kv - 1]
+                    mu[sw], norms[sw], collapsed = _gso_stack(cols[sw])
+                    fail(sw[collapsed], collapse)
+                    k[sw] = max(kv - 1, 1)
+            act = act[(k[act] < d) & ~failed[act]]
+    return np.ascontiguousarray(np.swapaxes(cols, 1, 2)), errors
+
+
+def _raise_first(errors: dict):
+    """Raise the error of the lowest failing member, the one a scalar loop
+    over the members raises first."""
+    if errors:
+        raise errors[min(errors)]
 
 
 def _enumerate(r: list, radius: float, cap: int, rows: bool):
@@ -464,8 +575,9 @@ class HeightSpec:
 
 @lru_cache(maxsize=64)
 def _height_plan(spec: HeightSpec, d: int):
-    """Per grade i = 1..d-1: (i, subsets, row index, column index,
-    epsilon^(delta_i / delta_lambda_i), -1 / (2 delta_lambda_i))."""
+    """Per grade i = 1..d-1: (i, subsets, the index of each subset's minor
+    in a flattened d x d Gram matrix, epsilon^(delta_i / delta_lambda_i),
+    -1 / (2 delta_lambda_i))."""
     delta_i, delta_lambda = spec.grade_exponents(d)
     plan = []
     for i in range(1, d):
@@ -476,25 +588,38 @@ def _height_plan(spec: HeightSpec, d: int):
             raise ValueError(f"s0 {spec.s0} and epsilon {spec.epsilon} give grade {i} the "
                              f"factor epsilon^(delta_i / delta_lambda_i) = {eps_factor}")
         half_expo = float(0.5 * (-1.0 / delta_lambda[i - 1]))
-        plan.append((i, subsets, idx[:, :, None], idx[:, None, :], eps_factor, half_expo))
+        plan.append((i, subsets, idx[:, :, None] * d + idx[:, None, :], eps_factor, half_expo))
     return plan
 
 
-def _grade_phis(x: UnimodularLattice, spec: HeightSpec):
-    """Yield (grade, subsets, phis) over the proper nonempty basis subsets.
+def _stack_phis(bases, spec: HeightSpec):
+    """Yield (grade, subsets, phis) over the proper nonempty basis subsets
+    of each reduced basis of a (B, d, d) stack: phis lists the B members'
+    values in turn, each in subset order.
 
     Powers are scalar C ``pow``: numpy's vectorized power can differ in the
     last bit from the scalar power the height has always used.
     """
-    gram = x.reduced.T @ x.reduced
-    for i, subsets, rows, cols, eps_factor, half_expo in _height_plan(spec, x.dim):
+    gram = (bases.transpose(0, 2, 1) @ bases).reshape(len(bases), -1)
+    for i, subsets, minors, eps_factor, half_expo in _height_plan(spec, bases.shape[1]):
         # max(): roundoff guard near degeneracy
-        dets = [max(g, 1e-300) for g in np.linalg.det(gram[rows, cols]).tolist()]
+        dets = [max(g, 1e-300) for g in np.linalg.det(gram[:, minors]).ravel().tolist()]
         try:
             phis = [eps_factor * g**half_expo for g in dets]
         except OverflowError:  # numpy's scalar power gives inf past the float range
             phis = [float(eps_factor * np.float64(g) ** half_expo) for g in dets]
         yield i, subsets, phis
+
+
+def _heights(bases, spec: HeightSpec) -> list:
+    """:func:`margulis_height` of each reduced basis of a (B, d, d) stack."""
+    best = [0.0] * len(bases)
+    for _, subsets, phis in _stack_phis(bases, spec):
+        k = len(subsets)
+        # a running max from 0.0 in subset order, as max() keeps the first of
+        # equal values and never takes a NaN after a number
+        best = list(map(max, best, *(phis[s::k] for s in range(k))))
+    return [b**spec.delta for b in best]
 
 
 def margulis_height(x: UnimodularLattice, spec: HeightSpec) -> float:
@@ -505,19 +630,15 @@ def margulis_height(x: UnimodularLattice, spec: HeightSpec) -> float:
     within the LLL approximation factor of the true value, which is enough
     for the contraction and properness experiments.  Finite for SL_d since
     no nonzero monomial in an intermediate grade is fixed by the group.
+    The one-member case of :func:`_heights`.
     """
-    best = 0.0
-    for _, _, phis in _grade_phis(x, spec):
-        for phi in phis:
-            if phi > best:
-                best = phi
-    return best**spec.delta
+    return _heights(x.reduced[None], spec)[0]
 
 
 def margulis_height_profile(x: UnimodularLattice, spec: HeightSpec):
     """Per-subset contributions to the height: rows (subset, grade, phi)."""
     labels, grades, values = [], [], []
-    for i, subsets, phis in _grade_phis(x, spec):
+    for i, subsets, phis in _stack_phis(x.reduced[None], spec):
         labels += ["+".join(str(s) for s in subset) for subset in subsets]
         grades += [i] * len(subsets)
         values += phis
@@ -600,6 +721,35 @@ def _walk(x: UnimodularLattice, mats):
         yield x
 
 
+def _walk_stack(x: np.ndarray, atoms: np.ndarray, idx: np.ndarray, lengths=None):
+    """Lockstep :func:`_walk` of the members of a (B, d, d) stack of reduced
+    bases, advanced in place: member b steps through the matrices
+    ``atoms[idx[b]]``, or their first ``lengths[b]`` with ``lengths``.
+
+    Yields each step number once the stack has taken it; a member that has
+    stopped or failed keeps its last basis.  After the last step it raises
+    the error that the scalar walks of the members, in order, raise first.
+    """
+    errors = {}
+    live = np.arange(len(x))
+    for step in range(1, idx.shape[1] + 1):
+        if lengths is not None:
+            live = live[lengths[live] >= step]
+        if live.size:
+            y, errs = _lll_stack(np.matmul(atoms[idx[live, step - 1]], x[live]))
+            ok = np.ones(live.size, dtype=bool)
+            for i, err in errs.items():
+                if isinstance(err, ConditioningError):  # named as _walk names it
+                    err = ConditioningError(f"reduction failed at step {step}: {err}")
+                    err.__cause__ = errs[i]
+                errors[int(live[i])] = err
+                ok[i] = False
+            x[live[ok]] = y[ok]
+            live = live[ok]
+        yield step
+    _raise_first(errors)
+
+
 def walk_simulate(
     mu: GroupMeasure,
     x0: UnimodularLattice,
@@ -666,16 +816,19 @@ class ContractionFit:
         return int(len(self.violations))
 
 
-def _cusp_ladder_points(mu, d, count, seed):
-    """Sample cloud mixing three families, round robin by index.
+def _cusp_ladder_points(mu, d, count, seed) -> np.ndarray:
+    """Sample cloud mixing three families, round robin by index, as a
+    (count, d, d) stack of reduced bases.
 
     (0) randomly rotated diagonal cusp excursions of random depth (up to
     12 decades), probing properness in arbitrary directions; (1) walk
     bursts of up to 24 steps of the measure itself started at Z^d, probing
     its own trajectory (this is where a degenerate measure reveals its
     divergent direction); (2) cusp points followed by a burst of up to 8.
+    The bursts run as one lockstep walk (:func:`_walk_stack`).
     """
-    pts = []
+    starts, bursts = [], []
+    failure = None
     for i in range(count):
         rng = substream(seed, 11, i)
         family = i % 3
@@ -689,27 +842,55 @@ def _cusp_ladder_points(mu, d, count, seed):
             a = np.diag(np.exp(t * direction))
             q, _ = np.linalg.qr(rng.normal(size=(d, d)))
             basis = q @ a
-            x = lll_reduce(basis / abs(np.linalg.det(basis)) ** (1.0 / d))
+            try:
+                x = lll_reduce(basis / abs(np.linalg.det(basis)) ** (1.0 / d))
+            except (ValueError, LatticeError) as err:
+                failure = err  # raised after the bursts of the points before it
+                break
             burst = 0 if family == 0 else int(rng.integers(0, 9))
-        for x in _walk(x, mu.matrices[rng.choice(mu.natoms, size=burst, p=mu.weights)]):
-            pass
-        pts.append(x)
-    return pts
+        starts.append(x.reduced)
+        bursts.append(rng.choice(mu.natoms, size=burst, p=mu.weights))
+    points = np.array(starts).reshape(len(starts), d, d)
+    lengths = np.array([len(b) for b in bursts], dtype=int)
+    idx = np.zeros((len(bursts), lengths.max(initial=0)), dtype=int)
+    for row, burst in zip(idx, bursts):
+        row[: len(burst)] = burst
+    for _ in _walk_stack(points, mu.matrices, idx, lengths):
+        pass
+    if failure is not None:
+        raise failure
+    return points
 
 
-def _averaged_height(mu, conv, x, height, m, mc_trials, seed, tag):
-    if conv is not None:
-        vals = []
-        for g, w in zip(conv.matrices, conv.weights):
-            vals.append(w * margulis_height(lll_reduce(g @ x.reduced, renormalize=False), height))
-        return float(np.sum(vals)), 0.0
-    rng = substream(seed, 13, tag)
-    samples = np.empty(mc_trials)
-    for trial in range(mc_trials):
-        for y in _walk(x, mu.matrices[rng.choice(mu.natoms, size=m, p=mu.weights)]):
-            pass
-        samples[trial] = margulis_height(y, height)
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(mc_trials))
+def _averaged_heights(mu, conv, points, height, m, mc_trials, seed):
+    """The m-step averaged height of each point of a stack, with its
+    standard error: exact over the atoms of ``conv``, else the mean of
+    ``mc_trials`` walks drawn from ``substream(seed, 13, i)`` for point i.
+    Every point x atom product, or every walk, is a member of a lockstep
+    stack, taken about ``STACK`` members (whole points) at a time."""
+    n, d, _ = points.shape
+    averaged, stderr = np.zeros(n), np.zeros(n)
+    members = len(conv.matrices) if conv is not None else mc_trials
+    per = max(1, STACK // members)  # points per stack
+    for lo in range(0, n, per):
+        chunk = points[lo : lo + per]
+        if conv is not None:
+            y, errors = _lll_stack(np.matmul(conv.matrices[None], chunk[:, None]).reshape(-1, d, d))
+            _raise_first(errors)
+            vals = conv.weights * np.reshape(_heights(y, height), (-1, members))
+            averaged[lo : lo + per] = [np.sum(row) for row in vals]
+        else:
+            # one draw of mc_trials x m indices is the mc_trials draws of m in turn
+            idx = np.concatenate([substream(seed, 13, i).choice(mu.natoms, size=(mc_trials, m),
+                                                                p=mu.weights)
+                                  for i in range(lo, lo + len(chunk))])
+            y = np.repeat(chunk, mc_trials, axis=0)
+            for _ in _walk_stack(y, mu.matrices, idx):
+                pass
+            samples = np.reshape(_heights(y, height), (-1, mc_trials))
+            averaged[lo : lo + per] = [row.mean() for row in samples]
+            stderr[lo : lo + per] = [row.std(ddof=1) / np.sqrt(mc_trials) for row in samples]
+    return averaged, stderr
 
 
 def contraction_fit(
@@ -744,11 +925,8 @@ def contraction_fit(
             f"got {mc_trials}: a standard error needs two draws"
         )
     points = _cusp_ladder_points(mu, mu.dim, sample_points, seed)
-    beta = np.array([margulis_height(x, height) for x in points])
-    averaged = np.empty(len(points))
-    stderr = np.empty(len(points))
-    for i, x in enumerate(points):
-        averaged[i], stderr[i] = _averaged_height(mu, conv, x, height, m, mc_trials, seed, i)
+    beta = np.array(_heights(points, height))
+    averaged, stderr = _averaged_heights(mu, conv, points, height, m, mc_trials, seed)
 
     order = np.argsort(beta)
     q50 = beta[order[len(order) // 2]]
@@ -829,6 +1007,9 @@ def recurrence_experiment(
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError("the n-grid must contain positive integers")
+    repeated = sorted({n for a, n in zip(n_grid, n_grid[1:]) if a == n})
+    if repeated:
+        raise ValueError(f"the n-grid repeats {repeated}; each n must appear once")
     if fit is None:
         fit = contraction_fit(mu, height, m, sample_points, mc_trials, seed)
     if not fit.ok:
@@ -837,13 +1018,13 @@ def recurrence_experiment(
             f"violations={fit.violation_count}); cannot build a recurrence set"
         )
     level = (2.0 * fit.b_hat + 2.0) / (delta * (1.0 - fit.a_hat))
-    n_max = n_grid[-1]
-    grid_set = set(n_grid)
-    hits = {n: 0 for n in n_grid}
-    for trial in range(mc_trials):
-        idx = sample_indices(mu, n_max, seed=seed, path=(17, trial))
-        for step, x in enumerate(_walk(x0, (mu.matrices[i] for i in idx)), 1):
-            if step in grid_set and margulis_height(x, height) <= level:
-                hits[step] += 1
+    hits = dict.fromkeys(n_grid, 0)
+    for lo in range(0, mc_trials, STACK):
+        trials = range(lo, min(lo + STACK, mc_trials))
+        idx = np.array([sample_indices(mu, n_grid[-1], seed=seed, path=(17, t)) for t in trials])
+        x = np.repeat(np.asarray(x0.reduced, dtype=float)[None], len(trials), axis=0)
+        for step in _walk_stack(x, mu.matrices, idx):
+            if step in hits:
+                hits[step] += sum(h <= level for h in _heights(x, height))
     entries = [(n, hits[n] / mc_trials) for n in n_grid]
     return RecurrenceTable(level=level, delta=delta, fit=fit, entries=entries)

@@ -729,3 +729,19 @@ def test_recur_with_unusable_counts_is_exit_2(tmp_path, capsys, counts, reason):
                     "output": str(tmp_path / "o")}) == 2
     assert f"config error: recur: {reason}" in capsys.readouterr().err
     assert not (tmp_path / "o.summary.json").exists()
+
+
+def test_recur_repeated_grid_entry_is_exit_2(tmp_path, capsys, monkeypatch):
+    # before the check the run exited 0 and wrote the row "2,1" twice
+    from expwalk import lattices
+
+    monkeypatch.setattr(lattices, "contraction_fit", lambda *a, **k: pytest.fail("fit ran"))
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "height": {"epsilon": 0.1, "delta": 0.3}, "delta": 0.1,
+              "n_grid": [2, 2, 4], "sample_points": 30}
+    assert cli.run({"kind": "recur", "parameters": params, "seed": 3,
+                    "output": str(tmp_path / "o")}) == 2
+    err = capsys.readouterr().err
+    assert "config error: recur: the n-grid repeats [2]; each n must appear once" in err
+    assert not (tmp_path / "o.summary.json").exists()

@@ -62,6 +62,11 @@ def test_zero_bound_verdict_claims_no_negative_integral():
         assert cert.verdict == "FAIL (witness v with zero lower bound)"
     negative = expansion_certificate(catalog.diagonal_geodesic_sl2(), "std", N=1, seed=0)
     assert negative.verdict == "FAIL (witness v with negative integral)"
+    # a Monte-Carlo bound below 0 says nothing about the sign of the integral
+    sampled = expansion_certificate(catalog.diagonal_geodesic_sl2(), "std", N=1, seed=0,
+                                    mode="mc", mc_words=50)
+    assert sampled.mode == "monte-carlo" and sampled.C_lower < 0.0
+    assert sampled.verdict == "FAIL (negative lower confidence bound at witness v)"
 
 
 def test_certificate_positive_pair_passes_by_six():

@@ -8,6 +8,7 @@ from expwalk.lattices import (
     ContractionFit,
     ContractionUnverified,
     HeightSpec,
+    UnimodularLattice,
     contraction_fit,
     lll_reduce,
     mahler_member,
@@ -376,3 +377,180 @@ def test_height_rejects_s0_whose_grade_factor_underflows():
     with pytest.raises(ValueError, match=r"s0 \(0.001, 0.0, -0.001\) and epsilon 0.5"):
         margulis_height(x, spec)
     assert margulis_height(x, HeightSpec(0.5, 0.3, (1.0, 0.0, -1.0))) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the lockstep stack against the scalar kernels
+
+
+def _sl_measure(d, seed, n_atoms=3):
+    """Seeded atoms of determinant 1 near the identity, uniform weights."""
+    rng = np.random.default_rng(seed)
+    mats = np.eye(d) + 0.6 * rng.normal(size=(n_atoms, d, d))
+    dets = np.linalg.det(mats)
+    mats[:, :, 0] *= np.sign(dets)[:, None]
+    mats /= np.abs(dets)[:, None, None] ** (1.0 / d)
+    return GroupMeasure(mats, np.full(n_atoms, 1.0 / n_atoms))
+
+
+STACK_MEASURES = {2: catalog.positive_pair_sl2, 3: lambda: _sl_measure(3, 31),
+                  4: catalog.sl4_five_generator_measure}
+
+
+def _random_unimodular(rng, d):
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    c = rng.uniform(-0.5, 0.5, size=d)
+    return lll_reduce(q @ np.diag(np.exp(c - c.mean()))).reduced
+
+
+def _walk_inputs(mu, d, steps, seed):
+    """The bases g x.reduced that a seeded walk hands to ``lll_reduce``, as
+    ``scripts/bench_kernels.py`` builds them, and seeded skewed bases that
+    take many swaps."""
+    rng = np.random.default_rng(seed)
+    x = UnimodularLattice(_random_unimodular(rng, d))
+    inputs = []
+    for i in rng.choice(mu.natoms, size=steps, p=mu.weights):
+        inputs.append(mu.matrices[i] @ x.reduced)
+        x = lll_reduce(inputs[-1], renormalize=False)
+    for _ in range(steps // 4):
+        inputs.append(x.reduced @ random_unimodular_int(rng, d, steps=12).astype(float))
+    return np.array(inputs)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lll_stack_matches_lll_reduce_bit_for_bit(d):
+    from expwalk.lattices import _lll_stack
+
+    bases = _walk_inputs(STACK_MEASURES[d](), d, 400, seed=d)
+    reduced, errors = _lll_stack(bases)
+    assert errors == {}
+    scalar = np.array([lll_reduce(b, renormalize=False).reduced for b in bases])
+    assert np.array_equal(_bits(reduced), _bits(scalar))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_heights_match_margulis_height_and_profile(d):
+    # margulis_height is the one-member stack; tests/test_kernels.py holds it
+    # to the subset-loop reference
+    from expwalk.lattices import _heights, _stack_phis, margulis_height_profile
+
+    spec = HeightSpec(0.1, 0.3)
+    lats = [lll_reduce(b, renormalize=False) for b in _walk_inputs(STACK_MEASURES[d](), d, 200,
+                                                                   seed=10 + d)]
+    lats.append(lll_reduce(np.diag([1e-9, 1e9] + [1.0] * (d - 2))))  # deep in the cusp
+    stack = np.array([x.reduced for x in lats])
+    assert np.array_equal(_bits(_heights(stack, spec)),
+                          _bits([margulis_height(x, spec) for x in lats]))
+    phis = np.concatenate([np.reshape(p, (len(lats), -1)) for _, _, p in _stack_phis(stack, spec)],
+                          axis=1)
+    for x, row in zip(lats, phis):
+        assert np.array_equal(_bits(row), _bits(margulis_height_profile(x, spec)[2]))
+
+
+def _first_failure(run, members):
+    """(class, message) of the first exception of ``run`` over ``members``
+    in order, as a scalar loop meets it."""
+    for member in members:
+        try:
+            run(member)
+        except Exception as err:  # noqa: BLE001 - any failure is compared
+            return type(err), str(err)
+    return None
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_lll_stack_raises_the_lowest_failing_members_error(swap):
+    from expwalk.lattices import _lll_stack, _raise_first
+
+    rng = np.random.default_rng(5)
+    bases = np.array([_random_unimodular(rng, 2) for _ in range(10)])
+    collapsed = np.array([[1.0, 2.0], [2.0, 4.0]])  # parallel columns
+    non_finite = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    bases[3], bases[7] = (non_finite, collapsed) if swap else (collapsed, non_finite)
+    errors = _lll_stack(bases)[1]
+    assert sorted(errors) == [3, 7]
+    with pytest.raises(Exception) as info:
+        _raise_first(errors)
+    expected = _first_failure(lambda b: lll_reduce(b, renormalize=False), bases)
+    assert (type(info.value), str(info.value)) == expected
+    assert expected[0] is (ValueError if swap else ConditioningError)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the product with inf, in both loops
+def test_walk_stack_names_the_lowest_failing_members_step():
+    # member 7 fails at step 1, member 3 only at step 2: the scalar loop over
+    # the members meets member 3 first
+    from expwalk.lattices import _walk, _walk_stack
+
+    atoms = np.array([np.eye(2), np.diag([1e100, 1e-100]), np.diag([np.inf, 1.0])])
+    idx = np.zeros((10, 3), dtype=int)
+    idx[3] = [1, 1, 0]
+    idx[7] = [2, 0, 0]
+    x = np.repeat(np.eye(2)[None], 10, axis=0)
+    with pytest.raises(Exception) as info:
+        for _ in _walk_stack(x, atoms, idx):
+            pass
+    expected = _first_failure(lambda b: list(_walk(UnimodularLattice(np.eye(2)), atoms[idx[b]])),
+                              range(10))
+    assert (type(info.value), str(info.value)) == expected
+    assert expected == (ConditioningError,
+                        "reduction failed at step 2: Gram-Schmidt collapsed; basis near-singular")
+
+
+def test_recurrence_failure_names_the_step_of_the_scalar_loop():
+    # at seed 2, trial 0 collapses at step 17 and trial 3 already at step 3
+    from expwalk.lattices import _walk
+    from expwalk.measures import sample_indices
+
+    mu = GroupMeasure(np.array([np.eye(2), np.diag([1e100, 1e-100])]), np.array([0.85, 0.15]))
+    one = np.ones(1)
+    fit = ContractionFit(0.5, 1.0, np.array([], dtype=int), True, one, one, one, 1)
+
+    def trial(t):
+        idx = sample_indices(mu, 30, seed=2, path=(17, t))
+        return list(_walk(standard_lattice(2), mu.matrices[idx]))
+
+    expected = _first_failure(trial, range(8))
+    assert expected == (ConditioningError, "reduction failed at step 17: Gram-Schmidt collapsed; "
+                                           "basis near-singular")
+    with pytest.raises(ConditioningError) as info:
+        recurrence_experiment(mu, HeightSpec(0.1, 0.3), 0.5, standard_lattice(2), [10, 30],
+                              mc_trials=8, seed=2, fit=fit)
+    assert str(info.value) == expected[1]
+
+
+def test_exact_averaged_heights_match_the_scalar_loop():
+    from expwalk.lattices import _averaged_heights, _cusp_ladder_points
+    from expwalk.measures import convolution_support
+
+    mu, spec = catalog.positive_pair_sl2(), HeightSpec(0.1, 0.3)
+    conv = convolution_support(mu, 6, cap=4096)
+    points = _cusp_ladder_points(mu, 2, 12, seed=6)
+    averaged, stderr = _averaged_heights(mu, conv, points, spec, 6, 200, 6)
+    for i, x in enumerate(points):
+        vals = [w * margulis_height(lll_reduce(g @ x, renormalize=False), spec)
+                for g, w in zip(conv.matrices, conv.weights)]
+        assert averaged[i] == float(np.sum(vals))
+    assert not stderr.any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gso_stack_matches_scalar_gso_bit_for_bit(d):
+    # the reduced bases depend on the Gram-Schmidt data only through the
+    # rounding and swap decisions, so the data itself is compared here
+    from expwalk.lattices import _gso, _gso_stack
+
+    rng = np.random.default_rng(40 + d)
+    cols = rng.normal(size=(300, d, d)) * np.exp(rng.uniform(-20.0, 20.0, size=(300, 1, d)))
+    mu, norms, collapsed = _gso_stack(cols)
+    assert not collapsed.any()
+    for c, m, n in zip(cols, mu, norms):
+        mu_ref, norms_ref = _gso(c.tolist())
+        assert np.array_equal(_bits(n), _bits(norms_ref))
+        assert np.array_equal(_bits([m[i, j] for i in range(d) for j in range(i)]),
+                              _bits([v for row in mu_ref for v in row]))
