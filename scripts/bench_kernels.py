@@ -14,7 +14,8 @@ two SL4 certificates as the certify benchmark runs them and an exact
 positive-pair certificate whose sphere samples outnumber its descent
 evaluations (whole-call time, sphere optimizer included), and criterion
 06's contraction fit and one of its recurrence tables (150 trials of 48
-steps).  The row
+steps), and expanding-cone membership on criterion 02's (2,1,1) parabolic
+and on a four-block one, at seeded interior and generic points.  The row
 ``import.expwalk_cli`` is the time a fresh interpreter takes to
 ``import expwalk.cli`` (timed inside the child, interpreter start-up
 excluded) over ``REPEATS`` children.  One repeat
@@ -45,7 +46,11 @@ import numpy as np  # noqa: E402
 
 from expwalk import catalog  # noqa: E402
 from expwalk.dioph import brute_force_quality, flow_trace  # noqa: E402
-from expwalk.expansion import expansion_certificate  # noqa: E402
+from expwalk.expansion import (  # noqa: E402
+    ConeSpec,
+    expanding_cone_membership,
+    expansion_certificate,
+)
 from expwalk.fractal import coding_sample  # noqa: E402
 from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
 from expwalk.lattices import (  # noqa: E402
@@ -98,6 +103,25 @@ def _carpet_inputs(steps, seed):
     for _ in range(steps):
         inputs.append(step @ x.reduced)
         x = lll_reduce(inputs[-1], renormalize=False)
+    return inputs
+
+
+def _cone_inputs(spec, n, seed):
+    """Seeded trace-zero logs for ``spec``, alternately a positive combination
+    of the roots (inside the cone) and a Gaussian point (mostly outside)."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for k in range(n):
+        logs = np.zeros(spec.dim)
+        if k % 2:
+            logs = rng.normal(size=spec.dim)
+            logs -= logs.mean()
+        else:
+            for i, j in spec.root_pairs:
+                t = rng.uniform(0.1, 1.0)
+                logs[i] += t
+                logs[j] -= t
+        inputs.append(logs)
     return inputs
 
 
@@ -207,6 +231,7 @@ def main(argv=None) -> int:
         x0 = lll_reduce(np.diag([10.0**j, 10.0**-j]))
         recurrence_experiment(pair, HEIGHT, 0.1, x0, grid, mc_trials=150, seed=60 + j, fit=fit)
 
+    cone211, cone2323 = ConeSpec(4, (2, 1, 1)), ConeSpec(10, (2, 3, 2, 3))
     unit = WeightPair((1.0,), (1.0,))
     scalars = [[[v]] for v in np.random.default_rng(7).uniform(0.01, 0.99, size=4)]
 
@@ -236,6 +261,10 @@ def main(argv=None) -> int:
         ("brute_force_quality.1x1.T1e5", brute(unit, 1e5), scalars[:2], False, 1),
         ("brute_force_quality.carpet.T100", brute(carpet.weightpair, 100.0), carpet_points,
          False, 1),
+        ("cone.211", lambda x: expanding_cone_membership(cone211, x),
+         _cone_inputs(cone211, 200, seed=202), False, 1),
+        ("cone.2323", lambda x: expanding_cone_membership(cone2323, x),
+         _cone_inputs(cone2323, 200, seed=11), False, 1),
         ("wedge_power.d15.k2", lambda g: wedge_power(g, 2), square15, False, 1),
         ("adjoint_rep.d4", adjoint_rep, square4, False, 1),
         ("certificate.five.std.mc.N24", five_cert("std", 24, "mc", 200, mc_words=150), [0],

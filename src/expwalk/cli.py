@@ -377,6 +377,8 @@ def _run_kau(p, seed):
     prof = p["profile"]
     profile = ParabolicProfile(prof["m"], prof["n"], _weightpair(prof, "kau.profile"))
     length = p["len"]
+    if length < 1:  # an empty word has no factors and no limit to report
+        raise ConfigError(f"kau.len: must be at least 1, got {length}")
     word = sample_word(p["measure"], length, seed=seed)
     facs = word_factors(word, profile)
     residual = equivariance_residual(word, profile)

@@ -24,19 +24,18 @@ word matrices wherever OpenBLAS rounds that like one gemv per word
 outputs equal those of the scalar per-word objective bit for bit.
 
 Also decides membership in the expanding cone of a block parabolic of
-sl_d via a small linear program, and checks a-expansion of the unipotent
-radical in exterior powers of the standard representation.
-
-scipy is loaded only by the two computations that call it, at their first
-call: the cone LP (``linprog``) and the normal quantile of the Monte-Carlo
-confidence bound (``ndtri``).  Importing this module does not load it.
+sl_d in closed form (:func:`expanding_cone_membership`), and checks
+a-expansion of the unipotent radical in exterior powers of the standard
+representation.  No computation here loads scipy; the normal quantile of
+the Monte-Carlo confidence bound is mpmath's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, frexp, isfinite
 
 import numpy as np
+from mpmath import mp
 
 from . import linalg
 from .measures import GroupMeasure, _word_products, sample_indices
@@ -58,8 +57,7 @@ def __getattr__(name):
 
 
 class ExpansionFailure(linalg.NumericalError):
-    """Numerical trouble: a non-finite certificate bound, or a cone LP that
-    does not solve."""
+    """Numerical trouble: a non-finite certificate bound."""
 
 
 def _rep_label(rep) -> str:
@@ -382,7 +380,7 @@ def certificate_from_rep_atoms(
         raise ValueError("sphere_samples must be at least 1")
     if mode != "exact" and mc_words < 2:  # the Monte-Carlo bound needs a standard error
         raise ValueError("mc_words must be at least 2")
-    if mode != "exact" and not 0.0 < confidence < 1.0:  # ndtri is finite only inside (0, 1)
+    if mode != "exact" and not 0.0 < confidence < 1.0:  # the quantile is finite only inside (0, 1)
         raise ValueError(f"confidence must lie strictly between 0 and 1, got {confidence!r}")
     word_mats, word_wts, exact = _word_products(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
@@ -403,9 +401,10 @@ def certificate_from_rep_atoms(
         )
     per_word = np.log(np.linalg.norm(_word_images(word_mats, best_v[None])[0], axis=-1))
     stderr = float(per_word.std(ddof=1) / np.sqrt(len(per_word)))
-    from scipy.special import ndtri
-
-    z = float(ndtri(confidence))
+    # the normal quantile sqrt(2) erfinv(2p - 1), correctly rounded; 113 bits,
+    # and one more per halving of p below 1/2, keep 2p - 1 exact
+    with mp.workprec(113 + max(0, -frexp(confidence)[1])):
+        z = float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(confidence) - 1))
     return ExpansionCertificate(
         N=N,
         C_lower=float(per_word.mean() - z * stderr),
@@ -574,31 +573,24 @@ class ConeSpec:
         if len(blocks) < 2:
             raise ValueError("a proper parabolic needs at least two blocks")
 
-    def block_of(self, i: int) -> int:
-        acc = 0
-        for b_idx, b in enumerate(self.blocks):
-            acc += b
-            if i < acc:
-                return b_idx
-        raise IndexError(i)
-
     @property
     def root_pairs(self) -> list[tuple[int, int]]:
         """Index pairs (i, j) with block(i) < block(j): the roots of u."""
+        ends = np.cumsum(self.blocks).tolist()
         return [
             (i, j)
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.block_of(i) < self.block_of(j)
+            for end, size in zip(ends, self.blocks)
+            for i in range(end - size, end)
+            for j in range(end, self.dim)
         ]
 
 
 @dataclass
 class ConeMembership:
     inside: bool
-    margin: float  # optimal tau of the LP
+    margin: float  # tau*: the largest tau with every coefficient >= tau
     coefficients: dict | None  # root pair -> positive coefficient (witness)
-    separator: np.ndarray | None  # functional >= 0 on all roots, <= margin on logs
+    separator: np.ndarray | None  # functional >= 0 on all roots, = margin on logs
 
 
 def expanding_cone_membership(
@@ -608,13 +600,17 @@ def expanding_cone_membership(
 
     The cone is the set of strictly positive combinations of the vectors
     e_i - e_j over root pairs (i, j) of the parabolic (Killing duals up to
-    positive scale, which does not change the cone).  Solved as the LP
-    "maximize tau subject to sum t_ij (e_i - e_j) = logs, t_ij >= tau";
-    inside iff the optimum exceeds ``tol``, which must be finite and
-    non-negative (a negative one would call points outside the cone
-    inside).  The witness is the coefficient family; outside, the dual
-    vector y is returned, which satisfies
-    <y, e_i - e_j> >= 0 for every root and <y, logs> = margin <= tol.
+    positive scale, which does not change the cone).  The margin tau* of
+    the LP "maximize tau subject to sum t_ij (e_i - e_j) = logs, t_ij >=
+    tau" is, in closed form, the least <1_S, logs> / <1_S, r> over the
+    proper up-sets S, where r is the sum of the roots and S is all blocks
+    before a block k with the a smallest logs of block k, for each k and a.
+    Inside iff tau* exceeds ``tol``, which must be finite and non-negative
+    (a negative one would call points outside the cone inside).  The
+    witness is tau* plus a greedy transport of logs - tau* r along the
+    roots, earlier blocks supplying later ones; outside, the separator
+    y = 1_S / <1_S, r> at the minimizing S, shifted to y[-1] = 0, has
+    <y, e_i - e_j> >= 0 on every root and <y, logs> = margin <= tol.
     """
     if not (isfinite(tol) and tol >= 0.0):
         raise ValueError(f"cone tol must be finite and non-negative, got {tol!r}")
@@ -622,42 +618,33 @@ def expanding_cone_membership(
     d = spec.dim
     if len(logs) != d:
         raise ValueError("logs length does not match the cone dimension")
-    pairs = spec.root_pairs
-    p = len(pairs)
-    # variables x = (t_1..t_p, tau); drop the last (redundant) equality row
-    a_eq = np.zeros((d - 1, p + 1))
-    for col, (i, j) in enumerate(pairs):
-        if i < d - 1:
-            a_eq[i, col] += 1.0
-        if j < d - 1:
-            a_eq[j, col] -= 1.0
-    b_eq = logs[: d - 1]
-    a_ub = np.zeros((p, p + 1))
-    a_ub[:, :p] = -np.eye(p)
-    a_ub[:, p] = 1.0
-    b_ub = np.zeros(p)
-    c = np.zeros(p + 1)
-    c[p] = -1.0
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * (p + 1),
-        method="highs",
-    )
-    if res.status != 0:
-        raise ExpansionFailure(f"cone LP did not solve: {res.message}")
-    tau = float(res.x[p])
+    sizes = np.array(spec.blocks)
+    ends = np.cumsum(sizes)
+    r = np.repeat(d - 2 * ends + sizes, sizes)
+    order = np.lexsort((logs, np.repeat(ends, sizes)))
+    num, den = np.cumsum(logs[order])[:-1], np.cumsum(r[order])[:-1]
+    n = int(np.argmin(num / den))
+    tau = float(num[n] / den[n])
     if tau > tol:
-        coeffs = {pair: float(t) for pair, t in zip(pairs, res.x[:p])}
+        x = logs - tau * r
+        coeffs = dict.fromkeys(spec.root_pairs, tau)
+        supply = []  # (coordinate, amount) of earlier blocks, not yet sent
+        for end, size in zip(ends.tolist(), spec.blocks):
+            block = range(end - size, end)
+            for j in block:
+                need = -x[j]
+                while need > 0.0 and supply:
+                    i, have = supply.pop()
+                    sent = min(have, need)
+                    coeffs[(i, j)] += float(sent)
+                    need -= sent
+                    if have > sent:
+                        supply.append((i, have - sent))
+            supply += [(i, x[i]) for i in block if x[i] > 0.0]
         return ConeMembership(True, tau, coeffs, None)
     y = np.zeros(d)
-    y[: d - 1] = -np.asarray(res.eqlin.marginals, dtype=float)
-    return ConeMembership(False, tau, None, y)
+    y[order[: n + 1]] = 1.0 / den[n]
+    return ConeMembership(False, tau, None, y - y[-1])
 
 
 def a_expanding_check(spec: ConeSpec, logs, k: int) -> bool:

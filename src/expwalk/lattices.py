@@ -663,6 +663,8 @@ def parse_observable(spec: str, height: HeightSpec | None = None):
             raise ValueError(f"observable {spec!r}: argument is NaN")
         if name == "mahler":
             return spec, lambda x: float(mahler_member(x, value))
+        if value == inf:  # the count would only hit its cap
+            raise ValueError(f"observable {spec!r}: radius must be finite")
         return spec, lambda x: float(siegel_count(x, value))
     if name == "shortest":
         norm = arg or "sup"
@@ -750,6 +752,13 @@ def _walk_stack(x: np.ndarray, atoms: np.ndarray, idx: np.ndarray, lengths=None)
     _raise_first(errors)
 
 
+def _check_start(mu: GroupMeasure, x0: UnimodularLattice) -> None:
+    if x0.dim != mu.dim:
+        raise ValueError(
+            f"the start x0 is {x0.dim}x{x0.dim}, but the measure acts in dimension {mu.dim}"
+        )
+
+
 def walk_simulate(
     mu: GroupMeasure,
     x0: UnimodularLattice,
@@ -765,6 +774,7 @@ def walk_simulate(
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
+    _check_start(mu, x0)
     obs = []
     for ob in observables:
         if isinstance(ob, str):
@@ -1004,6 +1014,7 @@ def recurrence_experiment(
         raise ValueError("delta must lie in (0, 1)")
     if mc_trials < 1:
         raise ValueError(f"mc_trials must be at least 1, got {mc_trials}")
+    _check_start(mu, x0)
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValueError("the n-grid must contain positive integers")

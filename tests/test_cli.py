@@ -475,30 +475,6 @@ def test_expand_cert_non_finite_bound_is_numerical_failure(tmp_path, mode):
     assert not (tmp_path / "nf.data.csv").exists()
 
 
-def test_cone_lp_failure_is_numerical_failure(tmp_path, monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
-
-    # the cone LP imports linprog from scipy.optimize at its call
-    monkeypatch.setattr(
-        scipy.optimize,
-        "linprog",
-        lambda *a, **k: OptimizeResult(status=2, message="The problem is infeasible."),
-    )
-    doc = {
-        "kind": "cone",
-        "parameters": {"blocks": [2, 2], "logs": [1, 1, -1, -1]},
-        "output": str(tmp_path / "lp"),
-    }
-    cfg = write_config(tmp_path, "lp", doc)
-    assert cli.main(["cone", "--config", cfg]) == 3
-    summary = json.loads((tmp_path / "lp.summary.json").read_text())
-    assert summary["error"] == (
-        "cone: ExpansionFailure: cone LP did not solve: The problem is infeasible."
-    )
-    assert not (tmp_path / "lp.data.csv").exists()
-
-
 def _cantor_kau(length, **params):
     mu = catalog.cantor_measure()
     atoms = [{"matrix": g.ravel().tolist(), "weight": float(w)}
@@ -577,8 +553,7 @@ def test_fresh_import_loads_no_scipy_and_ops_match_in_process(tmp_path):
     out = subprocess.run([sys.executable, "-c", FRESH, src, json.dumps(docs)],
                          check=True, capture_output=True, text=True)
     report = json.loads(out.stdout.splitlines()[-1])
-    assert report == {"at_import": [], "codes": [0, 0],
-                      "after_ops": ["scipy.optimize", "scipy.special"]}
+    assert report == {"at_import": [], "codes": [0, 0], "after_ops": []}
     for name, doc in SCIPY_OPS.items():
         assert cli.run({**doc, "output": str(tmp_path / f"here-{name}")}) == 0
         for suffix in ("data.csv", "summary.json"):
@@ -745,3 +720,49 @@ def test_recur_repeated_grid_entry_is_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "config error: recur: the n-grid repeats [2]; each n must appear once" in err
     assert not (tmp_path / "o.summary.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["walk", "recur"])
+def test_start_of_the_wrong_dimension_is_exit_2(tmp_path, capsys, monkeypatch, kind):
+    # before the check numpy's matmul refused the 3x3 start of a 2x2 walk
+    from expwalk import lattices
+
+    monkeypatch.setattr(lattices, "contraction_fit", lambda *a, **k: pytest.fail("fit ran"))
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "x0": np.eye(3).tolist()}
+    if kind == "walk":
+        params.update(n_steps=5, observables=["siegel:2"])
+    else:
+        params.update(height={"epsilon": 0.1, "delta": 0.3}, delta=0.1, n_grid=[2, 4])
+    assert cli.run({"kind": kind, "parameters": params, "output": str(tmp_path / "o")}) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {kind}: the start x0 is 3x3, but the measure acts in dimension 2" in err
+    assert list(tmp_path.iterdir()) == [mpath]
+
+
+@pytest.mark.parametrize("observable, reason", [
+    ("siegel:inf", "observable 'siegel:inf': radius must be finite"),  # was exit 3 on the cap
+    ("siegel:-inf", "radius must be positive"),
+    ("siegel:-1", "radius must be positive"),
+])
+def test_siegel_radius_not_positive_and_finite_is_exit_2(tmp_path, capsys, observable, reason):
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "n_steps": 5, "observables": [observable]}
+    assert cli.run({"kind": "walk", "parameters": params, "output": str(tmp_path / "o")}) == 2
+    assert f"config error: walk: {reason}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [mpath]
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_kau_length_below_one_is_exit_2(tmp_path, capsys, monkeypatch, length):
+    # before the check len 0 exited 0 with an empty table, whatever the atoms
+    monkeypatch.setattr(cli, "sample_word", lambda *a, **k: pytest.fail("a word was drawn"))
+    letter = {"matrix": [0.0, 1.0, -1.0, 0.0], "weight": 1.0}  # not in P
+    doc = {"kind": "kau", "output": str(tmp_path / "k"),
+           "parameters": {"measure": {"dim": 2, "atoms": [letter]},
+                          "profile": {"m": 1, "n": 1}, "len": length}}
+    assert cli.run(doc) == 2
+    assert f"config error: kau.len: must be at least 1, got {length}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

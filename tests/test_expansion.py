@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from expwalk import catalog, expansion
 from expwalk.expansion import (
@@ -18,7 +18,8 @@ from expwalk.expansion import (
     _sum_squares,
     _word_images,
 )
-from expwalk.measures import ConvolutionCapError, GroupMeasure
+from expwalk.measures import ConvolutionCapError, GroupMeasure, _word_products
+from expwalk.rng import substream
 
 
 def test_fk_deterministic_diagonal():
@@ -269,6 +270,19 @@ def test_fk_consistent_with_certificate():
     assert mean >= cert.C_lower / cert.N - 3 * err
 
 
+@pytest.mark.parametrize("confidence", [0.95, 0.99, 0.999])
+def test_monte_carlo_bound_takes_scipys_normal_quantile_bit_for_bit(confidence):
+    from scipy.special import ndtri
+
+    mu = catalog.positive_pair_sl2()
+    cert = expansion_certificate(mu, "std", N=3, mode="mc", mc_words=50, sphere_samples=40,
+                                 confidence=confidence, seed=3)
+    words, _, _ = _word_products(mu.matrices, mu.weights, 3, "mc", 10**6, 50, substream(3, 0))
+    per_word = np.log(np.linalg.norm(_word_images(words, cert.witness[None])[0], axis=-1))
+    stderr = float(per_word.std(ddof=1) / np.sqrt(len(per_word)))
+    assert cert.C_lower == float(per_word.mean() - float(ndtri(confidence)) * stderr)
+
+
 def test_cone_block_22_examples():
     spec = ConeSpec(4, (2, 2))
     assert expanding_cone_membership(spec, [1, 1, -1, -1]).inside
@@ -278,13 +292,7 @@ def test_cone_block_22_examples():
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
-def test_cone_refuses_negative_or_non_finite_tol(tol, monkeypatch):
-    import scipy.optimize
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("the LP ran")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+def test_cone_refuses_negative_or_non_finite_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         expanding_cone_membership(ConeSpec(4, (2, 2)), [-1, -1, 1, 1], tol=tol)
 
@@ -308,6 +316,63 @@ def test_cone_separator_is_valid_dual():
     for i, j in spec.root_pairs:
         assert y[i] - y[j] >= -1e-9
     assert float(y @ logs) <= res.margin + 1e-9
+
+
+def _cone_lp(spec, logs):
+    """The cone LP "maximize tau subject to sum t_ij (e_i - e_j) = logs,
+    t_ij >= tau" by scipy's HiGHS: (tau, t per root pair), the last
+    (redundant) equality row dropped."""
+    d, pairs = spec.dim, spec.root_pairs
+    p = len(pairs)
+    a_eq = np.zeros((d - 1, p + 1))
+    for col, (i, j) in enumerate(pairs):
+        if i < d - 1:
+            a_eq[i, col] += 1.0
+        if j < d - 1:
+            a_eq[j, col] -= 1.0
+    a_ub = np.hstack([-np.eye(p), np.ones((p, 1))])
+    c = np.zeros(p + 1)
+    c[p] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(p), A_eq=a_eq, b_eq=logs[: d - 1],
+                  bounds=[(None, None)] * (p + 1), method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[p]), res.x[:p]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cone_closed_form_matches_the_lp(seed):
+    # seeded block parabolics of 2-4 blocks of sizes 1-3; odd draws are
+    # interior points (positive root combinations), even draws generic points
+    rng = np.random.default_rng([seed, 11])
+    for draw in range(100):
+        blocks = tuple(int(b) for b in rng.integers(1, 4, size=int(rng.integers(2, 5))))
+        spec = ConeSpec(sum(blocks), blocks)
+        if draw % 2:
+            logs = np.zeros(spec.dim)
+            for i, j in spec.root_pairs:
+                t = rng.uniform(0.01, 2.0)
+                logs[i] += t
+                logs[j] -= t
+        else:
+            logs = rng.normal(size=spec.dim)
+            logs -= logs.mean()
+        res = expanding_cone_membership(spec, logs)
+        tau_lp, _ = _cone_lp(spec, logs)
+        assert res.inside == (tau_lp > expansion.CONE_TOL)
+        assert abs(res.margin - tau_lp) <= 1e-12 * max(1.0, abs(tau_lp))
+        if res.inside:
+            assert res.separator is None
+            recon = np.zeros(spec.dim)
+            for (i, j), t in res.coefficients.items():
+                assert t >= res.margin
+                recon[i] += t
+                recon[j] -= t
+            assert np.abs(recon - logs).max() <= 1e-12
+        else:
+            y = res.separator
+            assert res.coefficients is None and y[-1] == 0.0
+            assert all(y[i] - y[j] >= 0.0 for i, j in spec.root_pairs)
+            assert abs(y @ logs - res.margin) <= 1e-12
 
 
 def test_cone_d_alpha_beta_family():
