@@ -15,7 +15,13 @@ positive-pair certificate whose sphere samples outnumber its descent
 evaluations (whole-call time, sphere optimizer included), and criterion
 06's contraction fit and one of its recurrence tables (150 trials of 48
 steps), and expanding-cone membership on criterion 02's (2,1,1) parabolic
-and on a four-block one, at seeded interior and generic points.  The row
+and on a four-block one, at seeded interior and generic points.  A walk
+step is timed with the three observables of the benchmark's short walks
+(``walk_step.d2``) and with criterion 05's Siegel count alone
+(``walk_step.d2.siegel``); the stacked R-factor of the walk's observables
+is timed per member of 512-member stacks of the seeded walk bases
+(``rfactor_stack.d2``, ``rfactor_stack.d4``), beside the scalar
+``rfactor`` rows.  The row
 ``import.expwalk_cli`` is the time a fresh interpreter takes to
 ``import expwalk.cli`` (timed inside the child, interpreter start-up
 excluded) over ``REPEATS`` children.  One repeat
@@ -56,6 +62,7 @@ from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
 from expwalk.lattices import (  # noqa: E402
     HeightSpec,
     UnimodularLattice,
+    _rfactor_stack,
     contraction_fit,
     lll_reduce,
     margulis_height,
@@ -123,6 +130,13 @@ def _cone_inputs(spec, n, seed):
                 logs[j] -= t
         inputs.append(logs)
     return inputs
+
+
+def _stacks(lats, size=512):
+    """The reduced bases of ``lats``, cycled to fill whole (size, d, d) stacks."""
+    k = -(-len(lats) // size)
+    bases = np.array([lats[i % len(lats)].reduced for i in range(k * size)])
+    return list(bases.reshape(k, size, *bases.shape[1:]))
 
 
 def _fresh(lats):
@@ -200,6 +214,10 @@ def main(argv=None) -> int:
     def walk_steps(x0):
         walk_simulate(pair, x0, n_walk, WALK_OBSERVABLES, seed=0)
 
+    def siegel_walk_steps(x0):
+        # criterion 05's observable alone
+        walk_simulate(pair, x0, n_walk, WALK_OBSERVABLES[:1], seed=0)
+
     def carpet_flow(t_max):
         # as in the census: dt 0.05, Siegel counts of radius 3
         return lambda mat: flow_trace(mat, carpet.weightpair, t_max, dt=0.05, siegel_radius=3.0)
@@ -245,6 +263,7 @@ def main(argv=None) -> int:
         ("siegel_count.d3", lambda x: siegel_count(x, 3.0), lat3, True, 1),
         ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), lat2, True, 1),
         ("walk_step.d2", walk_steps, lat2[:1], True, n_walk),
+        ("walk_step.d2.siegel", siegel_walk_steps, lat2[:1], True, n_walk),
         ("contraction_fit.pair.m6",
          lambda seed: contraction_fit(pair, HEIGHT, 6, sample_points=200, seed=seed), [6],
          False, 1),
@@ -257,6 +276,10 @@ def main(argv=None) -> int:
         ("rfactor.d2", lambda x: x.rfactor(), lat2, True, 1),
         ("rfactor.d3", lambda x: x.rfactor(), lat3, True, 1),
         ("rfactor.d4", lambda x: x.rfactor(), lat4, True, 1),
+        # per member of 512-member stacks; the walk reads R over chunks of at
+        # most lattices.WALK_CHUNK steps
+        ("rfactor_stack.d2", _rfactor_stack, _stacks(lat2), False, 512),
+        ("rfactor_stack.d4", _rfactor_stack, _stacks(lat4), False, 512),
         ("brute_force_quality.1x1.T1e4", brute(unit, 1e4), scalars, False, 1),
         ("brute_force_quality.1x1.T1e5", brute(unit, 1e5), scalars[:2], False, 1),
         ("brute_force_quality.carpet.T100", brute(carpet.weightpair, 100.0), carpet_points,

@@ -14,10 +14,12 @@ Shortest vectors and Siegel counts share one depth-first Fincke-Pohst
 enumerator on the cached R-factor of the reduced basis, in every
 dimension.  R comes from one scalar Gram-Schmidt path for every d
 (``_rfactor``), on columns each scaled by its own power of two, so that
-no square overflows deep in the cusp.  The enumerator's node cap counts
-integer coordinates visited at every level, leaves included: each level's
-whole range is charged before it is walked, so a range past the cap (deep
-in the cusp) fails at once.  ``_sup_systole`` is the sup-norm search of
+no square overflows deep in the cusp; ``_rfactor_stack`` takes the same
+steps elementwise on a stack of bases, with the bits of ``_rfactor`` for
+each member.  The enumerator's node cap counts integer coordinates
+visited at every level, leaves included: each level's whole range is
+charged before it is walked, so a range past the cap (deep in the cusp)
+fails at once.  ``_sup_systole`` is the sup-norm search of
 ``shortest_vector`` that returns the length alone, for the diagonal flow.
 
 Reduction is one scalar LLL kernel for every dimension (``_lll``), on
@@ -46,9 +48,11 @@ and Gram matrices are stacked ``np.matmul`` calls and minors stacked
 ``np.linalg.det`` calls; both work one matrix at a time, so each member
 gets the bits of its own 2-d call.  A stack raises the error that the
 scalar loop over its members would raise first: the lowest failing
-member's.  A stack of one costs several times a scalar call, so the walk
-loop of ``walk_simulate`` and the flow keep the scalar kernel.  The height
-reads a plan cached per (spec, d): grade exponents and each subset's
+member's.  A stack of one costs several times a scalar call, so the flow
+and the reduction of ``walk_simulate``, where each step depends on the
+last, keep the scalar kernel; the walk's observables are read over chunks
+of its steps, with one stacked R-factor and height pass per chunk.  The
+height reads a plan cached per (spec, d): grade exponents and each subset's
 minor as indices into the flat Gram matrix, so a stack is one Gram product
 and one batched determinant per grade (``margulis_height``: a stack of 1).
 """
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, floor, frexp, inf, isfinite, ldexp, sqrt
 
 import numpy as np
@@ -68,6 +72,7 @@ from .rng import substream
 LLL_DELTA = 0.99  # the Lovasz parameter of every reduction
 DET_TOL = 1e-6  # how far from +-1 the determinant of an input basis may be
 STACK = 4096  # members per lockstep stack of the contraction fit and recurrence trials
+WALK_CHUNK = 256  # steps per stack of walk observables
 
 
 class LatticeError(NumericalError):
@@ -284,6 +289,29 @@ def _gso_stack(c):
         q[:, i] = v
         norms[:, i] = s
     return mu, norms, ~((norms > 0.0) & np.isfinite(norms)).all(axis=1)
+
+
+def _rfactor_stack(bases) -> list:
+    """:func:`_rfactor` of each basis of a (n, d, d) stack, as a list of R's
+    rows per member, or None for a member whose scalar R raises.
+
+    The same steps, elementwise: ``np.frexp`` exponents of each column's
+    largest entry, exact ``np.ldexp`` scaling, :func:`_gso_stack`, then the
+    assembly of :func:`_rfactor_from_gso`, where an overflow reads inf.  A
+    collapsed norm (zero or not finite) gives a diagonal entry that is zero
+    or not finite, so the assembly's check refuses that member too.
+    """
+    d = bases.shape[1]
+    cols = np.swapaxes(bases, 1, 2)
+    e = np.frexp(np.abs(cols).max(axis=2))[1]
+    with np.errstate(all="ignore"):
+        mu, norms, _ = _gso_stack(np.ldexp(cols, -e[:, :, None]))
+        roots = np.sqrt(norms)
+        # R_kj = mu_jk sqrt(n_k) 2^e_j; mu_jk = 0 for k >= j
+        r = np.ldexp(np.swapaxes(mu, 1, 2) * roots[:, :, None], e[:, None, :])
+        diag = r[:, range(d), range(d)] = np.ldexp(roots, e)
+        ok = (diag > 0.0).all(axis=1) & np.isfinite(r).all(axis=(1, 2))
+    return [rows if good else None for rows, good in zip(r.tolist(), ok.tolist())]
 
 
 def _lll_stack(bases):
@@ -649,26 +677,36 @@ def margulis_height_profile(x: UnimodularLattice, spec: HeightSpec):
 # observables and walks
 
 
+def _each(fn):
+    """The list observable that reads ``fn`` of each lattice in turn."""
+    return lambda xs: [fn(x) for x in xs]
+
+
 def parse_observable(spec: str, height: HeightSpec | None = None):
     """Observable from a compact string: ``height``, ``mahler:EPS``,
-    ``siegel:R``, ``shortest:sup`` or ``shortest:euclid``."""
+    ``siegel:R``, ``shortest:sup`` or ``shortest:euclid``.
+
+    Returns (spec, fn), fn mapping a list of lattices to their values:
+    ``height`` is one :func:`_heights` of their stacked bases, the others
+    run lattice by lattice on each one's cached R and shortest vectors.
+    """
     name, _, arg = spec.partition(":")
     if name == "height":
         if height is None:
             raise ValueError("height observable requires a HeightSpec")
-        return spec, lambda x: margulis_height(x, height)
+        return spec, lambda xs: _heights(np.array([x.reduced for x in xs]), height)
     if name in ("mahler", "siegel"):
         value = float(arg)
         if np.isnan(value):
             raise ValueError(f"observable {spec!r}: argument is NaN")
         if name == "mahler":
-            return spec, lambda x: float(mahler_member(x, value))
+            return spec, _each(lambda x: float(mahler_member(x, value)))
         if value == inf:  # the count would only hit its cap
             raise ValueError(f"observable {spec!r}: radius must be finite")
-        return spec, lambda x: float(siegel_count(x, value))
+        return spec, _each(lambda x: float(siegel_count(x, value)))
     if name == "shortest":
         norm = arg or "sup"
-        return spec, lambda x: x.shortest(norm)[1]
+        return spec, _each(lambda x: x.shortest(norm)[1])
     raise ValueError(f"unknown observable {spec!r}")
 
 
@@ -752,6 +790,19 @@ def _walk_stack(x: np.ndarray, atoms: np.ndarray, idx: np.ndarray, lengths=None)
     _raise_first(errors)
 
 
+def _observe(obs, xs) -> list:
+    """The values of each observable of ``obs`` on the lattices ``xs``.  On a
+    failure, raises the one that reading them lattice by lattice, each in
+    the order of ``obs``, meets first."""
+    try:
+        return [fn(xs) for _, fn in obs]
+    except Exception:
+        for x in xs:
+            for _, fn in obs:
+                fn([x])
+        raise
+
+
 def _check_start(mu: GroupMeasure, x0: UnimodularLattice) -> None:
     if x0.dim != mu.dim:
         raise ValueError(
@@ -769,25 +820,46 @@ def walk_simulate(
     """Left random walk x <- g x with reduction at every step.
 
     ``observables`` is a sequence of (label, callable) pairs or compact
-    strings understood by :func:`parse_observable`.  Identical
-    (seed, config) reproduce the trajectory bit for bit.
+    strings understood by :func:`parse_observable`; a callable maps a list
+    of lattices to their values.  The reduction is the scalar loop
+    :func:`_walk`, since each step depends on the last.  The observables
+    are read over chunks of at most ``WALK_CHUNK`` steps: the reduced bases
+    of a chunk fill one (n, d, d) buffer, and its lattices take their R
+    from one :func:`_rfactor_stack` (a member without one computes it
+    alone, and fails as it would alone).  The observables of x0 are read
+    before the first reduction, so a bad argument fails at once.  A chunk
+    raises the error the step-by-step loop meets first: an observable's at
+    the lowest step, in the order of ``observables``, then the reduction
+    failure that ended the chunk.  Identical (seed, config) reproduce the
+    trajectory bit for bit.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
     _check_start(mu, x0)
-    obs = []
-    for ob in observables:
-        if isinstance(ob, str):
-            obs.append(parse_observable(ob))
-        else:
-            obs.append(ob)
-    idx = sample_indices(mu, n_steps, seed=seed)
+    obs = [parse_observable(ob) if isinstance(ob, str) else ob for ob in observables]
     values = {label: np.empty(n_steps + 1) for label, _ in obs}
     for label, fn in obs:
-        values[label][0] = fn(x0)
-    for step, x in enumerate(_walk(x0, (mu.matrices[i] for i in idx)), 1):
-        for label, fn in obs:
-            values[label][step] = fn(x)
+        values[label][0] = fn([x0])[0]
+    idx = sample_indices(mu, n_steps, seed=seed)
+    walk = _walk(x0, (mu.matrices[i] for i in idx))
+    buf = np.empty((min(n_steps, WALK_CHUNK), mu.dim, mu.dim))
+    step = 1
+    while step <= n_steps:
+        n, failure = 0, None
+        try:
+            for x in islice(walk, len(buf)):
+                buf[n] = x.reduced
+                n += 1
+        except Exception as err:  # raised after the observables of the steps before it
+            failure = err
+        if n:
+            bases = buf[:n]
+            xs = [UnimodularLattice(b, _rfactor=r) for b, r in zip(bases, _rfactor_stack(bases))]
+            for (label, _), vals in zip(obs, _observe(obs, xs)):
+                values[label][step:step + n] = vals
+        if failure is not None:
+            raise failure
+        step += n
     running = {label: _running_average(vals) for label, vals in values.items()}
     return TrajectoryRecord(np.arange(n_steps + 1), values, running)
 

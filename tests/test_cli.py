@@ -755,6 +755,25 @@ def test_siegel_radius_not_positive_and_finite_is_exit_2(tmp_path, capsys, obser
     assert list(tmp_path.iterdir()) == [mpath]
 
 
+@pytest.mark.parametrize("observable, reason", [
+    ("mahler:0", "epsilon must be positive"),
+    ("siegel:-1", "radius must be positive"),
+    ("shortest:taxicab", "unknown norm 'taxicab'"),
+])
+def test_bad_observable_is_exit_2_before_the_walk(tmp_path, capsys, monkeypatch, observable,
+                                                  reason):
+    from expwalk import lattices
+
+    monkeypatch.setattr(lattices, "sample_indices", lambda *a, **k: pytest.fail("walk sampled"))
+    monkeypatch.setattr(lattices, "lll_reduce", lambda *a, **k: pytest.fail("walk reduced"))
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "n_steps": 10**6, "observables": [observable]}
+    assert cli.run({"kind": "walk", "parameters": params, "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == f"config error: walk: {reason}\n"
+    assert list(tmp_path.iterdir()) == [mpath]
+
+
 @pytest.mark.parametrize("length", [0, -3])
 def test_kau_length_below_one_is_exit_2(tmp_path, capsys, monkeypatch, length):
     # before the check len 0 exited 0 with an empty table, whatever the atoms

@@ -9,7 +9,8 @@ The reduced basis must agree byte for byte, and the Python-int transform
 of the scalar kernel ``_lll`` entry for entry with the reference's, on
 the inputs real walks and flows feed the kernel;
 heights and height profiles must agree in value and dtype; Siegel counts
-and shortest vectors must not move with R's bits; the chunked search must
+and shortest vectors must not move with R's bits, and the stacked R of the
+walk's observables must keep the scalar R's bits; the chunked search must
 return the same quality bits, p and q; flow minima and Siegel counts, and
 the R the flow reads from the LLL's Gram-Schmidt data, must agree byte
 for byte; and the representations must agree byte for byte.
@@ -313,6 +314,46 @@ def test_rfactor_matches_numpy_qr_reference(d):
             (v, length), (ref_v, ref_length) = shortest_vector(x, norm), shortest_vector(ref, norm)
             assert v.tobytes() == ref_v.tobytes() and repr(length) == repr(ref_length)
     assert moved  # R's bits differ from QR's, the observables do not
+
+
+def _assert_stack_matches_rfactor(bases):
+    """``_rfactor_stack`` against the scalar ``_rfactor``, member by member."""
+    rs = lattices._rfactor_stack(np.array(bases))
+    assert len(rs) == len(bases)
+    for b, r in zip(bases, rs):
+        ref = lattices._rfactor(b.T.tolist())
+        assert r == ref and np.array(r).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rfactor_stack_matches_rfactor(d):
+    # seeded walk bases (d = 2, 4) and carpet-flow snapshots (d = 3)
+    _assert_stack_matches_rfactor([x.reduced for x in _bench_lattices(d)])
+
+
+def test_rfactor_stack_matches_rfactor_deep_in_the_cusp():
+    ts = np.arange(0.0, 351.0, 0.5)
+    _assert_stack_matches_rfactor([np.diag([np.exp(-t), np.exp(t)]) for t in ts])
+
+
+def test_rfactor_stack_leaves_a_near_singular_member_to_the_scalar_path():
+    good = [x.reduced for x in _bench_lattices(2)[:3]]
+    collapsed = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])  # exactly singular in floats
+    overflow = np.array([[1.5e308, 1.0], [1.5e308, 0.0]])  # R_00 = sqrt(2) 1.5e308
+    bases = [good[0], collapsed, good[1], overflow, good[2]]
+    rs = lattices._rfactor_stack(np.array(bases))
+    assert [r is None for r in rs] == [False, True, False, True, False]
+    for b, r in zip(bases, rs):
+        if r is not None:
+            assert r == lattices._rfactor(b.T.tolist())
+            continue
+        with pytest.raises(lattices.ConditioningError) as scalar:
+            lattices._rfactor(b.T.tolist())
+        # a lattice without R computes it alone, and its step fails as the scalar R fails
+        for observable in (lambda x: siegel_count(x, 3.0), lambda x: x.shortest("sup")):
+            with pytest.raises(lattices.ConditioningError) as info:
+                observable(UnimodularLattice(b, _rfactor=r))
+            assert str(info.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

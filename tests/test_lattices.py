@@ -2,24 +2,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expwalk import catalog
+from expwalk import catalog, lattices
 from expwalk.lattices import (
+    WALK_CHUNK,
     ConditioningError,
     ContractionFit,
     ContractionUnverified,
     HeightSpec,
+    LatticeError,
     UnimodularLattice,
+    _each,
+    _walk,
     contraction_fit,
     lll_reduce,
     mahler_member,
     margulis_height,
+    parse_observable,
     recurrence_experiment,
     siegel_count,
     standard_lattice,
     walk_simulate,
 )
 from expwalk.linalg import operator_norms
-from expwalk.measures import GroupMeasure
+from expwalk.measures import GroupMeasure, sample_indices
 
 
 def random_unimodular_int(rng, d, steps=8):
@@ -239,6 +244,172 @@ def test_walk_bit_reproducible():
     for k in rec1.values:
         assert np.array_equal(rec1.values[k], rec2.values[k])
         assert np.array_equal(rec1.running[k], rec2.running[k])
+
+
+# the observables of one lattice, as the step-by-step walk loop read them
+SCALAR_OBSERVABLES = {
+    "siegel:3.0": lambda x: float(siegel_count(x, 3.0)),
+    "shortest:sup": lambda x: x.shortest("sup")[1],
+    "shortest:euclid": lambda x: x.shortest("euclid")[1],
+    "mahler:0.3": lambda x: float(mahler_member(x, 0.3)),
+    "height": lambda x: margulis_height(x, HeightSpec(0.1, 0.3)),
+}
+
+
+def walk_simulate_ref(mu, x0, n_steps, observables, seed):
+    """The step-by-step loop that read each observable of each lattice as
+    ``_walk`` reduced it: (label, fn) pairs, fn of one lattice."""
+    values = {label: np.empty(n_steps + 1) for label, _ in observables}
+    for label, fn in observables:
+        values[label][0] = fn(x0)
+    idx = sample_indices(mu, n_steps, seed=seed)
+    for step, x in enumerate(_walk(x0, (mu.matrices[i] for i in idx)), 1):
+        for label, fn in observables:
+            values[label][step] = fn(x)
+    return values
+
+
+def _outcome(run):
+    """(class, message) of what ``run`` raises, or its result."""
+    try:
+        return run()
+    except Exception as err:  # noqa: BLE001 - any failure is compared
+        return type(err), str(err)
+
+
+def _criterion_05_start():
+    return lll_reduce([[1.0, np.sqrt(2.0)], [0.0, 1.0]])
+
+
+def _five_start():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    c = rng.uniform(-0.5, 0.5, size=4)
+    return lll_reduce(q @ np.diag(np.exp(c - c.mean())))
+
+
+@pytest.mark.parametrize("mu, start, n_steps, labels, seed", [
+    # criterion 05's start, past several chunk boundaries
+    (catalog.positive_pair_sl2(), _criterion_05_start, 1300,
+     ["siegel:3.0", "shortest:sup", "mahler:0.3"], 0),
+    (catalog.sl4_five_generator_measure(), _five_start, 600, ["height", "shortest:euclid"], 1),
+])
+def test_chunked_walk_matches_step_by_step_loop(mu, start, n_steps, labels, seed):
+    assert n_steps > WALK_CHUNK
+    obs = [parse_observable(label, HeightSpec(0.1, 0.3)) for label in labels]
+    rec = walk_simulate(mu, start(), n_steps, obs, seed=seed)
+    ref = walk_simulate_ref(mu, start(), n_steps,
+                            [(label, SCALAR_OBSERVABLES[label]) for label in labels], seed)
+    assert list(rec.values) == labels
+    for label in labels:
+        assert np.array_equal(rec.values[label], ref[label])
+
+
+# 2^(3/4) a step: the reduction collapses at step 683, inside a chunk
+CLIMB = GroupMeasure.dirac(np.diag([2.0**0.75, 2.0**-0.75]))
+
+
+def _recorders():
+    """A list observable and its one-lattice twin, each logging the bases
+    it reads: (log, observable, reference log, reference observable)."""
+    seen, seen_ref = [], []
+
+    def record(xs):
+        seen.extend(x.reduced.tobytes() for x in xs)
+        return [0.0] * len(xs)
+
+    def record_ref(x):
+        seen_ref.append(x.reduced.tobytes())
+        return 0.0
+
+    return seen, ("bases", record), seen_ref, ("bases", record_ref)
+
+
+def test_reduction_failure_mid_chunk_follows_the_earlier_steps_observables():
+    seen, record, seen_ref, record_ref = _recorders()
+    got = _outcome(lambda: walk_simulate(CLIMB, standard_lattice(2), 1000, ["mahler:0.3", record]))
+    expected = _outcome(lambda: walk_simulate_ref(
+        CLIMB, standard_lattice(2), 1000, [("mahler:0.3", SCALAR_OBSERVABLES["mahler:0.3"]),
+                                           record_ref], 0))
+    assert expected == (ConditioningError, "reduction failed at step 683: Gram-Schmidt collapsed; "
+                                           "basis near-singular")
+    assert got == expected and 683 % WALK_CHUNK > 1
+    assert len(seen_ref) == 683 and seen == seen_ref  # x0 and steps 1..682
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, WALK_CHUNK, WALK_CHUNK + 1, WALK_CHUNK + 2])
+def test_reduction_failure_at_chunk_edges_follows_the_earlier_steps_observables(monkeypatch,
+                                                                                 fail_at):
+    real, calls = lattices.lll_reduce, []
+
+    def reduce(basis, renormalize=True):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise ConditioningError("Gram-Schmidt collapsed; basis near-singular")
+        return real(basis, renormalize)
+
+    def run(walk):
+        calls.clear()
+        return _outcome(walk)
+
+    seen, record, seen_ref, record_ref = _recorders()
+    labels = ["height", "siegel:3.0", "shortest:sup"]
+    monkeypatch.setattr(lattices, "lll_reduce", reduce)
+    got = run(lambda: walk_simulate(
+        catalog.positive_pair_sl2(), _criterion_05_start(), 600,
+        [parse_observable(label, HeightSpec(0.1, 0.3)) for label in labels] + [record]))
+    expected = run(lambda: walk_simulate_ref(
+        catalog.positive_pair_sl2(), _criterion_05_start(), 600,
+        [(label, SCALAR_OBSERVABLES[label]) for label in labels] + [record_ref], 0))
+    assert expected == (ConditioningError, f"reduction failed at step {fail_at}: Gram-Schmidt "
+                                           "collapsed; basis near-singular")
+    assert got == expected
+    assert len(seen_ref) == fail_at and seen == seen_ref
+
+
+def _past(bits):
+    """An observable that fails on a basis entry past 2^bits."""
+    def value(x):
+        if np.abs(x.reduced).max() > 2.0**bits:
+            raise LatticeError(f"entry past 2^{bits}")
+        return 0.0
+    return f"past:{bits}", value
+
+
+@pytest.mark.parametrize("labels", [
+    ["siegel:3.0", 40],  # the Siegel count hits its cap at a lower step
+    [40, "siegel:3.0"],
+    [15, "siegel:3.0"],  # the entry bound at a lower step
+    ["siegel:3.0", 15],
+    ["siegel:3.0", 20.9],  # both at step 28: the first in order
+    [20.9, "siegel:3.0"],
+    ["mahler:0.3", 450],  # in the chunk of step 683, before its reduction fails
+    [450, 20, "mahler:0.3"],
+])
+def test_chunked_walk_raises_the_step_by_step_loops_first_failure(labels):
+    pairs = [(label, SCALAR_OBSERVABLES[label]) if isinstance(label, str) else _past(label)
+             for label in labels]
+    obs = [(label, _each(fn)) if label.startswith("past") else label for label, fn in pairs]
+    got = _outcome(lambda: walk_simulate(CLIMB, standard_lattice(2), 1000, obs))
+    expected = _outcome(lambda: walk_simulate_ref(CLIMB, standard_lattice(2), 1000, pairs, 0))
+    assert isinstance(expected, tuple) and issubclass(expected[0], LatticeError)
+    assert got == expected
+
+
+@pytest.mark.parametrize("observable, reason", [
+    ("mahler:0", "epsilon must be positive"),
+    ("siegel:-1", "radius must be positive"),
+    ("shortest:taxicab", "unknown norm 'taxicab'"),
+])
+def test_bad_observable_refused_before_any_reduction(monkeypatch, observable, reason):
+    def never(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(lattices, "sample_indices", never)
+    monkeypatch.setattr(lattices, "lll_reduce", never)
+    with pytest.raises(ValueError) as info:
+        walk_simulate(catalog.positive_pair_sl2(), standard_lattice(2), 10**6, [observable])
+    assert str(info.value) == reason
 
 
 def test_contraction_identity_reports_violations():
