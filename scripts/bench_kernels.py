@@ -21,7 +21,10 @@ step is timed with the three observables of the benchmark's short walks
 (``walk_step.d2.siegel``); the stacked R-factor of the walk's observables
 is timed per member of 512-member stacks of the seeded walk bases
 (``rfactor_stack.d2``, ``rfactor_stack.d4``), beside the scalar
-``rfactor`` rows.  The row
+``rfactor`` rows.  A whole fractal census of the benchmark's larger
+carpet op (16 points to t = 20, brute-force boxes to T = 100) is timed
+as ``fractal_experiment.carpet.16x20``; its points run on every core of
+the process's affinity.  The row
 ``import.expwalk_cli`` is the time a fresh interpreter takes to
 ``import expwalk.cli`` (timed inside the child, interpreter start-up
 excluded) over ``REPEATS`` children.  One repeat
@@ -51,7 +54,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from expwalk import catalog  # noqa: E402
-from expwalk.dioph import brute_force_quality, flow_trace  # noqa: E402
+from expwalk.dioph import brute_force_quality, flow_trace, fractal_experiment  # noqa: E402
 from expwalk.expansion import (  # noqa: E402
     ConeSpec,
     expanding_cone_membership,
@@ -280,6 +283,10 @@ def main(argv=None) -> int:
         # most lattices.WALK_CHUNK steps
         ("rfactor_stack.d2", _rfactor_stack, _stacks(lat2), False, 512),
         ("rfactor_stack.d4", _rfactor_stack, _stacks(lat4), False, 512),
+        # census op 01's shape: its points split over the process's cores
+        ("fractal_experiment.carpet.16x20",
+         lambda seed: fractal_experiment(carpet, carpet.weightpair, 16, 20.0, seed=seed,
+                                         brute_t_max=100.0), [1], False, 1),
         ("brute_force_quality.1x1.T1e4", brute(unit, 1e4), scalars, False, 1),
         ("brute_force_quality.1x1.T1e5", brute(unit, 1e5), scalars[:2], False, 1),
         ("brute_force_quality.carpet.T100", brute(carpet.weightpair, 100.0), carpet_points,

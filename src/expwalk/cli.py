@@ -23,7 +23,9 @@ Nothing is written until the kind returns.  Exit codes and what each writes:
   ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
   ``error`` and, where the error carries one, the ``partial`` value.
 
-Execution is sequential, hence deterministic for a fixed config.
+Execution is deterministic for a fixed config.  ``dioph-fractal`` splits
+its points over the process's cores (share 0 in this process, the others
+in forked workers), with the same bytes for any number of cores.
 """
 from __future__ import annotations
 

@@ -10,11 +10,17 @@ precision than a double.  One grid point is one path on Python lists: the
 float snapshot goes through the LLL kernel shared with ``lll_reduce``, its
 R-factor is read from that kernel's Gram-Schmidt data where the kernel
 changed nothing and the snapshot spans at most 400 bits (computed afresh
-otherwise), and the flow reads only the length of the sup-norm systole.  Finite-horizon results are reported as evidence
+otherwise), and the flow reads only the length of the sup-norm systole.
+The fractal census splits its points into interleaved shares, one per
+core of the process's affinity (point i goes to share i mod w): share 0
+runs in this process and the others in forked workers, and the rows are
+put back in point order, so the results are the same bits for any
+number of cores.  Finite-horizon results are reported as evidence
 scores, never as verdicts: the dichotomies they probe are asymptotic.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from math import frexp, gamma, isfinite, ldexp, log, pi
 from operator import mul
@@ -253,8 +259,9 @@ def flow_trace(
     orbits.
     """
     steps = _grid_points(t_max, dt)
-    if siegel_radius is not None and not siegel_radius > 0.0:
-        raise ValueError("siegel_radius must be positive")
+    if siegel_radius is not None and not (siegel_radius > 0.0 and isfinite(siegel_radius)):
+        # an infinite ball would only saturate every count at SIEGEL_CAP
+        raise ValueError(f"siegel_radius must be positive and finite, got {siegel_radius!r}")
     raw = np.atleast_2d(np.asarray(mat, dtype=object))
     if raw.shape != (weights.m, weights.n):
         raise ValueError(f"matrix shape {raw.shape} does not match the weights")
@@ -360,6 +367,82 @@ def classify_point(
     )
 
 
+def _census_share(points, first: int, step: int, weights, t_max, dt, brute_t_max):
+    """Census rows of ``points``, the census points of index first,
+    first + step, .., in order.
+
+    Stops at the first failing point: returns (rows, None), or the rows
+    before the failure and (point index, error).
+    """
+    rows = []
+    for i, mat in zip(range(first, first + step * len(points), step), points):
+        try:
+            trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=SIEGEL_RADIUS)
+            report = classify_point(mat, weights, t_max, dt=dt, trace=trace)
+            quality, _ = brute_force_quality(mat, weights, brute_t_max)
+        except Exception as err:  # the caller raises the lowest-index failure
+            return rows, (i, err)
+        row = {
+            "point_id": i,
+            "quality": quality,
+            "inf_minima": report.inf_minima,
+            "generic_score": report.generic_score,
+            "dirichlet_eps": report.dirichlet_eps,
+            "ba_evidence": int(report.badly_approx_evidence),
+        }
+        for j, v in enumerate(mat.ravel()):
+            row[f"coord_{j}"] = float(v)
+        rows.append(row)
+    return rows, None
+
+
+def _share_count(n_points: int) -> int:
+    """Shares a census of ``n_points`` points is split into: one per core
+    of this process's affinity, at most one per point.  One share where
+    processes cannot be forked, or where this process runs other threads
+    (a forked child would inherit any lock they hold, held forever)."""
+    import multiprocessing
+    import threading
+
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(n_points, len(os.sched_getaffinity(0)))
+
+
+def _census(points, weights, t_max, dt, brute_t_max) -> list[dict]:
+    """Census rows of ``points`` in point order, from ``_share_count``
+    interleaved shares (see :func:`fractal_experiment`).  A worker that dies
+    raises a RuntimeError naming its share, and the workers are shut down
+    and joined on every exit.  They are forked, not spawned: a spawned
+    worker imports expwalk afresh, which costs about what a census op saves.
+    """
+    w = _share_count(len(points))
+    args = (weights, t_max, dt, brute_t_max)
+    if w == 1:
+        shares = [_census_share(points, 0, 1, *args)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_census_share, points[k::w], k, w, *args) for k in range(1, w)]
+            shares = [_census_share(points[0::w], 0, w, *args)]
+            for k, future in enumerate(futures, 1):
+                try:
+                    shares.append(future.result())
+                except BrokenProcessPool as err:
+                    raise RuntimeError(
+                        f"census share {k} of {w} (points {k}, {k + w}, ..) was lost: "
+                        f"its worker process died"
+                    ) from err
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return sorted((row for rows, _ in shares for row in rows), key=lambda row: row["point_id"])
+
+
 def fractal_experiment(
     ifs: AffineIFS,
     weights: WeightPair,
@@ -378,6 +461,14 @@ def fractal_experiment(
     classification and a brute-force quality; the summary aggregates
     badly-approximable evidence fractions per threshold, the median
     genericity score, and quality quantiles.
+
+    The points are split into w = min(n_points, cores of the process's
+    affinity) interleaved shares (point i in share i mod w; one share where
+    processes cannot be forked).  Share 0 runs in this process and the
+    others in forked workers, one task each, through the same per-point
+    body; the rows come back in point order, and the failure of the lowest
+    point index is raised as a sequential loop would raise it.  The summary
+    and rows are therefore the same bits for any number of cores.
 
     Returns (summary, rows) with one row dict per point.
     """
@@ -401,23 +492,7 @@ def fractal_experiment(
             raise ValueError(f"symbol {i} is not a sponge affinity for the weights: {chk.reason}")
 
     points = coding_sample(ifs, n_points, seed=seed)
-    rows = []
-    for i in range(n_points):
-        mat = points[i]
-        trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=SIEGEL_RADIUS)
-        report = classify_point(mat, weights, t_max, dt=dt, trace=trace)
-        quality, _ = brute_force_quality(mat, weights, brute_t_max)
-        row = {
-            "point_id": i,
-            "quality": quality,
-            "inf_minima": report.inf_minima,
-            "generic_score": report.generic_score,
-            "dirichlet_eps": report.dirichlet_eps,
-            "ba_evidence": int(report.badly_approx_evidence),
-        }
-        for j, v in enumerate(mat.ravel()):
-            row[f"coord_{j}"] = float(v)
-        rows.append(row)
+    rows = _census(points, weights, t_max, dt, brute_t_max)
 
     inf_minima = np.array([row["inf_minima"] for row in rows])
     qualities = np.array([row["quality"] for row in rows])

@@ -820,13 +820,13 @@ def walk_simulate(
     """Left random walk x <- g x with reduction at every step.
 
     ``observables`` is a sequence of (label, callable) pairs or compact
-    strings understood by :func:`parse_observable`; a callable maps a list
-    of lattices to their values.  The reduction is the scalar loop
-    :func:`_walk`, since each step depends on the last.  The observables
-    are read over chunks of at most ``WALK_CHUNK`` steps: the reduced bases
-    of a chunk fill one (n, d, d) buffer, and its lattices take their R
-    from one :func:`_rfactor_stack` (a member without one computes it
-    alone, and fails as it would alone).  The observables of x0 are read
+    strings understood by :func:`parse_observable`, each label once; a
+    callable maps a list of lattices to their values.  The reduction is
+    the scalar loop :func:`_walk`, since each step depends on the last.
+    The observables are read over chunks of at most ``WALK_CHUNK`` steps:
+    the reduced bases of a chunk fill one (n, d, d) buffer, and its
+    lattices take their R from one :func:`_rfactor_stack` (a member
+    without one computes it alone, and fails as it would alone).  The observables of x0 are read
     before the first reduction, so a bad argument fails at once.  A chunk
     raises the error the step-by-step loop meets first: an observable's at
     the lowest step, in the order of ``observables``, then the reduction
@@ -837,7 +837,11 @@ def walk_simulate(
         raise ValueError("need at least one step")
     _check_start(mu, x0)
     obs = [parse_observable(ob) if isinstance(ob, str) else ob for ob in observables]
-    values = {label: np.empty(n_steps + 1) for label, _ in obs}
+    labels = [label for label, _ in obs]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:  # the values are keyed by label: a repeat would be read twice, written once
+        raise ValueError(f"the observables repeat {repeated}; each must appear once")
+    values = {label: np.empty(n_steps + 1) for label in labels}
     for label, fn in obs:
         values[label][0] = fn([x0])[0]
     idx = sample_indices(mu, n_steps, seed=seed)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 import expwalk
-from expwalk import catalog, cli
+from expwalk import catalog, cli, dioph
 from expwalk.dioph import FlowTrace, SearchCapError, flow_trace
 from expwalk.expansion import ExpansionFailure
-from expwalk.fractal import CodingDepthError, ifs_to_dict
+from expwalk.fractal import CodingDepthError, coding_sample, ifs_to_dict
 from expwalk.kau import FactorizationError, PrefixProductError, UnipotentLimitError, WeightPair
 from expwalk.lattices import (
     ConditioningError,
@@ -561,6 +562,22 @@ def test_fresh_import_loads_no_scipy_and_ops_match_in_process(tmp_path):
             assert fresh == (tmp_path / f"here-{name}.{suffix}").read_bytes(), (name, suffix)
 
 
+FRESH_FORK = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import expwalk.cli
+print(json.dumps(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)))
+"""
+
+
+def test_fresh_import_loads_no_process_pool():
+    # the census imports its worker pool when it runs, not with the cli
+    src = str(Path(expwalk.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", FRESH_FORK, src],
+                         check=True, capture_output=True, text=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
 def test_expansion_serves_minimize_on_access():
     from scipy.optimize import minimize
 
@@ -675,6 +692,64 @@ def test_dioph_fractal_without_points_is_exit_2(tmp_path, capsys, n_points):
     assert not (tmp_path / "o.summary.json").exists()
 
 
+def _census_doc(tmp_path, name, n_points):
+    params = {"ifs": ifs_to_dict(catalog.bm_carpet(2, 3)), "n_points": n_points,
+              "t_max": 4.0, "brute_T": 20.0}
+    return {"kind": "dioph-fractal", "seed": 4, "parameters": params,
+            "output": str(tmp_path / name)}
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 17])
+def test_dioph_fractal_bytes_are_the_same_for_one_two_and_three_shares(tmp_path, monkeypatch,
+                                                                       n_points):
+    for shares in (1, 2, 3):
+        monkeypatch.setattr(dioph, "_share_count", lambda n, w=shares: min(n, w))
+        assert cli.run(_census_doc(tmp_path, f"w{shares}", n_points)) == 0
+        assert multiprocessing.active_children() == []
+    for suffix in ("data.csv", "summary.json"):
+        one = (tmp_path / f"w1.{suffix}").read_bytes()
+        assert (tmp_path / f"w2.{suffix}").read_bytes() == one, suffix
+        assert (tmp_path / f"w3.{suffix}").read_bytes() == one, suffix
+
+
+@pytest.mark.parametrize("failing", [[2, 5], [5, 3]], ids=["parent-share", "worker-share"])
+def test_dioph_fractal_failure_is_exit_3_with_the_sequential_summary(tmp_path, monkeypatch,
+                                                                     failing):
+    # with two shares point 2 is the parent's and point 3 a forked worker's
+    points = coding_sample(catalog.bm_carpet(2, 3), 6, seed=4)
+    real = dioph.flow_trace
+
+    def flow(mat, *args, **kwargs):
+        for i in failing:
+            if np.array_equal(mat, points[i]):
+                raise ConditioningError(f"flow orbit cannot be reduced at point {i}")
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(dioph, "flow_trace", flow)
+    for shares in (1, 2):
+        monkeypatch.setattr(dioph, "_share_count", lambda n, w=shares: min(n, w))
+        assert cli.run(_census_doc(tmp_path, f"w{shares}", 6)) == 3
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / f"w{shares}.data.csv").exists()
+    summary = (tmp_path / "w1.summary.json").read_bytes()
+    assert (tmp_path / "w2.summary.json").read_bytes() == summary
+    assert json.loads(summary)["error"] == (
+        f"dioph-fractal: ConditioningError: flow orbit cannot be reduced at point {min(failing)}"
+    )
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+def test_dioph_flow_siegel_radius_not_finite_is_exit_2(tmp_path, capsys, radius):
+    # an infinite radius exited 0 with every count saturated at SIEGEL_CAP
+    params = {"M": [[0.3]], "r": [1.0], "s": [1.0], "t_max": 2.0, "siegel_radius": radius}
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == (
+        f"config error: dioph-flow: siegel_radius must be positive and finite, got {radius!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "counts, reason",
     [
@@ -771,6 +846,23 @@ def test_bad_observable_is_exit_2_before_the_walk(tmp_path, capsys, monkeypatch,
     params = {"measure": str(mpath), "n_steps": 10**6, "observables": [observable]}
     assert cli.run({"kind": "walk", "parameters": params, "output": str(tmp_path / "o")}) == 2
     assert capsys.readouterr().err == f"config error: walk: {reason}\n"
+    assert list(tmp_path.iterdir()) == [mpath]
+
+
+def test_repeated_walk_observable_is_exit_2_before_the_walk(tmp_path, capsys, monkeypatch):
+    # it exited 0 with one series for the pair, read twice per step
+    from expwalk import lattices
+
+    monkeypatch.setattr(lattices, "sample_indices", lambda *a, **k: pytest.fail("walk sampled"))
+    monkeypatch.setattr(lattices, "lll_reduce", lambda *a, **k: pytest.fail("walk reduced"))
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "n_steps": 10**6,
+              "observables": ["siegel:3.0", "shortest:sup", "siegel:3.0"]}
+    assert cli.run({"kind": "walk", "parameters": params, "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == (
+        "config error: walk: the observables repeat ['siegel:3.0']; each must appear once\n"
+    )
     assert list(tmp_path.iterdir()) == [mpath]
 
 
