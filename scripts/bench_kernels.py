@@ -10,9 +10,11 @@ hand to it) and from a float-carried carpet orbit, carpet points, a
 50-digit golden ratio and the zero 1x1 orbit deep into the cusp for the
 flow, seeded scalars and carpet points for the brute-force box (at the
 census's horizons), seeded Gaussian matrices for the representations,
-two SL4 certificates as the certify benchmark runs them and an exact
-positive-pair certificate whose sphere samples outnumber its descent
-evaluations (whole-call time, sphere optimizer included), and criterion
+two SL4 certificates as the certify benchmark runs them, an exact
+positive-pair certificate at N = 8 (256 words, 1,000 sphere samples) and
+the positive pair's moment contraction estimate at N = 6 and
+delta = 0.6 (whole-call times, sphere optimizer included, so both
+transforms of the one descent are timed), and criterion
 06's contraction fit and one of its recurrence tables (150 trials of 48
 steps), and expanding-cone membership on criterion 02's (2,1,1) parabolic
 and on a four-block one, at seeded interior and generic points.  A walk
@@ -59,6 +61,7 @@ from expwalk.expansion import (  # noqa: E402
     ConeSpec,
     expanding_cone_membership,
     expansion_certificate,
+    moment_contraction_estimate,
 )
 from expwalk.fractal import coding_sample  # noqa: E402
 from expwalk.kau import WeightPair, flow_element, unipotent  # noqa: E402
@@ -300,10 +303,13 @@ def main(argv=None) -> int:
         ("certificate.five.std.mc.N24", five_cert("std", 24, "mc", 200, mc_words=150), [0],
          False, 1),
         ("certificate.five.adj.exact.N1", five_cert("adj", 1, "exact", 100), [0], False, 1),
-        # 256 words, 1,000 sphere samples: the sample pass outweighs the descents
+        # 256 words, 1,000 sphere samples
         ("certificate.pair.std.exact.N8",
          lambda seed: expansion_certificate(pair, "std", N=8, mode="exact", seed=seed), [0],
          False, 1),
+        # the same sphere optimizer on the moment transform -|gv|^(-0.6), 64 words
+        ("moment.pair.std.N6",
+         lambda seed: moment_contraction_estimate(pair, "std", 0.6, 6, seed=seed), [0], False, 1),
     ]
     kernels = {}
 

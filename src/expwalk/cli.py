@@ -21,7 +21,11 @@ Nothing is written until the kind returns.  Exit codes and what each writes:
 * 3, numerical failure (a ``linalg.NumericalError`` such as conditioning,
   non-convergence or an enumeration cap, or a ``LinAlgError``):
   ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
-  ``error`` and, where the error carries one, the ``partial`` value.
+  ``error`` and, where the error carries one, the ``partial`` value;
+* 4, a lost worker (a ``dioph-fractal`` worker process that died,
+  ``dioph.WorkerLostError``), neither bad input nor numerical trouble:
+  ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
+  ``error``, which names the lost share, as it does on stderr.
 
 Execution is deterministic for a fixed config.  ``dioph-fractal`` splits
 its points over the process's cores (share 0 in this process, the others
@@ -39,7 +43,7 @@ from math import isfinite
 import numpy as np
 from mpmath import mp
 
-from .dioph import brute_force_quality, flow_trace, fractal_experiment
+from .dioph import WorkerLostError, brute_force_quality, flow_trace, fractal_experiment
 from .expansion import ConeSpec, expanding_cone_membership, expansion_certificate
 from .fractal import ifs_from_dict, ifs_to_dict, load_ifs, sponge_builder, sponge_check
 from .kau import (
@@ -323,7 +327,8 @@ def _run_cone(p, seed):
 def _run_expand_cert(p, seed):
     # the remaining parameter keys are the certificate's keyword arguments
     cert = expansion_certificate(p.pop("measure"), seed=seed, **p)
-    fields = ("N", "C_lower", "mode", "sphere_samples", "confidence", "passed", "verdict", "rep")
+    fields = ("N", "C_lower", "mode", "sphere_samples", "confidence", "passed", "verdict", "rep",
+              "stationarity")
     summary = {name: getattr(cert, name) for name in fields}
     cols = {"index": np.arange(len(cert.witness)), "witness": cert.witness}
     return summary, cols, {}
@@ -487,10 +492,11 @@ def run(config: dict) -> int:
     """Execute one experiment config; returns the process exit code.
 
     The config is parsed and the kind run before anything is written, so a
-    config error (exit 2) writes nothing and a numerical failure (exit 3)
-    writes the config and the failure summary.
+    config error (exit 2) writes nothing and a numerical failure (exit 3) or
+    a lost worker (exit 4) writes the config and the failure summary.
     """
     kind = config.get("kind")
+    code = 0
     try:
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -498,11 +504,14 @@ def run(config: dict) -> int:
         params = _parse(SCHEMA[kind], resolved["parameters"], kind)
         summary, cols, extra = HANDLERS[kind](params, resolved["seed"])
     except (NumericalError, np.linalg.LinAlgError) as err:
-        summary, cols, extra = {"error": f"{kind}: {type(err).__name__}: {err}"}, None, {}
+        summary, extra, code = {"error": f"{kind}: {type(err).__name__}: {err}"}, {}, 3
         partial = getattr(err, "partial", None)
         if partial is not None:
             summary["partial"] = np.asarray(partial).ravel().tolist()
         print(f"numerical failure: {summary['error']}", file=sys.stderr)
+    except WorkerLostError as err:
+        summary, extra, code = {"error": f"{kind}: {type(err).__name__}: {err}"}, {}, 4
+        print(f"worker failure: {summary['error']}", file=sys.stderr)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -513,8 +522,8 @@ def run(config: dict) -> int:
     prefix = resolved["output"]
     for suffix, doc in {"config.json": resolved, "summary.json": summary, **extra}.items():
         _write_json(f"{prefix}.{suffix}", doc)
-    if cols is None:  # the numerical failure above
-        return 3
+    if code:  # the failures above
+        return code
     with open(f"{prefix}.data.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(emit_plotdata(cols))
     return 0

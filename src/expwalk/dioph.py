@@ -48,6 +48,11 @@ class SearchCapError(NumericalError):
     """Brute-force search box exceeds the configured cap."""
 
 
+class WorkerLostError(RuntimeError):
+    """A census worker process died, and with it the points of its share:
+    neither bad input nor numerical trouble."""
+
+
 def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8):
     """Exact minimum of the weighted approximation product up to height t_max.
 
@@ -306,7 +311,6 @@ class PointReport:
     """Finite-horizon evidence scores for one matrix (never verdicts)."""
 
     inf_minima: float
-    badly_approx_score: float
     badly_approx_evidence: bool
     dirichlet_eps: float
     dirichlet_evidence: bool
@@ -356,7 +360,6 @@ def classify_point(
     generic_score = max(0.0, 1.0 - min(rel_err, 1.0)) * max(0.0, 1.0 - occ_shift)
     return PointReport(
         inf_minima=inf_minima,
-        badly_approx_score=inf_minima,
         badly_approx_evidence=inf_minima >= 0.1,
         dirichlet_eps=dirichlet_eps,
         dirichlet_evidence=dirichlet_eps > 0.0,
@@ -413,9 +416,10 @@ def _share_count(n_points: int) -> int:
 def _census(points, weights, t_max, dt, brute_t_max) -> list[dict]:
     """Census rows of ``points`` in point order, from ``_share_count``
     interleaved shares (see :func:`fractal_experiment`).  A worker that dies
-    raises a RuntimeError naming its share, and the workers are shut down
-    and joined on every exit.  They are forked, not spawned: a spawned
-    worker imports expwalk afresh, which costs about what a census op saves.
+    raises a :class:`WorkerLostError` naming its share, and the workers are
+    shut down and joined on every exit.  They are forked, not spawned: a
+    spawned worker imports expwalk afresh, which costs about what a census
+    op saves.
     """
     w = _share_count(len(points))
     args = (weights, t_max, dt, brute_t_max)
@@ -433,7 +437,7 @@ def _census(points, weights, t_max, dt, brute_t_max) -> list[dict]:
                 try:
                     shares.append(future.result())
                 except BrokenProcessPool as err:
-                    raise RuntimeError(
+                    raise WorkerLostError(
                         f"census share {k} of {w} (points {k}, {k + w}, ..) was lost: "
                         f"its worker process died"
                     ) from err

@@ -4,24 +4,23 @@ Certifies or refutes uniform expansion of a matrix random walk through the
 integral criterion: the walk expands every direction iff for some word
 length N the integral of log(|gv|/|v|) over N-step words is bounded below
 by a positive constant uniformly on the unit sphere.  The sphere minimum
-is located heuristically (dense random sampling plus Nelder-Mead descent
-from the best samples), so a positive result is reported as
-"PASS (heuristic min > 0)" while a negative witness is a proof of failure.
-The N-step words come from the one word-product engine in
-:mod:`expwalk.measures`, and :func:`_sphere_minimize` is the one sphere
-optimizer: the certificate minimizes the mean of log|gv|, the moment
-contraction estimate the mean of -|gv|^(-delta).  One batch objective
-scores the sphere samples and the descents, and its memory is bounded by
-image elements, whatever the sample count.  The descents run in lockstep
-as one batch (:func:`_nelder_mead_batch`), which reproduces scipy's
-Nelder-Mead bit for bit without its per-start Python loop; a start that
-reaches a bitwise fixed point leaves the batch with the result scipy
-returns at ``maxiter``, which is exact because each row's objective value
-does not depend on the rest of the batch.  The objective
+is located heuristically, so a positive result is reported as
+"PASS (heuristic min > 0)" while a negative witness is a proof of failure;
+the certificate states the quality of its minimum as ``stationarity``, the
+Riemannian gradient norm at the witness.  The N-step words come from the
+one word-product engine in :mod:`expwalk.measures`, and
+:func:`_sphere_minimize` is the one sphere optimizer: the certificate
+minimizes the mean of log|gv|, the moment contraction estimate the mean
+of -|gv|^(-delta).  It scores random directions and the least singular
+directions of the words, then runs one lockstep Riemannian BFGS descent
+(:func:`_descend`) from the best of them, which stops on a small gradient,
+at the rounding floor or at an iteration cap.  One batch objective gives
+the values and, for the descents, the analytic Riemannian gradient, and
+its memory is bounded by image elements, whatever the sample count.  It
 takes the images of a point under all words in one gemv over the stacked
 word matrices wherever OpenBLAS rounds that like one gemv per word
-(:func:`_word_images`), so the certificates, witnesses and benchmark
-outputs equal those of the scalar per-word objective bit for bit.
+(:func:`_word_images`), so its values equal those of the scalar per-word
+objective bit for bit.
 
 Also decides membership in the expanding cone of a block parabolic of
 sl_d in closed form (:func:`expanding_cone_membership`), and checks
@@ -134,6 +133,7 @@ class ExpansionCertificate:
     confidence: float  # exact mode forces 1.0, enforced below
     witness: np.ndarray
     rep: str
+    stationarity: float  # Riemannian gradient norm of the sphere objective at the witness
 
     def __post_init__(self):
         if (self.mode == "exact") != (self.confidence == 1.0):
@@ -193,169 +193,146 @@ def _sum_squares(images):
     return acc
 
 
-def _batch_objective_factory(word_mats, word_wts, transform, chunk):
-    """Rows of points v -> sum_w weight * transform(|W v| / |v|) over the word
-    matrices W; 1e6 where |v| is below 1e-300 or not finite.
+def _tau(norms, delta):
+    """The per-word transform: log for ``delta`` None, n -> -n^(-delta) otherwise."""
+    return np.log(norms) if delta is None else -(norms ** (-delta))
 
-    Every step mirrors the scalar objective on one row (kept in the tests
-    as the reference, bit for bit): the norm is a per-row dot, the images
-    come from :func:`_word_images` (the per-word matvecs, stacked into one
-    gemv per point when dim <= 8, where OpenBLAS rounds them alike), the
-    image norms are the sqrt of the sums of squares that ``np.linalg.norm``
-    computes (:func:`_sum_squares`), and the weighting is a per-row dot, so
-    each row goes through the same kernels.  At most
-    ``chunk`` rows are evaluated per batched call, which bounds the
-    rows x words x dim image buffer.  A call that fits one chunk and whose
-    norms all lie in [1e-300, inf), as almost every optimizer call does,
-    returns the values directly, without the 1e6 fill, the masks and the
-    scatter; the values are the same, since each row is computed alone.
+
+def _objective_factory(word_mats, word_wts, delta, chunk):
+    """Rows of points v -> (f, g): f = sum_w weight * tau(|W u|) over the word
+    matrices W at u = v / |v| (:func:`_tau`), and g, when asked for, the
+    Riemannian gradient of f on the unit sphere at u (None otherwise).
+
+    Each value equals the scalar objective's on its row bit for bit (kept
+    in the tests as the reference): a per-row dot for |v|, the images of
+    :func:`_word_images`, the norms ``np.linalg.norm`` computes
+    (:func:`_sum_squares`) and a per-row dot for the weighting.  By the
+    chain rule through tau, the Euclidean gradient is
+    sum_w weight * tau'(n) / n * W^T (W u): one product of the scaled
+    images with the stacked word matrices, never W^T W, and g is its
+    tangent part.  At most ``chunk`` rows are evaluated per batched call,
+    which bounds the rows x words x dim image buffer.
     """
+    n_words, dim, _ = word_mats.shape
+    stacked = word_mats.reshape(n_words * dim, dim)
     wts_row = word_wts[None, None, :]
 
-    def row_norms(pts):
-        return np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])
-
-    def values(pts, nrm):
-        images = _word_images(word_mats, pts / nrm[:, None])
-        vals = transform(np.sqrt(_sum_squares(images)))
-        return (wts_row @ vals[:, :, None])[:, 0, 0]
-
-    def objective(points):
-        if 0 < len(points) <= chunk:  # one chunk of good rows: no mask, no scatter
-            nrm = row_norms(points)
-            if 1e-300 <= np.minimum.reduce(nrm) and np.maximum.reduce(nrm) < np.inf:
-                return values(points, nrm)
-        out = np.full(len(points), 1e6)
+    def evaluate(points, grad=False):
+        f = np.empty(len(points))
+        g = np.empty(points.shape) if grad else None
         for lo in range(0, len(points), chunk):
             pts = points[lo : lo + chunk]
-            nrm = row_norms(pts)
-            good = np.isfinite(nrm) & (nrm >= 1e-300)
-            out[lo : lo + chunk][good] = values(pts[good], nrm[good])
-        return out
+            u = pts / np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0])
+            images = _word_images(word_mats, u)
+            norms = np.sqrt(_sum_squares(images))
+            f[lo : lo + chunk] = (wts_row @ _tau(norms, delta)[:, :, None])[:, 0, 0]
+            if grad:  # tau'(n) / n: n^-2 for log, delta n^(-delta - 2) for the moment
+                scale = word_wts * (norms**-2.0 if delta is None else delta * norms ** (-delta - 2))
+                euclid = (scale[:, :, None] * images).reshape(len(u), -1) @ stacked
+                g[lo : lo + chunk] = euclid - np.einsum("pi,pi->p", euclid, u)[:, None] * u
+        return f, g
 
-    return objective
+    return evaluate
 
 
-def _nelder_mead_batch(objective, x0, xatol, fatol, maxiter):
-    """scipy's Nelder-Mead (non-adaptive, unbounded) from every row of ``x0`` at once.
+GTOL = 1e-10  # Riemannian gradient norm at which a descent stops
+MAX_ITER = 200  # iterations of one descent
+FIRST_STEP = 0.25  # radians: the longest first step of a descent
+ARMIJO = 1e-4  # sufficient-decrease fraction of the slope along the step
+HALVINGS = 40  # backtracking halvings before a descent stops at the rounding floor
+DESCENTS = 50  # descents per sphere minimum, from the best candidates
 
-    The simplices of all starts are one (dim+1, B, dim) array, vertex-major
-    so that the centroid sums whole contiguous vertex slices; each
-    iteration advances every running start with at most three batched
-    objective calls (reflections, then expansions or contractions, then
-    shrink vertices).  ``objective`` maps (P, dim) points to P values, each
-    row's value independent of the other rows.  A start leaves the batch on
-    scipy's convergence test, at ``maxiter``, or when an iteration with a
-    shrink leaves its simplex and values bitwise unchanged.  An iteration
-    is a function of the start's own simplex and values alone, so such a
-    start is a fixed point: scipy would repeat that iteration until
-    ``maxiter`` and then return its best vertex and least value, which is
-    what the start returns at once.  Returns (x, fun) per start, equal bit
-    for bit to ``scipy.optimize.minimize(..., method="Nelder-Mead")`` with
-    the same xatol, fatol and maxiter.
+
+def _descend(evaluate, x):
+    """Riemannian BFGS on the unit sphere from every row of ``x`` at once.
+
+    ``evaluate`` is an objective of :func:`_objective_factory`.  Each
+    iteration steps the running starts along p = -H g and retracts by
+    v -> v / |v|, halving the step until the value falls strictly and by
+    ``ARMIJO`` times the slope; the first step is at most ``FIRST_STEP``
+    long.  H, the inverse-Hessian approximation, starts as the identity and
+    takes the BFGS update from the retracted step s and the gradient change
+    y, both in the new tangent space, to which H and the old gradient are
+    carried by projection; an update without positive curvature s.y is
+    skipped (Absil, Mahony and Sepulchre, *Optimization Algorithms on
+    Matrix Manifolds*, 2008, ch. 4 and 8).  A start stops when its gradient
+    norm falls to ``GTOL``, at the rounding floor (no step lowers its value
+    before the step stops moving the point or ``HALVINGS`` halvings), or
+    after ``MAX_ITER`` iterations.  Returns (x, f, |g|) per start.
     """
-    chi, psi, sigma = 2, 0.5, 0.5  # rho = 1
-    nonzdelt, zdelt = 0.05, 0.00025
-    # rows (1 + c, c) of the step (1 + c) xbar - c worst: inside contraction,
-    # outside contraction, expansion; 1 + c is exact, and x - (-y) rounds like
-    # x + y, so each step matches scipy's formula
-    steps = np.array([[1 - psi, -psi], [1 + psi, psi], [1 + chi, chi]])
-    b, n = x0.shape
-    diag = np.arange(n)
-    sim = np.repeat(x0[None], n + 1, axis=0)
-    sim[diag + 1, :, diag] = np.where(x0 != 0, (1 + nonzdelt) * x0, zdelt).T
-    fsim = objective(sim.reshape(-1, n)).reshape(n + 1, b).T
-    cols = np.arange(b)
-
-    def ordered(sim, fsim):
-        ind = np.argsort(fsim, axis=1)
-        c = cols[: len(fsim)]
-        return sim[ind.T, c], fsim[c[:, None], ind]
-
-    x_out, f_out = np.empty((b, n)), np.empty(b)
-    ids = np.arange(b)
-
-    def retire(leave, ids, sim, fsim):
-        x_out[ids[leave]] = sim[0, leave]
-        f_out[ids[leave]] = fsim[leave].min(axis=1)
-        stay = ~leave
-        return ids[stay], sim[:, stay], fsim[stay]
-
-    sim, fsim = ordered(*ordered(sim, fsim))  # scipy sorts the first simplex twice
-    iterations = 1
-    while ids.size and iterations < maxiter:
-        # each fsim row is sorted (NaN last), so f[-1] - f[0] <= fatol exactly
-        # when scipy's max |f[0] - f[k]| <= fatol
-        done = fsim[:, -1] - fsim[:, 0] <= fatol
-        if done.any():
-            done[done] = np.abs(sim[1:, done] - sim[:1, done]).max(axis=(0, 2)) <= xatol
-            ids, sim, fsim = retire(done, ids, sim, fsim)
-        worst, f_hi = sim[-1], fsim[:, -1]
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - worst  # (1 + rho) xbar - rho worst, exactly
-        fxr = objective(xr)
-
-        expand = fxr < fsim[:, 0]
-        rest = ~((fxr < fsim[:, -2]) > expand)  # all but the accepted reflections
-        below_hi = fxr < f_hi
-        coef = steps[np.where(expand, 2, below_hi)]
-        x2 = coef[:, :1] * xbar - coef[:, 1:] * worst
-        f2 = np.full(ids.size, np.nan)  # NaN fails every test below
-        f2[rest] = objective(x2[rest])
-
-        take2 = np.where(expand, f2 < fxr, np.where(below_hi, f2 <= fxr, f2 < f_hi))
-        shrink = (rest > expand) > take2  # the contractions not taken
-        shrunk = shrink.any()
-        if shrunk:  # the simplex and values of the shrinking starts before the step
-            s0, f0 = sim[:, shrink], fsim[shrink]
-        # a shrinking start's last vertex and value are overwritten below
-        sim[-1] = np.where(take2[:, None], x2, xr)
-        fsim[:, -1] = np.where(take2, f2, fxr)
-        if shrunk:
-            s = s0[:1] + sigma * (s0[1:] - s0[:1])
-            sim[1:, shrink] = s
-            fsim[shrink, 1:] = objective(s.reshape(-1, n)).reshape(n, -1).T
-        iterations += 1
-        sim, fsim = ordered(sim, fsim)
-        if shrunk:  # a start that the step left bitwise unchanged is at a fixed point
-            same_x = sim[:, shrink].view(np.int64) == s0.view(np.int64)
-            same_f = fsim[shrink].view(np.int64) == f0.view(np.int64)
-            stuck = np.zeros(ids.size, dtype=bool)
-            stuck[shrink] = same_x.all(axis=(0, 2)) & same_f.all(axis=1)
-            if stuck.any():
-                ids, sim, fsim = retire(stuck, ids, sim, fsim)
-    x_out[ids] = sim[0]
-    f_out[ids] = fsim.min(axis=1)
-    return x_out, f_out
+    dim = x.shape[1]
+    f, g = evaluate(x, grad=True)
+    gnorm = np.linalg.norm(g, axis=1)
+    hess = np.repeat(np.eye(dim)[None], len(x), axis=0)
+    run = np.flatnonzero(gnorm > GTOL)
+    for it in range(MAX_ITER):
+        if not run.size:
+            break
+        xr, fr, gr = x[run], f[run], g[run]
+        p = -(hess[run] @ gr[:, :, None])[:, :, 0]
+        p -= np.einsum("pi,pi->p", p, xr)[:, None] * xr
+        # a slope that rounding made non-negative still demands a strict fall
+        slope = np.minimum(np.einsum("pi,pi->p", p, gr), 0.0)
+        step = np.minimum(1.0, FIRST_STEP / gnorm[run]) if it == 0 else np.ones(len(run))
+        moved = np.zeros(len(run), dtype=bool)
+        todo = np.arange(len(run))
+        for _ in range(HALVINGS):
+            y = xr[todo] + step[todo, None] * p[todo]
+            live = np.any(y != xr[todo], axis=1)  # the step still moves the point
+            todo, y = todo[live], y[live]
+            if not todo.size:
+                break
+            y /= np.linalg.norm(y, axis=1)[:, None]
+            fy, gy = evaluate(y, grad=True)
+            ok = fy < fr[todo] + ARMIJO * step[todo] * slope[todo]
+            x[run[todo[ok]]], f[run[todo[ok]]], g[run[todo[ok]]] = y[ok], fy[ok], gy[ok]
+            moved[todo[ok]] = True
+            todo = todo[~ok]
+            step[todo] *= 0.5
+        run, xn, gn = run[moved], x[run[moved]], g[run[moved]]  # the rest stop at the floor
+        proj = np.eye(dim) - xn[:, :, None] * xn[:, None, :]
+        s = (proj @ (xn - xr[moved])[:, :, None])[:, :, 0]
+        yv = gn - (proj @ gr[moved][:, :, None])[:, :, 0]
+        sy = np.einsum("pi,pi->p", s, yv)
+        h = proj @ hess[run] @ proj
+        c = sy > 0.0
+        rho = (1.0 / sy[c])[:, None, None]
+        v = np.eye(dim) - rho * yv[c, :, None] * s[c, None, :]
+        h[c] = np.swapaxes(v, 1, 2) @ h[c] @ v + rho * s[c, :, None] * s[c, None, :]
+        hess[run] = h
+        gnorm[run] = np.linalg.norm(gn, axis=1)
+        run = run[gnorm[run] > GTOL]
+    return x, f, gnorm
 
 
-def _sphere_minimize(word_mats, word_wts, sphere_samples, n_descent, rng, transform=np.log):
-    """Minimum over the unit sphere of the objective of :func:`_batch_objective_factory`.
+def _sphere_minimize(word_mats, word_wts, sphere_samples, rng, delta=None):
+    """Minimum over the unit sphere of the objective of :func:`_objective_factory`.
 
-    One objective scores the ``sphere_samples`` random directions, then
-    the Nelder-Mead descents from the ``n_descent`` best, all in lockstep
-    (:func:`_nelder_mead_batch`, scipy's algorithm bit for bit).  A call
-    holds at most ``IMAGE_FLOATS`` image elements (at least one row), so
-    memory is bounded by elements, not by the sample count.  Returns
-    (minimum, unit witness direction); a descent replaces the running best
-    only when strictly lower, in sample order.
+    The candidates are ``sphere_samples`` random directions and, for the
+    ``sphere_samples`` words whose own term weight * tau(sigma_min) dips
+    deepest, the least singular direction of the word, where that term has
+    its minimum: the terms of long or expanding words are wells too narrow
+    for random directions to find.  The objective scores the candidates
+    (values only), then :func:`_descend` runs from the ``DESCENTS`` best,
+    all in lockstep.  A call holds at most ``IMAGE_FLOATS`` image elements
+    (at least one row), so memory is bounded by elements, not by the sample
+    count.  Returns (minimum, unit witness direction, Riemannian gradient
+    norm at the witness); the least descent wins, the first on ties, and no
+    descent ends above its start.
     """
     n_words, dim, _ = word_mats.shape
     dirs = rng.normal(size=(sphere_samples, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    least = np.linalg.svd(word_mats, compute_uv=False)[:, -1]
+    deep = np.argsort(word_wts * _tau(least, delta), kind="stable")[:sphere_samples]
+    dirs = np.vstack([dirs, np.linalg.svd(word_mats[deep])[2][:, -1]])
     chunk = max(1, IMAGE_FLOATS // (n_words * dim))
-    objective = _batch_objective_factory(word_mats, word_wts, transform, chunk)
-    vals = objective(dirs)
-    order = np.argsort(vals)
-    xs, funs = _nelder_mead_batch(objective, dirs[order[:n_descent]], 1e-8, 1e-13, 300 * dim)
-
-    best_val = float(vals[order[0]])
-    best_v = dirs[order[0]]
-    for x, fun in zip(xs, funs):
-        if fun < best_val:
-            best_val = float(fun)
-            best_v = x
-    return best_val, best_v / np.linalg.norm(best_v)
+    evaluate = _objective_factory(word_mats, word_wts, delta, chunk)
+    # one call per candidate set, so the word directions add no image memory
+    vals = np.concatenate([evaluate(part)[0] for part in np.split(dirs, [sphere_samples])])
+    xs, funs, gnorms = _descend(evaluate, dirs[np.argsort(vals)[:DESCENTS]])
+    best = int(np.argmin(funs))
+    return float(funs[best]), xs[best] / np.linalg.norm(xs[best]), float(gnorms[best])
 
 
 def certificate_from_rep_atoms(
@@ -370,8 +347,10 @@ def certificate_from_rep_atoms(
     cap: int = 10**6,
     seed: int = 0,
 ) -> ExpansionCertificate:
-    """Core certificate computation on precomputed representation atoms;
-    Nelder-Mead descends from the 20 best sphere samples."""
+    """Core certificate computation on precomputed representation atoms: the
+    sphere minimum of the word average of log|W v| by :func:`_sphere_minimize`,
+    with ``stationarity`` the Riemannian gradient norm of that average at the
+    witness."""
     rep_atoms = np.asarray(rep_atoms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if N < 1:
@@ -385,8 +364,8 @@ def certificate_from_rep_atoms(
     word_mats, word_wts, exact = _word_products(
         rep_atoms, weights, N, mode, cap, mc_words, substream(seed, 0)
     )
-    best_val, best_v = _sphere_minimize(
-        word_mats, word_wts, sphere_samples, 20, substream(seed, 1)
+    best_val, best_v, stationarity = _sphere_minimize(
+        word_mats, word_wts, sphere_samples, substream(seed, 1)
     )
 
     if exact:
@@ -398,6 +377,7 @@ def certificate_from_rep_atoms(
             confidence=1.0,
             witness=best_v,
             rep=rep_label,
+            stationarity=stationarity,
         )
     per_word = np.log(np.linalg.norm(_word_images(word_mats, best_v[None])[0], axis=-1))
     stderr = float(per_word.std(ddof=1) / np.sqrt(len(per_word)))
@@ -413,6 +393,7 @@ def certificate_from_rep_atoms(
         confidence=confidence,
         witness=best_v,
         rep=rep_label,
+        stationarity=stationarity,
     )
 
 
@@ -448,10 +429,13 @@ def moment_contraction_estimate(
     An expanding walk contracts these moments: for small delta the ratio
     drops below 1 once N is large enough, which is the quantitative engine
     behind the height contraction.  The supremum over the unit sphere is
-    located heuristically like the certificate minimum, descending from the
-    10 best samples; ``mode`` picks exact words (up to 10^6) or 4000 Monte
-    Carlo words as in :func:`measures._word_products`.  Returns
-    (sup_ratio, witness direction).
+    located heuristically by the certificate's sphere optimizer
+    (:func:`_sphere_minimize`) on -|g v|^(-delta), whose Riemannian gradient
+    follows from the chain rule; ``mode`` picks exact words (up to 10^6) or
+    4000 Monte Carlo words as in :func:`measures._word_products`.  The
+    narrow peaks of the ratio sit at the least singular directions of
+    expanding words, which the optimizer scores beside its random samples.
+    Returns (sup_ratio, witness direction).
     """
     if delta <= 0.0:
         raise ValueError("moment exponent delta must be positive")
@@ -459,13 +443,8 @@ def moment_contraction_estimate(
         raise ValueError("sphere_samples must be at least 1")
     rep_atoms = np.array([rep_matrix(rep, g) for g in mu.matrices])
     word_mats, word_wts, _ = _word_products(rep_atoms, mu.weights, N, mode, rng=substream(seed, 2))
-    neg_ratio, best_v = _sphere_minimize(
-        word_mats,
-        word_wts,
-        sphere_samples,
-        10,
-        substream(seed, 3),
-        transform=lambda norms: -(norms ** (-delta)),
+    neg_ratio, best_v, _ = _sphere_minimize(
+        word_mats, word_wts, sphere_samples, substream(seed, 3), delta
     )
     return -neg_ratio, best_v
 
@@ -539,6 +518,7 @@ def relative_expansion_sweep(
                     confidence=1.0,
                     witness=np.zeros(dim_k),
                     rep=f"wedge:{k}(adj)/fixed",
+                    stationarity=0.0,
                 )
             )
             continue

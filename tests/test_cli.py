@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,8 @@ def test_expand_cert_subcommand(tmp_path):
     summary = json.loads((tmp_path / "cert.summary.json").read_text())
     assert summary["passed"] is False
     assert abs(summary["C_lower"] + np.log(3)) < 1e-6
+    # the Riemannian gradient norm at the witness e_2, where the minimum is
+    assert 0.0 <= summary["stationarity"] <= 1e-6
 
 
 def test_sponge_and_fractal_pipeline(tmp_path):
@@ -736,6 +739,30 @@ def test_dioph_fractal_failure_is_exit_3_with_the_sequential_summary(tmp_path, m
     assert json.loads(summary)["error"] == (
         f"dioph-fractal: ConditioningError: flow orbit cannot be reduced at point {min(failing)}"
     )
+
+
+def test_dioph_fractal_dead_worker_is_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
+    # the forked worker of share 1 dies at its first point
+    parent = os.getpid()
+    real = dioph.flow_trace
+
+    def flow(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dioph, "flow_trace", flow)
+    monkeypatch.setattr(dioph, "_share_count", lambda n: min(n, 2))
+    assert cli.run(_census_doc(tmp_path, "dead", 5)) == 4
+    assert multiprocessing.active_children() == []
+    lost = "census share 1 of 2 (points 1, 3, ..) was lost: its worker process died"
+    err = capsys.readouterr().err
+    assert err == f"worker failure: dioph-fractal: WorkerLostError: {lost}\n"
+    assert json.loads((tmp_path / "dead.summary.json").read_text()) == {
+        "error": f"dioph-fractal: WorkerLostError: {lost}"
+    }
+    assert json.loads((tmp_path / "dead.config.json").read_text())["kind"] == "dioph-fractal"
+    assert not (tmp_path / "dead.data.csv").exists()
 
 
 @pytest.mark.parametrize("radius", [float("inf"), float("nan")])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 from scipy.optimize import linprog, minimize
 
 from expwalk import catalog, expansion
@@ -12,9 +13,10 @@ from expwalk.expansion import (
     expanding_cone_membership,
     expansion_certificate,
     fk_exponent_estimate,
+    moment_contraction_estimate,
     relative_expansion_sweep,
-    _batch_objective_factory,
-    _nelder_mead_batch,
+    _descend,
+    _objective_factory,
     _sum_squares,
     _word_images,
 )
@@ -80,153 +82,196 @@ def test_certificate_positive_pair_passes_by_six():
     assert any(passed)
 
 
-def objective_ref(word_mats, word_wts, transform=np.log):
-    """The scalar objective v -> sum_w weight * transform(|W v| / |v|) that
-    the batch objective reproduces row by row."""
+def objective_ref(word_mats, word_wts, delta=None):
+    """The scalar objective v -> sum_w weight * tau(|W v| / |v|) that the
+    batch objective reproduces row by row."""
 
     def objective(v):
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-300 or not np.isfinite(nrm):
-            return 1e6
-        u = v / nrm
-        images = word_mats @ u
-        return float(word_wts @ transform(np.linalg.norm(images, axis=-1)))
+        u = v / np.linalg.norm(v)
+        norms = np.linalg.norm(word_mats @ u, axis=-1)
+        return float(word_wts @ (np.log(norms) if delta is None else -(norms ** (-delta))))
 
     return objective
 
 
+def gradient_ref(word_mats, word_wts, delta=None):
+    """The Euclidean gradient of v -> objective(v / |v|), written out term by
+    term: on the unit sphere it is the Riemannian gradient."""
+
+    def value_and_gradient(v):
+        r = np.linalg.norm(v)
+        u = v / r
+        images = word_mats @ u
+        norms = np.linalg.norm(images, axis=-1)
+        if delta is None:
+            value, scale = word_wts @ np.log(norms), word_wts / norms**2
+        else:
+            value, scale = -(word_wts @ norms ** (-delta)), delta * word_wts * norms ** (-delta - 2)
+        euclid = np.einsum("w,wji,wj->i", scale, word_mats, images)
+        return value, (euclid - (euclid @ u) * u) / r
+
+    return value_and_gradient
+
+
 def test_certificate_objective_scale_invariant_exactly():
     mu = catalog.positive_pair_sl2()
-    f = _batch_objective_factory(mu.matrices, mu.weights, np.log, chunk=8)
+    f = _objective_factory(mu.matrices, mu.weights, None, chunk=8)
     rng = np.random.default_rng(2)
     for _ in range(20):
         v = rng.normal(size=2)
-        vals = f(np.array([v, 2.0 * v, 0.25 * v]))
+        vals, _ = f(np.array([v, 2.0 * v, 0.25 * v]))
         assert vals[0] == vals[1] == vals[2]
 
 
 @pytest.mark.parametrize("dim", range(1, 25))
 def test_batch_objective_matches_scalar_reference_for_every_dim(dim):
     # stacked images (dim <= 8) and per-word ones alike; 301 words put
-    # OpenBLAS's threaded row split off a word boundary, a chunk boundary
-    # falls inside the points, and the zero and NaN rows read 1e6
+    # OpenBLAS's threaded row split off a word boundary, and a chunk
+    # boundary falls inside the points
     rng = np.random.default_rng(100 + dim)
     for n_words in (1, 7, 300, 301):
         word_mats = rng.normal(size=(n_words, dim, dim)) * rng.uniform(0.1, 10.0, (n_words, 1, 1))
         word_wts = rng.dirichlet(np.ones(n_words))
         points = rng.normal(size=(9, dim))
-        points[3] = 0.0
-        points[6] = np.nan
         images = _word_images(word_mats, points[:3])
         assert images.tobytes() == np.array([word_mats @ p for p in points[:3]]).tobytes()
         norms = np.linalg.norm(images, axis=-1)
         assert np.sqrt(_sum_squares(images)).tobytes() == norms.tobytes()
-        batch = _batch_objective_factory(word_mats, word_wts, np.log, chunk=4)
-        scalar = objective_ref(word_mats, word_wts)
-        assert batch(points).tobytes() == np.array([scalar(p) for p in points]).tobytes()
+        for delta in (None, 0.3):
+            batch = _objective_factory(word_mats, word_wts, delta, chunk=4)
+            scalar = objective_ref(word_mats, word_wts, delta)
+            values, grads = batch(points)
+            assert grads is None
+            assert values.tobytes() == np.array([scalar(p) for p in points]).tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 25))
 def test_batch_objective_one_chunk_matches_scalar_reference(dim):
-    # calls that fit one chunk: all-good rows take the unmasked path, a zero,
-    # infinite or NaN row sends the call down the masked one; no rows, no values
+    # calls that fit one chunk, of points at scales far from the unit
+    # sphere; asking for the gradient leaves the values as they are; no
+    # rows, no values
     rng = np.random.default_rng(200 + dim)
     for n_words in (1, 7, 300, 301):
         word_mats = rng.normal(size=(n_words, dim, dim)) * rng.uniform(0.1, 10.0, (n_words, 1, 1))
         word_wts = rng.dirichlet(np.ones(n_words))
         points = rng.normal(size=(9, dim)) * rng.uniform(1e-3, 1e3, (9, 1))
-        batch = _batch_objective_factory(word_mats, word_wts, np.log, chunk=9)
+        batch = _objective_factory(word_mats, word_wts, None, chunk=9)
         scalar = objective_ref(word_mats, word_wts)
-        for bad in (None, 0.0, np.inf, np.nan):
-            rows = points.copy()
-            if bad is not None:
-                rows[4] = bad
-            for part in (rows[:1], rows[:5], rows):
-                expected = np.array([scalar(p) for p in part])
-                assert batch(part).tobytes() == expected.tobytes()
-        assert batch(points[:0]).shape == (0,)
+        for part in (points[:1], points[:5], points):
+            expected = np.array([scalar(p) for p in part]).tobytes()
+            assert batch(part)[0].tobytes() == expected
+            assert batch(part, grad=True)[0].tobytes() == expected
+        assert batch(points[:0])[0].shape == (0,)
 
 
-def _moment(norms):
-    return -(norms ** (-0.3))
+@pytest.mark.parametrize("dim", [2, 4, 6, 15])
+@pytest.mark.parametrize("delta", [None, 0.3], ids=["log", "moment"])
+def test_riemannian_gradient_matches_a_50_digit_central_difference(dim, delta):
+    # the derivative along each vector of an orthonormal tangent basis at u,
+    # by central differences of v -> objective(v / |v|) in 50-digit mpmath
+    rng = np.random.default_rng(300 + dim)
+    n_words = 5 if dim == 15 else 12
+    word_mats = rng.normal(size=(n_words, dim, dim))
+    word_wts = rng.dirichlet(np.ones(n_words))
+    points = rng.normal(size=(3, dim))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    _, grads = _objective_factory(word_mats, word_wts, delta, chunk=2)(points, grad=True)
+    with mp.workdps(50):
+        mats = [mp.matrix(m.tolist()) for m in word_mats]
+        wts = [mp.mpf(float(p)) for p in word_wts]
+
+        def objective(v):
+            u = v / mp.norm(v)
+            norms = [mp.norm(m * u) for m in mats]
+            return mp.fsum(p * (mp.log(n) if delta is None else -(n ** -mp.mpf(delta)))
+                           for p, n in zip(wts, norms))
+
+        h = mp.mpf(10) ** -20
+        for u, g in zip(points, grads):
+            basis = np.linalg.qr(np.column_stack([u, np.eye(dim)]))[0][:, 1:dim]
+            u_mp = mp.matrix(u.tolist())
+            expected = np.zeros(dim)
+            for t in basis.T:
+                t_mp = mp.matrix(t.tolist())
+                slope = (objective(u_mp + h * t_mp) - objective(u_mp - h * t_mp)) / (2 * h)
+                expected += float(slope) * t
+            assert np.abs(g - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+
+
+def _lbfgsb(value_and_gradient, starts):
+    """scipy's L-BFGS-B from each start, with the analytic gradient of
+    :func:`gradient_ref`: the least value found."""
+    return min(
+        minimize(value_and_gradient, start, jac=True, method="L-BFGS-B",
+                 options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000}).fun
+        for start in starts
+    )
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9, 12, 15])
-@pytest.mark.parametrize("transform", [np.log, _moment], ids=["log", "moment"])
-def test_nelder_mead_batch_matches_scipy_bit_for_bit(dim, transform):
+@pytest.mark.parametrize("delta", [None, 0.3], ids=["log", "moment"])
+def test_descent_ends_no_higher_than_scipy_lbfgsb(dim, delta):
+    # every descent ends stationary and at or below its start, and the best
+    # of them is no higher than the best of L-BFGS-B from the same starts
+    # (the two may settle in different basins)
     rng = np.random.default_rng(dim)
     n_words = 5 if dim == 15 else 12
     word_mats = rng.normal(size=(n_words, dim, dim))
     word_wts = rng.dirichlet(np.ones(n_words))
-    x0 = rng.normal(size=(4, dim))
-    x0[1, dim // 2] = 0.0  # initial simplex takes scipy's zdelt step there
-    options = {"xatol": 1e-8, "fatol": 1e-13, "maxiter": 300 * dim}
-
-    scalar = objective_ref(word_mats, word_wts, transform)
-    batch = _batch_objective_factory(word_mats, word_wts, transform, chunk=7)
-    points = np.vstack([x0, np.zeros(dim), np.full(dim, np.nan)])
-    assert batch(points).tolist() == [scalar(p) for p in points]
-
-    xs, funs = _nelder_mead_batch(batch, x0, *options.values())
-    shrinks = 0
-    for x, fun, start in zip(xs, funs, x0):
-        evals = [0]
-
-        def counted(v):
-            evals[0] += 1
-            return scalar(v)
-
-        per_iter = []
-        res = minimize(
-            counted, start, method="Nelder-Mead", options=options,
-            callback=lambda _: per_iter.append(evals[0]),
-        )
-        assert x.tobytes() == np.asarray(res.x).tobytes()
-        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
-        # more than two evaluations in one iteration means a shrink step
-        shrinks += int(np.any(np.diff(per_iter) > 2))
-    if dim < 12:  # these descents reach the shrink step; the 12- and 15-dim ones do not
-        assert shrinks > 0
+    starts = rng.normal(size=(4, dim))
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    objective = _objective_factory(word_mats, word_wts, delta, chunk=7)
+    xs, values, gnorms = _descend(objective, starts.copy())
+    assert np.all(values <= objective(starts)[0])
+    assert np.allclose(np.linalg.norm(xs, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(gnorms <= 1e-6)
+    # the reported norm is the gradient's at the returned point, up to the
+    # rounding of a gemm whose blocking follows the batch size
+    assert np.allclose(gnorms, np.linalg.norm(objective(xs, grad=True)[1], axis=1), rtol=0, atol=1e-13)
+    best = _lbfgsb(gradient_ref(word_mats, word_wts, delta), starts)
+    assert values.min() <= best + 1e-12 * max(1.0, abs(best))
 
 
-def test_nelder_mead_batch_retires_fixed_points_exactly(monkeypatch):
-    # the descents of a five-generator Monte-Carlo certificate (std, N=24,
-    # 150 words, seed 937876283), of which some reach a bitwise fixed point
-    # before maxiter: each start still returns scipy's (x, fun), and leaving
-    # the batch at the fixed point saves objective rows
+@pytest.mark.parametrize("seed", [0, 23, 73])
+def test_adjoint_certificate_reaches_the_lbfgsb_minimum(monkeypatch, seed):
+    # the certify benchmark's 15-dim case (five generators, adj, exact N=1,
+    # 100 sphere samples): the minimum of L-BFGS-B from the same starts,
+    # at a stationary witness
     seen = {}
 
-    def factory(word_mats, word_wts, transform, chunk):
-        seen["words"] = word_mats, word_wts
-        return _batch_objective_factory(word_mats, word_wts, transform, chunk)
+    def descend(objective, starts):
+        seen["starts"] = starts.copy()
+        return _descend(objective, starts)
 
-    def descents(objective, x0, *options):
-        seen["descents"] = objective, x0, options
-        return _nelder_mead_batch(objective, x0, *options)
+    monkeypatch.setattr(expansion, "_descend", descend)
+    mu = catalog.sl4_five_generator_measure()
+    cert = expansion_certificate(mu, "adj", N=1, mode="exact", sphere_samples=100, seed=seed)
+    assert len(seen["starts"]) == expansion.DESCENTS
+    words, wts, _ = _word_products(
+        np.array([expansion.rep_matrix("adj", g) for g in mu.matrices]), mu.weights, 1,
+        "exact", 10**6, 4000, substream(seed, 0))
+    best = _lbfgsb(gradient_ref(words, wts), seen["starts"])
+    assert abs(cert.C_lower - best) <= 1e-12
+    assert abs(cert.C_lower + 0.48392535) <= 1e-8
+    assert cert.stationarity <= 1e-6
 
-    monkeypatch.setattr(expansion, "_batch_objective_factory", factory)
-    monkeypatch.setattr(expansion, "_nelder_mead_batch", descents)
-    expansion_certificate(
-        catalog.sl4_five_generator_measure(), "std", N=24, mode="mc", mc_words=150,
-        sphere_samples=200, seed=937876283,
-    )
-    objective, x0, (xatol, fatol, maxiter) = seen["descents"]
-    rows = [0]
 
-    def counted(points):
-        rows[0] += len(points)
-        return objective(points)
+@pytest.mark.parametrize("seed", range(6))
+def test_moment_sup_finds_the_narrow_peak_of_the_positive_pair(seed):
+    # the sup at N=6, delta=0.6 is a peak about 1e-5 rad wide, beside lower
+    # peaks 3e-5 and 2e-4 rad away; it sits at the least singular direction
+    # of the most expanding words
+    ratio, _ = moment_contraction_estimate(catalog.positive_pair_sl2(), "std", 0.6, 6, seed=seed)
+    assert abs(ratio - 1.19088773349) <= 1e-8
 
-    xs, funs = _nelder_mead_batch(counted, x0, xatol, fatol, maxiter)
-    scalar = objective_ref(*seen["words"])
-    options = {"xatol": xatol, "fatol": fatol, "maxiter": maxiter}
-    nfev = 0
-    for x, fun, start in zip(xs, funs, x0):
-        res = minimize(scalar, start, method="Nelder-Mead", options=options)
-        assert x.tobytes() == np.asarray(res.x).tobytes()
-        assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
-        nfev += res.nfev
-    assert rows[0] < nfev
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_certificate_reaches_the_grid_minimum(seed):
+    # 256 wells, one per word, in two clusters about 3e-3 rad wide; the
+    # minimum of a 4,000,001-point grid on [0, pi), refined to 1e-12 rad
+    cert = expansion_certificate(catalog.positive_pair_sl2(), "std", N=8, mode="exact",
+                                 seed=1000 + seed)
+    assert abs(cert.C_lower - 4.547295415187639) <= 1e-12
 
 
 def test_monte_carlo_certificate_confidence_invariant():
@@ -244,7 +289,7 @@ def test_relative_sweep_positive_pair():
     assert len(sweep) == 2
     assert all(c.passed for c in sweep)
     # the bits of the fixed-space words' products (one word-product path)
-    assert [repr(c.C_lower) for c in sweep] == ["0.5883437327179072", "0.5883437327179353"]
+    assert [repr(c.C_lower) for c in sweep] == ["0.588343732717907", "0.5883437327179302"]
 
 
 def test_relative_sweep_identity_fails():
@@ -460,8 +505,6 @@ def test_relative_sweep_dimension_cap():
 
 
 def test_moment_contraction_positive_pair():
-    from expwalk.expansion import moment_contraction_estimate
-
     mu = catalog.positive_pair_sl2()
     ratios = [
         moment_contraction_estimate(mu, "std", delta=0.3, N=n, seed=0)[0]

@@ -23,43 +23,43 @@ from expwalk.lattices import (
 )
 
 PAIR_EXACT = {
-    1: ("-0.40235947810852535", "[-0.5661223413064432, 0.8243212326961563]"),
-    2: ("-0.22111506504285283", "[0.5795377079478886, -0.814945424593885]"),
-    3: ("0.32644456638556024", "[0.5769960726118641, -0.8167469205270899]"),
-    4: ("1.0578922348070354", "[0.8164527638287125, -0.577412230937704]"),
-    5: ("1.881365118427201", "[0.8165040481260458, -0.5773397088316201]"),
-    6: ("2.75083968805683", "[0.8164952968127489, -0.577352085198158]"),
-    7: ("3.643317024408385", "[-0.8164968010723779, 0.5773499578579473]"),
-    8: ("4.547295415187718", "[-0.8164965431461882, 0.5773503226207852]"),
+    1: ("-0.4023594781085253", "[-0.8243212320228953, 0.5661223422867675]"),
+    2: ("-0.22111506504285272", "[0.579537708205752, -0.814945424410509]"),
+    3: ("0.32644456638556035", "[0.5769960726120451, -0.816746920526962]"),
+    4: ("1.0578922348070356", "[0.816452763854881, -0.5774122309007025]"),
+    5: ("1.8813651184272016", "[0.8165040481252872, -0.577339708832693]"),
+    6: ("2.7508396880568258", "[-0.8164952968027365, 0.5773520852123178]"),
+    7: ("3.6433170244083857", "[-0.8164968010752345, 0.577349957853908]"),
+    8: ("4.547295415187744", "[-0.8164965431461785, 0.5773503226207992]"),
 }
 FIVE_EXACT_4 = (
-    "-0.4952744931811371",
-    "[3.2358188378601146e-06, -1.684495851385793e-05, 0.000882496120313637, "
-    "-0.9999996104531113]",
+    "-0.4952744931811369",
+    "[-3.235789156176728e-06, 1.6844931627479927e-05, -0.0008824961111702685, "
+    "0.99999961045312]",
 )
 FIVE_MC_8 = (
-    "-0.6191900690175647",
-    "[-5.57496922271004e-07, -1.316244524130026e-06, -1.0791299251365174e-05, "
-    "0.9999999999407522]",
+    "-0.619190069014449",
+    "[-5.574891118357776e-07, -1.3162513689865393e-06, -1.079130008969835e-05, "
+    "0.9999999999407523]",
 )
-# 15-dimensional adjoint, every Nelder-Mead start runs to maxiter
+# 15-dimensional adjoint: the minimum that L-BFGS-B reaches from the same starts
 FIVE_ADJ_EXACT_1 = (
-    "-0.48315524142061533",
-    "[0.0005258186098152647, 0.00012561571046261464, -3.8190494857525324e-05, "
-    "-2.9275303621320996e-06, -6.677102293109703e-05, -1.5794759108013548e-05, "
-    "-0.02887553211143863, -0.019955994819733577, -0.000851443508424597, "
-    "0.8283230028498225, 0.5569548902222872, 0.048688478320314456, "
-    "0.0006390577626931695, -0.008833246010285598, -0.000434944623573681]",
+    "-0.48392534774186324",
+    "[8.39678509847502e-05, -3.7539281102485253e-06, -5.494400340774182e-10, "
+    "-0.00036940275906579623, 5.235373125080651e-05, 1.1681847344473022e-08, "
+    "0.028361783401618115, 0.018835410763518377, -2.4820471449279497e-05, "
+    "-0.8284192519000356, -0.5568150286445853, -0.05016992799733802, "
+    "0.0002993685948509821, -0.0011626819064301367, 0.000890783068623529]",
 )
 FIVE_WEDGE2_MC_2 = (
-    "-0.48585227171738",
-    "[-0.008926349044479706, 0.041781745610741855, -0.514129266704971, "
-    "-0.0641105054499156, 0.8339447533274035, -0.18512615869324453]",
+    "-0.4858522714545888",
+    "[-0.008926349132966846, 0.04178174686059821, -0.5141292664895293, "
+    "-0.06411050545130827, 0.8339447530394316, -0.18512616030197057]",
 )
 MOMENT = {
-    1: ("1.1423783917163095", "[0.5525171276010225, -0.8335015439142963]"),
-    4: ("0.9090686788382106", "[0.850586287430911, -0.5258354948408291]"),
-    8: ("0.4129680988922513", "[-0.5270165226993669, 0.8498550375222046]"),
+    1: ("1.1423783917163095", "[0.5525171309154351, -0.8335015417172161]"),
+    4: ("0.9090686788382106", "[0.8505862874247988, -0.5258354948507163]"),
+    8: ("0.41853898029953374", "[-0.52573115947022, 0.8506507790874575]"),
 }
 
 # d=3 carpet flow (a coded point of bm_carpet(2, 3), seed 3), t = 0, 1, .., 20
