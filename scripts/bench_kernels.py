@@ -23,7 +23,11 @@ step is timed with the three observables of the benchmark's short walks
 (``walk_step.d2.siegel``); the stacked R-factor of the walk's observables
 is timed per member of 512-member stacks of the seeded walk bases
 (``rfactor_stack.d2``, ``rfactor_stack.d4``), beside the scalar
-``rfactor`` rows.  A whole fractal census of the benchmark's larger
+``rfactor`` rows.  The flow's stacked sup-systole search is timed the
+same way, on the reduced snapshots of census flows: the 50-digit golden
+ratio and 0.37 to t = 30 (``sup_systole_stack.d2``) and the carpet points
+to t = 20 (``sup_systole_stack.d3``), dt 0.05, R-factors given.  A whole
+fractal census of the benchmark's larger
 carpet op (16 points to t = 20, brute-force boxes to T = 100) is timed
 as ``fractal_experiment.carpet.16x20``; its points run on every core of
 the process's affinity.  The row
@@ -48,15 +52,24 @@ import statistics
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
+from mpmath import mp  # noqa: E402
 
 from expwalk import catalog  # noqa: E402
-from expwalk.dioph import brute_force_quality, flow_trace, fractal_experiment  # noqa: E402
+from expwalk.dioph import (  # noqa: E402
+    _flow_orbit,
+    _grid_points,
+    _needed_bits,
+    brute_force_quality,
+    flow_trace,
+    fractal_experiment,
+)
 from expwalk.expansion import (  # noqa: E402
     ConeSpec,
     expanding_cone_membership,
@@ -69,6 +82,7 @@ from expwalk.lattices import (  # noqa: E402
     HeightSpec,
     UnimodularLattice,
     _rfactor_stack,
+    _sup_systole_stack,
     contraction_fit,
     lll_reduce,
     margulis_height,
@@ -145,6 +159,26 @@ def _stacks(lats, size=512):
     return list(bases.reshape(k, size, *bases.shape[1:]))
 
 
+def _snapshot_stacks(mats, weights, t_max, dt=0.05, size=512):
+    """The reduced snapshots the flows of ``mats`` read their observables
+    from, cycled to fill whole (size, d, d) stacks, each with its R-factors."""
+    bits = _needed_bits(weights, t_max)
+    snaps = []
+    for mat in mats:
+        with mp.workprec(bits + 64):
+            entries = [[int(mp.nint(mp.ldexp(mp.mpf(v), bits))) for v in row]
+                       for row in np.atleast_2d(np.asarray(mat, dtype=object))]
+        snaps += islice(_flow_orbit(entries, weights, dt, bits), _grid_points(t_max, dt))
+    k = -(-len(snaps) // size)
+    bases = np.array([snaps[i % len(snaps)] for i in range(k * size)])
+    return [(b, _rfactor_stack(b)) for b in bases.reshape(k, size, *bases.shape[1:])]
+
+
+def _systoles(stack):
+    bases, rs = stack
+    return _sup_systole_stack(bases, rs)
+
+
 def _fresh(lats):
     """Copies without cached R-factors or shortest vectors."""
     return [UnimodularLattice(x.reduced) for x in lats]
@@ -210,6 +244,8 @@ def main(argv=None) -> int:
     lat4 = [lll_reduce(b, renormalize=False) for b in in4]
     carpet = catalog.bm_carpet(2, 3)
     carpet_points = list(coding_sample(carpet, 4, seed=1))
+    flow2 = _snapshot_stacks([GOLDEN_50, 0.37], WeightPair((1.0,), (1.0,)), 30.0)
+    flow3 = _snapshot_stacks(carpet_points, carpet.weightpair, 20.0)
     rng = np.random.default_rng(5)
     square15 = list(rng.normal(size=(10, 15, 15)))
     square4 = list(rng.normal(size=(500, 4, 4)))
@@ -233,8 +269,7 @@ def main(argv=None) -> int:
         flow_trace(value, WeightPair((1.0,), (1.0,)), 30.0, dt=0.05, siegel_radius=3.0)
 
     def zero_flow(value):
-        # unit steps to t = 360: past t = 138 the snapshot spans more than
-        # REUSE_SPREAD bits, so R is computed afresh at each point
+        # unit steps to t = 360, two chunks of snapshots deep in the cusp
         flow_trace(value, WeightPair((1.0,), (1.0,)), 360.0, dt=1.0)
 
     def brute(weights, t_max):
@@ -268,6 +303,10 @@ def main(argv=None) -> int:
         ("siegel_count.d2", lambda x: siegel_count(x, 3.0), lat2, True, 1),
         ("siegel_count.d3", lambda x: siegel_count(x, 3.0), lat3, True, 1),
         ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), lat2, True, 1),
+        # per member of 512-member stacks of census flow snapshots, R given;
+        # the flow reads its systoles over chunks of at most lattices.WALK_CHUNK
+        ("sup_systole_stack.d2", _systoles, flow2, False, 512),
+        ("sup_systole_stack.d3", _systoles, flow3, False, 512),
         ("walk_step.d2", walk_steps, lat2[:1], True, n_walk),
         ("walk_step.d2.siegel", siegel_walk_steps, lat2[:1], True, n_walk),
         ("contraction_fit.pair.m6",

@@ -6,22 +6,24 @@ lattice a(t) u_M Z^d under the associated diagonal flow, whose sup-norm
 systole encodes approximation quality.  The orbit has one exact path for
 every block shape: integers in fixed point, with bits worked out from the
 horizon, so M may be given as decimal strings or mpf to carry more
-precision than a double.  One grid point is one path on Python lists: the
-float snapshot goes through the LLL kernel shared with ``lll_reduce``, its
-R-factor is read from that kernel's Gram-Schmidt data where the kernel
-changed nothing and the snapshot spans at most 400 bits (computed afresh
-otherwise), and the flow reads only the length of the sup-norm systole.
-The fractal census splits its points into interleaved shares, one per
-core of the process's affinity (point i goes to share i mod w): share 0
-runs in this process and the others in forked workers, and the rows are
-put back in point order, so the results are the same bits for any
-number of cores.  Finite-horizon results are reported as evidence
-scores, never as verdicts: the dichotomies they probe are asymptotic.
+precision than a double.  One step is one path on Python lists: the float
+snapshot goes through the LLL kernel shared with ``lll_reduce``.  The
+observables are read over chunks of up to ``WALK_CHUNK`` snapshots, as the
+walk's are: one stacked R-factor pass and one stacked search for the
+length of the sup-norm systole per chunk, with the bits of the scalar
+kernels for each snapshot.  The fractal census splits its points into
+interleaved shares, one per core of the process's affinity (point i goes
+to share i mod w): share 0 runs in this process and the others in forked
+workers, and the rows are put back in point order, so the results are
+the same bits for any number of cores.  Finite-horizon results are
+reported as evidence scores, never as verdicts: the dichotomies they
+probe are asymptotic.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from math import frexp, gamma, isfinite, ldexp, log, pi
 from operator import mul
 
@@ -36,10 +38,10 @@ from .lattices import (
     CountCapError,
     LatticeError,
     UnimodularLattice,
+    WALK_CHUNK,
     _lll,
-    _rfactor,
-    _rfactor_from_gso,
-    _sup_systole,
+    _rfactor_stack,
+    _sup_systole_stack,
     siegel_count,
 )
 
@@ -113,12 +115,6 @@ def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8
     return best, (best_p.astype(np.int64), best_q)
 
 
-# widest exponent spread (bits) of a flow snapshot whose R-factor is read
-# from the LLL's Gram-Schmidt data; past it a common-scaled square can be
-# subnormal, and R is computed afresh
-REUSE_SPREAD = 400
-
-
 def _needed_bits(weights: WeightPair, t_max: float) -> int:
     # a(t) stretches the lattice by e^{(max r + max s) t} between its longest
     # and shortest directions; 64 guard bits on top
@@ -154,7 +150,7 @@ def _grid_points(t_max: float, dt: float) -> int:
 
 
 def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
-    """Reduced bases of a(t) u_M Z^d at t = 0, dt, 2 dt, .., with R-factors.
+    """Reduced bases of a(t) u_M Z^d at t = 0, dt, 2 dt, .., as float rows.
 
     The state is the basis a(t) u_M T (T integral, never stored) held
     exactly as Python integers in fixed point over 2^bits.  A step scales
@@ -165,16 +161,8 @@ def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
     the snapshot times the power of two 2^c that centres their squares in
     the double range, 2^-1074 .. 2^1024; deep in the cusp that keeps the
     longest and the shortest vector representable together.  ``entries``
-    are the exact fixed-point integers of M.
-
-    Yields (rows, r): the snapshot as float rows and the rows of its
-    R-factor, bit for bit :func:`lattices._rfactor` of its columns.  After
-    an identity transform LLL changed nothing, so R is read from its
-    Gram-Schmidt data, R_kj = mu_jk sqrt(n_k) 2^-c and R_jj = sqrt(n_j)
-    2^-c.  Powers of two are exact only while every intermediate is a
-    normal double, so that reading is taken only when the snapshot's
-    entries span at most ``REUSE_SPREAD`` bits; R is computed afresh
-    otherwise.
+    are the exact fixed-point integers of M.  The observables of the
+    snapshots are read by :func:`flow_trace`, over chunks of them.
     """
     m, d = weights.m, weights.m + weights.n
     one = 1 << bits
@@ -190,18 +178,12 @@ def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
     while True:
         snap = [[v / one for v in row] for row in rows]
         exps = [frexp(v)[1] for row in snap for v in row if v]
-        hi, lo = max(exps), min(exps)
-        c = (-25 - hi - lo) // 2
-        _, t, mu, norms = _lll([[ldexp(v, c) for v in col] for col in zip(*snap)])
-        moved = t != identity
-        if moved:
+        c = (-25 - max(exps) - min(exps)) // 2
+        t = _lll([[ldexp(v, c) for v in col] for col in zip(*snap)])[1]
+        if t != identity:
             rows = [[sum(map(mul, row, col)) for col in t] for row in rows]
             snap = [[v / one for v in row] for row in rows]
-        if moved or hi - lo > REUSE_SPREAD:
-            r = _rfactor(list(zip(*snap)))
-        else:
-            r = _rfactor_from_gso(mu, norms, [-c] * d)
-        yield snap, r
+        yield snap
         rows = [[(v * f) >> bits for v in row] for row, f in zip(rows, factors)]
 
 
@@ -233,6 +215,8 @@ class FlowTrace:
 
     def escape_flag(self, epsilon: float, after: float) -> bool:
         """True when the orbit never returns to K_epsilon past time ``after``."""
+        if not (epsilon > 0.0 and isfinite(epsilon)):  # K_epsilon is empty or everything
+            raise ValueError(f"escape threshold must be positive and finite, got {epsilon!r}")
         tail = self.t_grid > after
         return bool(np.all(self.minima[tail] < epsilon)) if np.any(tail) else False
 
@@ -256,7 +240,9 @@ def flow_trace(
     Entries of M may be numbers, decimal strings or mpf, so M can carry
     more precision than a double.  A basis that cannot be reduced (deep
     in the cusp, past t = 363 for the zero 1x1 orbit) raises
-    ConditioningError naming t.
+    ConditioningError naming t.  The observables are read over chunks of
+    up to ``WALK_CHUNK`` grid points (module docstring); a chunk raises the
+    error of its lowest failing point, as a step-by-step loop would.
 
     Optional Siegel counts (Euclidean radius ``siegel_radius``) are
     recorded every ``siegel_stride`` points and saturate at the
@@ -279,27 +265,41 @@ def flow_trace(
         if not np.isfinite(mat_f).all():
             raise ValueError("matrix entries must be finite doubles")
         entries = [[int(mp.nint(mp.ldexp(v, bits))) for v in row] for row in exact]
-    extras: dict[str, list] = {}
-    if siegel_radius is not None:
-        extras["siegel"] = []
-        extras["siegel_t"] = []
+    siegel, siegel_t = [], []
+    d = weights.m + weights.n
     orbit = _flow_orbit(entries, weights, dt, bits)
-    for k, t in enumerate(t_grid):
+    buf = np.empty((min(steps, WALK_CHUNK), d, d))
+    start = 0
+    while start < steps:
+        n, failure = 0, None
         try:
-            snap, r = next(orbit)
-            minima[k] = _sup_systole(snap, r)
-        except (LatticeError, OverflowError) as err:
-            raise ConditioningError(f"flow orbit cannot be reduced at t={t:g}: {err}") from err
-        if siegel_radius is not None and k % siegel_stride == 0:
-            x = UnimodularLattice(np.array(snap), _rfactor=r)
-            try:
-                cnt = float(siegel_count(x, siegel_radius, cap=SIEGEL_CAP))
-            except CountCapError:
-                cnt = float(SIEGEL_CAP)
-            extras["siegel"].append(cnt)
-            extras["siegel_t"].append(float(t))
-    extras_arr = {k: np.asarray(v) for k, v in extras.items()}
-    return FlowTrace(mat_f, weights, t_grid, minima, extras_arr)
+            for snap in islice(orbit, min(len(buf), steps - start)):
+                buf[n] = snap
+                n += 1
+        except (LatticeError, OverflowError) as err:  # raised after the points before it
+            failure = err
+        bases = buf[:n]
+        rs = _rfactor_stack(bases)
+        minima[start:start + n], errors = _sup_systole_stack(bases, rs)
+        if errors:  # the lowest failing point comes before the orbit's failure
+            n = min(errors)
+            failure = errors[n]
+        if failure is not None:
+            raise ConditioningError(
+                f"flow orbit cannot be reduced at t={t_grid[start + n]:g}: {failure}"
+            ) from failure
+        if siegel_radius is not None:
+            for k in range(-start % siegel_stride, n, siegel_stride):
+                x = UnimodularLattice(bases[k], _rfactor=rs[k])
+                try:
+                    siegel.append(float(siegel_count(x, siegel_radius, cap=SIEGEL_CAP)))
+                except CountCapError:
+                    siegel.append(float(SIEGEL_CAP))
+                siegel_t.append(float(t_grid[start + k]))
+        start += n
+    extras = {} if siegel_radius is None else {"siegel": np.asarray(siegel),
+                                               "siegel_t": np.asarray(siegel_t)}
+    return FlowTrace(mat_f, weights, t_grid, minima, extras)
 
 
 def _ball_volume(d: int, radius: float) -> float:
@@ -481,6 +481,9 @@ def fractal_experiment(
     if not (isfinite(brute_t_max) and brute_t_max >= 1.0):
         raise ValueError(f"brute_t_max must be finite and at least 1, got {brute_t_max!r}")
     _grid_points(t_max, dt)
+    for thr in thresholds:
+        if not (thr > 0.0 and isfinite(thr)):
+            raise ValueError(f"thresholds must be positive and finite, got the entry {thr!r}")
     validation = ifs_validate(ifs)
     if not validation.contracting:
         raise ValueError(

@@ -350,7 +350,13 @@ def certificate_from_rep_atoms(
     """Core certificate computation on precomputed representation atoms: the
     sphere minimum of the word average of log|W v| by :func:`_sphere_minimize`,
     with ``stationarity`` the Riemannian gradient norm of that average at the
-    witness."""
+    witness.
+
+    A Monte-Carlo ``C_lower`` is the confidence bound mean - z stderr at the
+    witness that minimizes the sampled mean, not a bound over the sphere: a
+    direction with a slightly higher mean and a larger standard error has a
+    lower bound.  A Monte-Carlo PASS bounds the integral at that witness only.
+    """
     rep_atoms = np.asarray(rep_atoms, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if N < 1:

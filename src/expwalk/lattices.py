@@ -19,16 +19,18 @@ steps elementwise on a stack of bases, with the bits of ``_rfactor`` for
 each member.  The enumerator's node cap counts integer coordinates
 visited at every level, leaves included: each level's whole range is
 charged before it is walked, so a range past the cap (deep in the cusp)
-fails at once.  ``_sup_systole`` is the sup-norm search of
-``shortest_vector`` that returns the length alone, for the diagonal flow.
+fails at once.  ``_sup_systole_stack`` is the sup-norm search of
+``shortest_vector`` on a stack of lattices, breadth-first and returning
+the lengths alone, for the diagonal flow: it does the depth-first
+search's arithmetic elementwise, so each member gets its bits and its
+refusals.
 
 Reduction is one scalar LLL kernel for every dimension (``_lll``), on
 Python floats and ints (numpy's per-call overhead dominates on 2x2 to 4x4
 bases).  ``lll_reduce`` is its numpy wrapper and returns the reduced
 lattice alone; the diagonal flow of :mod:`expwalk.dioph` calls the kernel
-on list columns, applies the integer transform it returns to its exact
-integers and, where it changed nothing, reads R from its Gram-Schmidt
-data, under the 400-bit rule of ``dioph._flow_orbit``.  The kernel keeps
+on list columns and applies the integer transform it returns to its
+exact integers.  The kernel keeps
 to three rules so that its results do not depend on how numpy or the
 Python version sums: dots accumulate left to right (``s += a * b``,
 never ``sum()``, which compensates from Python 3.12 on), coefficients
@@ -48,10 +50,12 @@ and Gram matrices are stacked ``np.matmul`` calls and minors stacked
 ``np.linalg.det`` calls; both work one matrix at a time, so each member
 gets the bits of its own 2-d call.  A stack raises the error that the
 scalar loop over its members would raise first: the lowest failing
-member's.  A stack of one costs several times a scalar call, so the flow
-and the reduction of ``walk_simulate``, where each step depends on the
-last, keep the scalar kernel; the walk's observables are read over chunks
-of its steps, with one stacked R-factor and height pass per chunk.  The
+member's.  A stack of one costs several times a scalar call, so the
+reductions of the flow and of ``walk_simulate``, where each step depends
+on the last, keep the scalar kernel.  Their observables are read over
+chunks of at most ``WALK_CHUNK`` steps: the walk's with one stacked
+R-factor and height pass per chunk, the flow's with one stacked R-factor
+and sup-systole pass.  The
 height reads a plan cached per (spec, d): grade exponents and each subset's
 minor as indices into the flat Gram matrix, so a stack is one Gram product
 and one batched determinant per grade (``margulis_height``: a stack of 1).
@@ -72,7 +76,8 @@ from .rng import substream
 LLL_DELTA = 0.99  # the Lovasz parameter of every reduction
 DET_TOL = 1e-6  # how far from +-1 the determinant of an input basis may be
 STACK = 4096  # members per lockstep stack of the contraction fit and recurrence trials
-WALK_CHUNK = 256  # steps per stack of walk observables
+WALK_CHUNK = 256  # steps per stack of walk observables, grid points per stack of flow ones
+SEARCH_CAP = 10**7  # enumeration nodes of a shortest-vector search
 
 
 class LatticeError(NumericalError):
@@ -146,11 +151,22 @@ def _gso(cols):
     return mu, norms
 
 
-def _rfactor_from_gso(mu: list, norms: list, exps) -> list:
-    """Rows of R from the Gram-Schmidt data of columns each scaled by
-    2^-e_j: R_kj = mu_jk sqrt(n_k) 2^e_j and R_jj = sqrt(n_j) 2^e_j.
+def _rfactor(columns) -> list:
+    """Rows of the upper-triangular R with positive diagonal, basis = Q R.
+
+    Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
+    scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
+    the scaling is exact, and no square overflows deep in the cusp.  Then
+    R_kj = mu_jk sqrt(n_k) 2^e_j and R_jj = sqrt(n_j) 2^e_j, with
     ConditioningError when an entry overflows or is not finite, or a
-    diagonal entry is not positive."""
+    diagonal entry is not positive.
+    """
+    cols, exps = [], []
+    for col in columns:
+        e = frexp(max(map(abs, col)))[1]
+        cols.append([ldexp(v, -e) for v in col])
+        exps.append(e)
+    mu, norms = _gso(cols)
     roots = [sqrt(n) for n in norms]
     d = len(norms)
     r = [[0.0] * d for _ in range(d)]
@@ -166,31 +182,12 @@ def _rfactor_from_gso(mu: list, norms: list, exps) -> list:
     return r
 
 
-def _rfactor(columns) -> list:
-    """Rows of the upper-triangular R with positive diagonal, basis = Q R.
-
-    Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
-    scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
-    the scaling is exact, and no square overflows deep in the cusp.
-    """
-    cols, exps = [], []
-    for col in columns:
-        e = frexp(max(map(abs, col)))[1]
-        cols.append([ldexp(v, -e) for v in col])
-        exps.append(e)
-    return _rfactor_from_gso(*_gso(cols), exps)
-
-
 def _lll(cols: list):
     """The scalar LLL kernel (module docstring) on float-list columns.
 
-    Reduces ``cols`` in place and returns (cols, t, mu, norms): t holds
-    the columns of the integral transform as Python ints, mu and norms
-    the Gram-Schmidt data (:func:`_gso`) as the loop left them.  With no
-    swap and no size reduction, t is the identity and mu and norms are
-    exactly ``_gso`` of the input; a swap can never be undone (each one
-    cuts the LLL potential by the factor ``LLL_DELTA``), and without swaps
-    a size-reduced column keeps its changed transform column.
+    Reduces ``cols`` in place and returns (cols, t): t holds the columns
+    of the integral transform as Python ints, the identity when the loop
+    neither swapped nor size-reduced.
     """
     d = len(cols)
     t = [[0] * d for _ in range(d)]  # columns of the transform
@@ -225,7 +222,7 @@ def _lll(cols: list):
             t[k - 1], t[k] = tk, t[k - 1]
             mu, norms = _gso(cols)
             k = max(k - 1, 1)
-    return cols, t, mu, norms
+    return cols, t
 
 
 def lll_reduce(basis, renormalize: bool = True) -> UnimodularLattice:
@@ -297,7 +294,7 @@ def _rfactor_stack(bases) -> list:
 
     The same steps, elementwise: ``np.frexp`` exponents of each column's
     largest entry, exact ``np.ldexp`` scaling, :func:`_gso_stack`, then the
-    assembly of :func:`_rfactor_from_gso`, where an overflow reads inf.  A
+    assembly of :func:`_rfactor`, where an overflow reads inf.  A
     collapsed norm (zero or not finite) gives a diagonal entry that is zero
     or not finite, so the assembly's check refuses that member too.
     """
@@ -457,7 +454,7 @@ def _search_radius(rows: list, r: list, length, scale: float) -> float:
 def _search(r: list, radius: float) -> list:
     """The nonzero z of :func:`_enumerate` within ``radius``, at the node
     cap of the shortest-vector search."""
-    zs = _enumerate(r, radius, cap=10**7, rows=True)
+    zs = _enumerate(r, radius, cap=SEARCH_CAP, rows=True)
     if not zs:
         raise LatticeError("enumeration returned no vectors; radius too small")
     return zs
@@ -467,30 +464,89 @@ def _sup(v) -> float:
     return max(map(abs, v))
 
 
-def _sup_systole(rows: list, r: list) -> float:
-    """``shortest_vector(x, "sup")[1]`` for the lattice with basis rows
-    ``rows`` and R-factor ``r``, without the vector: the same radius,
-    refusals and candidates, and the least sup norm among them.
+def _sup_systole_stack(bases, rs):
+    """``shortest_vector(x, "sup")[1]`` of each lattice of a (n, d, d) stack
+    of bases, without the vectors, as (minima, errors): a float array (NaN
+    for a failed member) and a dict from each failed member to the error
+    its scalar search raises.
 
-    Only z lexicographically above 0 are read: negating z negates every
-    shift, bound and dot of the enumeration exactly, so -z is a candidate
-    of the same length.
+    ``rs`` are the R-factors as :func:`_rfactor_stack` gives them; a member
+    without one computes it alone, and fails as it would alone.  The search
+    is breadth-first over the levels d - 1 .. 0, with the arithmetic of
+    :func:`_search_radius` and :func:`_enumerate` done elementwise on every
+    node: shifts accumulate left to right, ranges are ``np.ceil`` and
+    ``np.floor`` of the same quotients, and a node is kept if its partial
+    norm is at most the squared radius.  Each level's ranges are charged to
+    their member before it is expanded, so a member passes
+    ``SEARCH_CAP`` nodes here exactly when its depth-first search does (an
+    infinite range is past the cap, as there).  Leaf sup norms
+    are dots accumulated left to right from 0.0, and each member takes the
+    least; the searches are symmetric under z -> -z, so that is the least
+    over the candidates of ``shortest_vector``.
     """
-    best = inf
-    zero = [0] * len(rows)
-    for z in _search(r, _search_radius(rows, r, _sup, sqrt(len(rows)))):
-        if z < zero:
-            continue
-        length = 0.0
-        for row in rows:
-            s = 0.0
-            for zj, bj in zip(z, row):
-                s += zj * bj
-            if abs(s) > length:
-                length = abs(s)
-        if length < best:
-            best = length
-    return best
+    n, d, _ = bases.shape
+    rs, errors = list(rs), {}
+
+    def fail(members, exc):
+        errors.update({k: exc for k in members.tolist() if k not in errors})
+
+    for k in [k for k, r in enumerate(rs) if r is None]:
+        try:
+            rs[k] = _rfactor(bases[k].T.tolist())
+        except ConditioningError as err:
+            errors[k], rs[k] = err, np.eye(d)
+    r = np.array(rs, dtype=float).reshape(n, d, d)
+    radius = np.abs(bases).max(axis=1).min(axis=1) * sqrt(d) * (1.0 + 1e-12)
+    bound = np.ones(n)
+    for j in range(d):
+        bound *= 1.0 + 2.0 * radius / r[:, j, j]
+    fail(np.flatnonzero(bound > 1e12),
+         ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12"))
+    too_many = CountCapError(f"enumeration exceeded the cap of {SEARCH_CAP} nodes")
+    rad2 = radius * radius
+    nodes = np.zeros(n)
+    # the frontier: each node's member, its z (zero below the level) and partial norm
+    owner = np.array([k for k in range(n) if k not in errors], dtype=int)
+    z = np.zeros((owner.size, d))
+    partial = np.zeros(owner.size)
+    with np.errstate(all="ignore"):
+        for level in range(d - 1, -1, -1):
+            rl = r[owner, level]
+            shift = np.zeros(owner.size)
+            for j in range(level + 1, d):
+                shift += rl[:, j] * z[:, j]
+            half = np.sqrt(rad2[owner] - partial)
+            lo = np.ceil((-half - shift) / rl[:, level] - 1e-12)
+            hi = np.floor((half - shift) / rl[:, level] + 1e-12)
+            width = hi - lo + 1.0
+            nodes += np.bincount(owner, weights=width, minlength=n)
+            fail(np.flatnonzero(~(nodes <= SEARCH_CAP)), too_many)
+            # a member past the cap is expanded no further
+            counts = np.where(nodes[owner] <= SEARCH_CAP, width, 0.0).astype(int)
+            idx = np.repeat(np.arange(owner.size), counts)
+            zi = lo[idx] + (np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts))
+            owner, z = owner[idx], z[idx]
+            z[:, level] = zi
+            if level:
+                val = rl[idx, level] * zi + shift[idx]
+                below = partial[idx] + val * val
+                kept = below <= rad2[owner]
+                owner, z, partial = owner[kept], z[kept], below[kept]
+    nonzero = z.any(axis=1)
+    owner, z = owner[nonzero], z[nonzero]
+    b = bases[owner]
+    length = np.zeros(owner.size)
+    for i in range(d):
+        s = np.zeros(owner.size)
+        for j in range(d):
+            s += z[:, j] * b[:, i, j]
+        length = np.fmax(length, np.abs(s))
+    minima = np.full(n, inf)
+    np.minimum.at(minima, owner, length)
+    fail(np.flatnonzero(np.bincount(owner, minlength=n) == 0),
+         LatticeError("enumeration returned no vectors; radius too small"))
+    minima[list(errors)] = np.nan
+    return minima, errors
 
 
 def shortest_vector(x: UnimodularLattice, norm: str = "sup"):

@@ -777,6 +777,36 @@ def test_dioph_flow_siegel_radius_not_finite_is_exit_2(tmp_path, capsys, radius)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0])
+def test_dioph_flow_escape_threshold_not_positive_is_exit_2(tmp_path, capsys, eps):
+    # exited 0 with the summary key "nan": false or "-1.0": false
+    params = {"M": [[0.3]], "r": [1.0], "s": [1.0], "t_max": 2.0, "eps_grid": [0.1, eps]}
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == (
+        f"config error: dioph-flow: escape threshold must be positive and finite, got {eps!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("thr", [float("nan"), float("inf"), -0.15])
+def test_dioph_fractal_threshold_not_positive_is_exit_2_before_sampling(tmp_path, monkeypatch,
+                                                                        capsys, thr):
+    # exited 0 with ba_fraction {"nan": 0.0}
+    def sample(*args, **kwargs):
+        raise AssertionError("points were sampled")
+
+    monkeypatch.setattr(dioph, "coding_sample", sample)
+    doc = _census_doc(tmp_path, "o", 4)
+    doc["parameters"]["thresholds"] = [0.1, thr]
+    assert cli.run(doc) == 2
+    assert capsys.readouterr().err == (
+        f"config error: dioph-fractal: thresholds must be positive and finite, got the entry "
+        f"{thr!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "counts, reason",
     [

@@ -358,9 +358,61 @@ def test_rfactor_stack_leaves_a_near_singular_member_to_the_scalar_path():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sup_systole_matches_shortest_vector(d):
-    for x in _bench_lattices(d):
-        length = lattices._sup_systole(x.reduced.tolist(), x.rfactor())
+    lats = _bench_lattices(d)
+    bases = np.array([x.reduced for x in lats])
+    minima, errors = lattices._sup_systole_stack(bases, lattices._rfactor_stack(bases))
+    assert errors == {} and minima.shape == (len(lats),)
+    for x, length in zip(lats, minima.tolist()):
         assert repr(length) == repr(shortest_vector(x, "sup")[1])
+
+
+def _scalar_sup_error(basis):
+    with pytest.raises(lattices.LatticeError) as info:
+        shortest_vector(UnimodularLattice(basis), "sup")
+    return info.value
+
+
+def test_sup_systole_stack_reports_each_failing_member_as_the_scalar_search():
+    good = [x.reduced for x in _bench_lattices(3)[:3]]
+    # columns (N, 1, 0), (N - 1, 1, 0), (N, 1, 1) at N = 1e4: a radius of
+    # about sqrt(3) N against R_11 about 1 / N, a search tree bound of 5e13
+    blowup = [[1e4, 1e4 - 1, 1e4], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+    # R = diag(N, N, N^-2) and radius sqrt(3) N at N = 256: a bound of 1.2e9,
+    # and a first range of 5.8e7 nodes at level 2
+    over_cap = [[256.0, 0.0, 256.0], [0.0, 256.0, 256.0], [0.0, 0.0, 2.0**-16]]
+    collapsed = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-17, 0.0], [0.0, 0.0, 1.0]]
+    bases = np.array([good[0], over_cap, good[1], blowup, collapsed, good[2]])
+    minima, errors = lattices._sup_systole_stack(bases, lattices._rfactor_stack(bases))
+    assert sorted(errors) == [1, 3, 4]
+    assert type(errors[1]) is lattices.CountCapError
+    assert type(errors[3]) is lattices.ConditioningError
+    assert type(errors[4]) is lattices.ConditioningError
+    for k, err in errors.items():
+        scalar = _scalar_sup_error(bases[k])
+        assert type(err) is type(scalar) and str(err) == str(scalar)
+        assert np.isnan(minima[k])
+    for k in (0, 2, 5):
+        assert repr(float(minima[k])) == repr(shortest_vector(UnimodularLattice(bases[k]))[1])
+    # the flow raises the lowest failing member's error, as its scalar loop did
+    with pytest.raises(lattices.CountCapError, match="exceeded the cap of 10000000 nodes"):
+        lattices._raise_first(errors)
+
+
+@pytest.mark.parametrize("cap", [3, 5, 8, 12, 20, 30])
+def test_sup_systole_stack_node_cap_matches_the_depth_first_search(monkeypatch, cap):
+    # the breadth-first search passes the cap exactly where the depth-first one does
+    monkeypatch.setattr(lattices, "SEARCH_CAP", cap)
+    lats = _bench_lattices(3)[::10] + _bench_lattices(2)[::100]
+    for group in (lats[:40], lats[40:]):
+        bases = np.array([x.reduced for x in group])
+        minima, errors = lattices._sup_systole_stack(bases, lattices._rfactor_stack(bases))
+        for k, x in enumerate(group):
+            try:
+                ref = shortest_vector(UnimodularLattice(x.reduced), "sup")[1]
+            except lattices.CountCapError as err:
+                assert str(errors[k]) == str(err)
+            else:
+                assert k not in errors and repr(float(minima[k])) == repr(ref)
 
 
 def brute_force_quality_ref(mat, weights, t_max, cap=10**8):
@@ -506,28 +558,24 @@ def test_flow_trace_refusal_matches_per_step_reference():
     assert messages[0].startswith("flow orbit cannot be reduced at t=364:")
 
 
-def _rfactor_mismatches(monkeypatch, mat, weights, t_max, dt):
-    """Grid times where the orbit's R differs in any bit from a fresh
-    ``_rfactor`` of its snapshot, and how many points read R from the LLL's
-    Gram-Schmidt data instead of calling ``_rfactor``."""
-    orbit, rfactor = dioph._flow_orbit, dioph._rfactor
-    fresh, mismatches = [], []
+def test_flow_trace_raises_the_lowest_failing_point_of_a_chunk(monkeypatch):
+    # searches failing at points 3 and 7 of the second chunk (t = 259 and 263)
+    # come before the orbit's own failure at t = 364
+    real, chunks = dioph._sup_systole_stack, []
 
-    def counted_rfactor(columns):
-        fresh.append(columns)
-        return rfactor(columns)
+    def failing(bases, rs):
+        minima, errors = real(bases, rs)
+        if chunks:
+            errors = {7: lattices.LatticeError("second"), 3: lattices.CountCapError("first")}
+        chunks.append(len(bases))
+        return minima, errors
 
-    def checked_orbit(*args):
-        for k, (snap, r) in enumerate(orbit(*args)):
-            ref = lattices._rfactor(list(zip(*snap)))
-            if np.array(r).tobytes() != np.array(ref).tobytes():
-                mismatches.append(k * dt)
-            yield snap, r
-
-    monkeypatch.setattr(dioph, "_rfactor", counted_rfactor)
-    monkeypatch.setattr(dioph, "_flow_orbit", checked_orbit)
-    points = len(flow_trace(mat, weights, t_max, dt=dt).minima)
-    return mismatches, points - len(fresh)
+    monkeypatch.setattr(dioph, "_sup_systole_stack", failing)
+    with pytest.raises(lattices.ConditioningError) as err:
+        flow_trace(0.0, UNIT, 380.0, dt=1.0)
+    assert str(err.value) == "flow orbit cannot be reduced at t=259: first"
+    assert type(err.value.__cause__) is lattices.CountCapError
+    assert chunks == [256, 108]  # the second chunk ends where the orbit fails
 
 
 RFACTOR_REUSE_CASES = [
@@ -541,18 +589,24 @@ RFACTOR_REUSE_CASES = [
 
 @pytest.mark.parametrize("mat, weights, t_max, dt", RFACTOR_REUSE_CASES)
 def test_flow_rfactor_reuse_matches_fresh_rfactor(monkeypatch, mat, weights, t_max, dt):
-    mismatches, reused = _rfactor_mismatches(monkeypatch, mat, weights, t_max, dt)
-    assert mismatches == []
-    assert reused > 100  # the reading from Gram-Schmidt data is exercised
+    # each chunk's R, which its systole search and Siegel counts reuse, is
+    # _rfactor of each snapshot, bit for bit; deep in the cusp too, where the
+    # zero orbit's snapshots span 1,039 bits at t = 360
+    stack, chunks = dioph._rfactor_stack, []
 
+    def checked_stack(bases):
+        rs = stack(bases)
+        for b, r in zip(bases, rs):
+            ref = lattices._rfactor(b.T.tolist())
+            assert r == ref and np.array(r).tobytes() == np.array(ref).tobytes()
+        chunks.append(len(bases))
+        return rs
 
-def test_flow_rfactor_reuse_needs_the_spread_guard(monkeypatch):
-    # past t = 346 the common-scaled squares of the zero orbit are subnormal,
-    # and an R read from them loses bits
-    monkeypatch.setattr(dioph, "REUSE_SPREAD", 10**6)
-    mismatches, reused = _rfactor_mismatches(monkeypatch, 0.0, UNIT, 360.0, 1.0)
-    assert reused == 360  # every point but t = 1, where LLL swaps e^t past e^-t
-    assert mismatches == [float(t) for t in range(346, 361)]
+    monkeypatch.setattr(dioph, "_rfactor_stack", checked_stack)
+    points = len(flow_trace(mat, weights, t_max, dt=dt).minima)
+    assert sum(chunks) == points
+    assert chunks == [lattices.WALK_CHUNK] * (points // lattices.WALK_CHUNK) + [
+        points % lattices.WALK_CHUNK]
 
 
 def wedge_power_ref(g, k):
