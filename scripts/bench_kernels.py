@@ -29,8 +29,10 @@ ratio and 0.37 to t = 30 (``sup_systole_stack.d2``) and the carpet points
 to t = 20 (``sup_systole_stack.d3``), dt 0.05, R-factors given.  A whole
 fractal census of the benchmark's larger
 carpet op (16 points to t = 20, brute-force boxes to T = 100) is timed
-as ``fractal_experiment.carpet.16x20``; its points run on every core of
-the process's affinity.  The row
+as ``fractal_experiment.carpet.16x20``, its points one after another in
+this process.  Criterion 12's census (the same carpet, 100 points at seed
+12 to t = 10, 20 and 40, brute-force boxes to T = 100) is timed once per
+run, as one call, in the row ``fractal_experiment.criterion_12``.  The row
 ``import.expwalk_cli`` is the time a fresh interpreter takes to
 ``import expwalk.cli`` (timed inside the child, interpreter start-up
 excluded) over ``REPEATS`` children.  One repeat
@@ -214,6 +216,16 @@ def _import_time():
     return min(times), statistics.median(times)
 
 
+def _criterion_12():
+    """Seconds criterion 12's census takes, timed once."""
+    carpet = catalog.bm_carpet(2, 3)
+    t0 = time.perf_counter()
+    for t_max in (10.0, 20.0, 40.0):
+        fractal_experiment(carpet, carpet.weightpair, 100, t_max, seed=12, dt=0.05,
+                           thresholds=(0.15,), brute_t_max=100.0)
+    return time.perf_counter() - t0
+
+
 def _machine():
     model = ""
     try:
@@ -325,7 +337,7 @@ def main(argv=None) -> int:
         # most lattices.WALK_CHUNK steps
         ("rfactor_stack.d2", _rfactor_stack, _stacks(lat2), False, 512),
         ("rfactor_stack.d4", _rfactor_stack, _stacks(lat4), False, 512),
-        # census op 01's shape: its points split over the process's cores
+        # census op 01's shape
         ("fractal_experiment.carpet.16x20",
          lambda seed: fractal_experiment(carpet, carpet.weightpair, 16, 20.0, seed=seed,
                                          brute_t_max=100.0), [1], False, 1),
@@ -365,6 +377,8 @@ def main(argv=None) -> int:
         fastest, median = _time(fn, inputs, fresh)
         record(name, fastest / per_input, median / per_input, len(inputs) * per_input)
     record("import.expwalk_cli", *_import_time(), 1)
+    census = _criterion_12()
+    record("fractal_experiment.criterion_12", census, census, 1)
     doc = {
         "machine": _machine(),
         "method": f"min and median over {REPEATS} repeats of the whole input list, per call",

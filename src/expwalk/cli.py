@@ -21,15 +21,10 @@ Nothing is written until the kind returns.  Exit codes and what each writes:
 * 3, numerical failure (a ``linalg.NumericalError`` such as conditioning,
   non-convergence or an enumeration cap, or a ``LinAlgError``):
   ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
-  ``error`` and, where the error carries one, the ``partial`` value;
-* 4, a lost worker (a ``dioph-fractal`` worker process that died,
-  ``dioph.WorkerLostError``), neither bad input nor numerical trouble:
-  ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
-  ``error``, which names the lost share, as it does on stderr.
+  ``error`` and, where the error carries one, the ``partial`` value.
 
-Execution is deterministic for a fixed config.  ``dioph-fractal`` splits
-its points over the process's cores (share 0 in this process, the others
-in forked workers), with the same bytes for any number of cores.
+Execution is deterministic for a fixed config, and every kind runs in this
+one process.
 """
 from __future__ import annotations
 
@@ -43,7 +38,7 @@ from math import isfinite
 import numpy as np
 from mpmath import mp
 
-from .dioph import WorkerLostError, brute_force_quality, flow_trace, fractal_experiment
+from .dioph import brute_force_quality, check_thresholds, flow_trace, fractal_experiment
 from .expansion import ConeSpec, expanding_cone_membership, expansion_certificate
 from .fractal import ifs_from_dict, ifs_to_dict, load_ifs, sponge_builder, sponge_check
 from .kau import (
@@ -438,6 +433,7 @@ def _run_dioph_brute(p, seed):
 
 
 def _run_dioph_flow(p, seed):
+    check_thresholds(p["eps_grid"])  # before the flow, which can take seconds or fail
     trace = flow_trace(
         p["M"], _weightpair(p, "dioph-flow"), p["t_max"], dt=p["dt"],
         siegel_radius=p["siegel_radius"],
@@ -492,8 +488,8 @@ def run(config: dict) -> int:
     """Execute one experiment config; returns the process exit code.
 
     The config is parsed and the kind run before anything is written, so a
-    config error (exit 2) writes nothing and a numerical failure (exit 3) or
-    a lost worker (exit 4) writes the config and the failure summary.
+    config error (exit 2) writes nothing and a numerical failure (exit 3)
+    writes the config and the failure summary.  No other code is returned.
     """
     kind = config.get("kind")
     code = 0
@@ -509,9 +505,6 @@ def run(config: dict) -> int:
         if partial is not None:
             summary["partial"] = np.asarray(partial).ravel().tolist()
         print(f"numerical failure: {summary['error']}", file=sys.stderr)
-    except WorkerLostError as err:
-        summary, extra, code = {"error": f"{kind}: {type(err).__name__}: {err}"}, {}, 4
-        print(f"worker failure: {summary['error']}", file=sys.stderr)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -522,7 +515,7 @@ def run(config: dict) -> int:
     prefix = resolved["output"]
     for suffix, doc in {"config.json": resolved, "summary.json": summary, **extra}.items():
         _write_json(f"{prefix}.{suffix}", doc)
-    if code:  # the failures above
+    if code:  # the numerical failure above
         return code
     with open(f"{prefix}.data.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(emit_plotdata(cols))

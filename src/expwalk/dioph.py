@@ -11,17 +11,13 @@ snapshot goes through the LLL kernel shared with ``lll_reduce``.  The
 observables are read over chunks of up to ``WALK_CHUNK`` snapshots, as the
 walk's are: one stacked R-factor pass and one stacked search for the
 length of the sup-norm systole per chunk, with the bits of the scalar
-kernels for each snapshot.  The fractal census splits its points into
-interleaved shares, one per core of the process's affinity (point i goes
-to share i mod w): share 0 runs in this process and the others in forked
-workers, and the rows are put back in point order, so the results are
-the same bits for any number of cores.  Finite-horizon results are
+kernels for each snapshot.  The fractal census runs its points in this
+process, one after another in point order.  Finite-horizon results are
 reported as evidence scores, never as verdicts: the dichotomies they
 probe are asymptotic.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import islice
 from math import frexp, gamma, isfinite, ldexp, log, pi
@@ -48,11 +44,6 @@ from .lattices import (
 
 class SearchCapError(NumericalError):
     """Brute-force search box exceeds the configured cap."""
-
-
-class WorkerLostError(RuntimeError):
-    """A census worker process died, and with it the points of its share:
-    neither bad input nor numerical trouble."""
 
 
 def brute_force_quality(mat, weights: WeightPair, t_max: float, cap: int = 10**8):
@@ -187,6 +178,18 @@ def _flow_orbit(entries, weights: WeightPair, dt: float, bits: int):
         rows = [[(v * f) >> bits for v in row] for row, f in zip(rows, factors)]
 
 
+ESCAPE_THRESHOLD = "escape threshold must be positive and finite, got {!r}"
+
+
+def check_thresholds(values, message: str = ESCAPE_THRESHOLD) -> None:
+    """Refuse the first of ``values`` that is not positive and finite (its
+    K_epsilon would be empty or everything): a ValueError whose text is
+    ``message`` formatted with that value."""
+    for v in values:
+        if not (v > 0.0 and isfinite(v)):
+            raise ValueError(message.format(v))
+
+
 @dataclass
 class FlowTrace:
     """Sup-norm systole of a(t) u_M Z^d along a t-grid, plus extras."""
@@ -215,8 +218,7 @@ class FlowTrace:
 
     def escape_flag(self, epsilon: float, after: float) -> bool:
         """True when the orbit never returns to K_epsilon past time ``after``."""
-        if not (epsilon > 0.0 and isfinite(epsilon)):  # K_epsilon is empty or everything
-            raise ValueError(f"escape threshold must be positive and finite, got {epsilon!r}")
+        check_thresholds((epsilon,))
         tail = self.t_grid > after
         return bool(np.all(self.minima[tail] < epsilon)) if np.any(tail) else False
 
@@ -370,81 +372,22 @@ def classify_point(
     )
 
 
-def _census_share(points, first: int, step: int, weights, t_max, dt, brute_t_max):
-    """Census rows of ``points``, the census points of index first,
-    first + step, .., in order.
-
-    Stops at the first failing point: returns (rows, None), or the rows
-    before the failure and (point index, error).
-    """
-    rows = []
-    for i, mat in zip(range(first, first + step * len(points), step), points):
-        try:
-            trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=SIEGEL_RADIUS)
-            report = classify_point(mat, weights, t_max, dt=dt, trace=trace)
-            quality, _ = brute_force_quality(mat, weights, brute_t_max)
-        except Exception as err:  # the caller raises the lowest-index failure
-            return rows, (i, err)
-        row = {
-            "point_id": i,
-            "quality": quality,
-            "inf_minima": report.inf_minima,
-            "generic_score": report.generic_score,
-            "dirichlet_eps": report.dirichlet_eps,
-            "ba_evidence": int(report.badly_approx_evidence),
-        }
-        for j, v in enumerate(mat.ravel()):
-            row[f"coord_{j}"] = float(v)
-        rows.append(row)
-    return rows, None
-
-
-def _share_count(n_points: int) -> int:
-    """Shares a census of ``n_points`` points is split into: one per core
-    of this process's affinity, at most one per point.  One share where
-    processes cannot be forked, or where this process runs other threads
-    (a forked child would inherit any lock they hold, held forever)."""
-    import multiprocessing
-    import threading
-
-    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return min(n_points, len(os.sched_getaffinity(0)))
-
-
-def _census(points, weights, t_max, dt, brute_t_max) -> list[dict]:
-    """Census rows of ``points`` in point order, from ``_share_count``
-    interleaved shares (see :func:`fractal_experiment`).  A worker that dies
-    raises a :class:`WorkerLostError` naming its share, and the workers are
-    shut down and joined on every exit.  They are forked, not spawned: a
-    spawned worker imports expwalk afresh, which costs about what a census
-    op saves.
-    """
-    w = _share_count(len(points))
-    args = (weights, t_max, dt, brute_t_max)
-    if w == 1:
-        shares = [_census_share(points, 0, 1, *args)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ProcessPoolExecutor(w - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_census_share, points[k::w], k, w, *args) for k in range(1, w)]
-            shares = [_census_share(points[0::w], 0, w, *args)]
-            for k, future in enumerate(futures, 1):
-                try:
-                    shares.append(future.result())
-                except BrokenProcessPool as err:
-                    raise WorkerLostError(
-                        f"census share {k} of {w} (points {k}, {k + w}, ..) was lost: "
-                        f"its worker process died"
-                    ) from err
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return sorted((row for rows, _ in shares for row in rows), key=lambda row: row["point_id"])
+def _census_row(i: int, mat, weights, t_max, dt, brute_t_max) -> dict:
+    """Census row of point ``i``, the matrix ``mat``."""
+    trace = flow_trace(mat, weights, t_max, dt=dt, siegel_radius=SIEGEL_RADIUS)
+    report = classify_point(mat, weights, t_max, dt=dt, trace=trace)
+    quality, _ = brute_force_quality(mat, weights, brute_t_max)
+    row = {
+        "point_id": i,
+        "quality": quality,
+        "inf_minima": report.inf_minima,
+        "generic_score": report.generic_score,
+        "dirichlet_eps": report.dirichlet_eps,
+        "ba_evidence": int(report.badly_approx_evidence),
+    }
+    for j, v in enumerate(mat.ravel()):
+        row[f"coord_{j}"] = float(v)
+    return row
 
 
 def fractal_experiment(
@@ -466,13 +409,9 @@ def fractal_experiment(
     badly-approximable evidence fractions per threshold, the median
     genericity score, and quality quantiles.
 
-    The points are split into w = min(n_points, cores of the process's
-    affinity) interleaved shares (point i in share i mod w; one share where
-    processes cannot be forked).  Share 0 runs in this process and the
-    others in forked workers, one task each, through the same per-point
-    body; the rows come back in point order, and the failure of the lowest
-    point index is raised as a sequential loop would raise it.  The summary
-    and rows are therefore the same bits for any number of cores.
+    The points run in this process, one after another in point order; the
+    error of the first point that fails is raised as it is, and no later
+    point is flowed.
 
     Returns (summary, rows) with one row dict per point.
     """
@@ -481,9 +420,7 @@ def fractal_experiment(
     if not (isfinite(brute_t_max) and brute_t_max >= 1.0):
         raise ValueError(f"brute_t_max must be finite and at least 1, got {brute_t_max!r}")
     _grid_points(t_max, dt)
-    for thr in thresholds:
-        if not (thr > 0.0 and isfinite(thr)):
-            raise ValueError(f"thresholds must be positive and finite, got the entry {thr!r}")
+    check_thresholds(thresholds, "thresholds must be positive and finite, got the entry {!r}")
     validation = ifs_validate(ifs)
     if not validation.contracting:
         raise ValueError(
@@ -499,7 +436,7 @@ def fractal_experiment(
             raise ValueError(f"symbol {i} is not a sponge affinity for the weights: {chk.reason}")
 
     points = coding_sample(ifs, n_points, seed=seed)
-    rows = _census(points, weights, t_max, dt, brute_t_max)
+    rows = [_census_row(i, mat, weights, t_max, dt, brute_t_max) for i, mat in enumerate(points)]
 
     inf_minima = np.array([row["inf_minima"] for row in rows])
     qualities = np.array([row["quality"] for row in rows])

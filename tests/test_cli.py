@@ -1,7 +1,5 @@
 import hashlib
 import json
-import multiprocessing
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -569,16 +567,21 @@ FRESH_FORK = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import expwalk.cli
-print(json.dumps(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)))
+pools = lambda: sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
+at_import = pools()
+code = expwalk.cli.run(json.loads(sys.argv[2]))
+print(json.dumps({"at_import": at_import, "code": code, "after_census": pools()}))
 """
 
 
-def test_fresh_import_loads_no_process_pool():
-    # the census imports its worker pool when it runs, not with the cli
+def test_fresh_import_loads_no_process_pool(tmp_path):
+    # neither the cli nor a census run starts a process
     src = str(Path(expwalk.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", FRESH_FORK, src],
+    doc = json.dumps(_census_doc(tmp_path, "fresh", 4))
+    out = subprocess.run([sys.executable, "-c", FRESH_FORK, src, doc],
                          check=True, capture_output=True, text=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report == {"at_import": [], "code": 0, "after_census": []}
 
 
 def test_expansion_serves_minimize_on_access():
@@ -702,67 +705,28 @@ def _census_doc(tmp_path, name, n_points):
             "output": str(tmp_path / name)}
 
 
-@pytest.mark.parametrize("n_points", [1, 2, 17])
-def test_dioph_fractal_bytes_are_the_same_for_one_two_and_three_shares(tmp_path, monkeypatch,
-                                                                       n_points):
-    for shares in (1, 2, 3):
-        monkeypatch.setattr(dioph, "_share_count", lambda n, w=shares: min(n, w))
-        assert cli.run(_census_doc(tmp_path, f"w{shares}", n_points)) == 0
-        assert multiprocessing.active_children() == []
-    for suffix in ("data.csv", "summary.json"):
-        one = (tmp_path / f"w1.{suffix}").read_bytes()
-        assert (tmp_path / f"w2.{suffix}").read_bytes() == one, suffix
-        assert (tmp_path / f"w3.{suffix}").read_bytes() == one, suffix
-
-
-@pytest.mark.parametrize("failing", [[2, 5], [5, 3]], ids=["parent-share", "worker-share"])
+@pytest.mark.parametrize("failing", [[2, 5], [5, 3]])
 def test_dioph_fractal_failure_is_exit_3_with_the_sequential_summary(tmp_path, monkeypatch,
                                                                      failing):
-    # with two shares point 2 is the parent's and point 3 a forked worker's
     points = coding_sample(catalog.bm_carpet(2, 3), 6, seed=4)
     real = dioph.flow_trace
+    called = []
 
     def flow(mat, *args, **kwargs):
-        for i in failing:
-            if np.array_equal(mat, points[i]):
-                raise ConditioningError(f"flow orbit cannot be reduced at point {i}")
+        i = next(i for i, point in enumerate(points) if np.array_equal(mat, point))
+        called.append(i)
+        if i in failing:
+            raise ConditioningError(f"flow orbit cannot be reduced at point {i}")
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(dioph, "flow_trace", flow)
-    for shares in (1, 2):
-        monkeypatch.setattr(dioph, "_share_count", lambda n, w=shares: min(n, w))
-        assert cli.run(_census_doc(tmp_path, f"w{shares}", 6)) == 3
-        assert multiprocessing.active_children() == []
-        assert not (tmp_path / f"w{shares}.data.csv").exists()
-    summary = (tmp_path / "w1.summary.json").read_bytes()
-    assert (tmp_path / "w2.summary.json").read_bytes() == summary
-    assert json.loads(summary)["error"] == (
-        f"dioph-fractal: ConditioningError: flow orbit cannot be reduced at point {min(failing)}"
+    assert cli.run(_census_doc(tmp_path, "o", 6)) == 3
+    assert called == list(range(min(failing) + 1))
+    assert not (tmp_path / "o.data.csv").exists()
+    assert (tmp_path / "o.summary.json").read_text() == (
+        '{\n  "error": "dioph-fractal: ConditioningError: flow orbit cannot be reduced at '
+        f'point {min(failing)}"\n}}\n'
     )
-
-
-def test_dioph_fractal_dead_worker_is_exit_4_without_traceback(tmp_path, monkeypatch, capsys):
-    # the forked worker of share 1 dies at its first point
-    parent = os.getpid()
-    real = dioph.flow_trace
-
-    def flow(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dioph, "flow_trace", flow)
-    monkeypatch.setattr(dioph, "_share_count", lambda n: min(n, 2))
-    assert cli.run(_census_doc(tmp_path, "dead", 5)) == 4
-    assert multiprocessing.active_children() == []
-    lost = "census share 1 of 2 (points 1, 3, ..) was lost: its worker process died"
-    err = capsys.readouterr().err
-    assert err == f"worker failure: dioph-fractal: WorkerLostError: {lost}\n"
-    assert json.loads((tmp_path / "dead.summary.json").read_text()) == {
-        "error": f"dioph-fractal: WorkerLostError: {lost}"
-    }
-    assert json.loads((tmp_path / "dead.config.json").read_text())["kind"] == "dioph-fractal"
-    assert not (tmp_path / "dead.data.csv").exists()
 
 
 @pytest.mark.parametrize("radius", [float("inf"), float("nan")])
@@ -778,13 +742,30 @@ def test_dioph_flow_siegel_radius_not_finite_is_exit_2(tmp_path, capsys, radius)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0])
-def test_dioph_flow_escape_threshold_not_positive_is_exit_2(tmp_path, capsys, eps):
-    # exited 0 with the summary key "nan": false or "-1.0": false
+def test_dioph_flow_escape_threshold_not_positive_is_exit_2(tmp_path, monkeypatch, capsys, eps):
+    # exited 0 with the summary key "nan": false or "-1.0": false, and later
+    # was refused only after the whole flow
+    def flow(*args, **kwargs):
+        raise AssertionError("the orbit was flowed")
+
+    monkeypatch.setattr(cli, "flow_trace", flow)
     params = {"M": [[0.3]], "r": [1.0], "s": [1.0], "t_max": 2.0, "eps_grid": [0.1, eps]}
     assert cli.run({"kind": "dioph-flow", "parameters": params,
                     "output": str(tmp_path / "o")}) == 2
     assert capsys.readouterr().err == (
         f"config error: dioph-flow: escape threshold must be positive and finite, got {eps!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dioph_flow_bad_escape_threshold_is_exit_2_before_a_failing_flow(tmp_path, capsys):
+    # the zero orbit cannot be reduced past t=363: this exited 3, not 2
+    params = {"M": [[0.0]], "r": [1.0], "s": [1.0], "t_max": 380.0, "dt": 1.0,
+              "eps_grid": [float("nan")]}
+    assert cli.run({"kind": "dioph-flow", "parameters": params,
+                    "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == (
+        "config error: dioph-flow: escape threshold must be positive and finite, got nan\n"
     )
     assert list(tmp_path.iterdir()) == []
 

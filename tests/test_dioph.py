@@ -1,7 +1,3 @@
-import multiprocessing
-import os
-import threading
-
 import numpy as np
 import pytest
 from mpmath import mp
@@ -245,86 +241,38 @@ def _carpet_census(n_points, seed=4):
                               brute_t_max=20.0)
 
 
-@pytest.mark.parametrize("n_points", [1, 2, 17])
-def test_census_is_the_same_for_one_two_and_three_shares(monkeypatch, n_points):
-    results = {}
-    for shares in (1, 2, 3):
-        monkeypatch.setattr(dioph, "_share_count", lambda n, w=shares: min(n, w))
-        results[shares] = _carpet_census(n_points)
-        assert multiprocessing.active_children() == []
-    summary, rows = results[1]
-    assert [row["point_id"] for row in rows] == list(range(n_points))
-    for shares in (2, 3):
-        assert results[shares][0] == summary
-        assert results[shares][1] == rows  # exact float equality, key order too
-        assert [list(row) for row in results[shares][1]] == [list(row) for row in rows]
-
-
 def _failing_flow(monkeypatch, failing):
     """flow_trace raising ConditioningError at the points of index ``failing``
-    of the n=9 carpet census (a forked worker inherits the patch)."""
+    of the n=9 carpet census; returns the indices of the points it was
+    called on, in call order."""
     points = coding_sample(CARPET, 9, seed=4)
     real = dioph.flow_trace
+    called = []
 
     def flow(mat, *args, **kwargs):
-        for i in failing:
-            if np.array_equal(mat, points[i]):
-                raise ConditioningError(f"flow orbit cannot be reduced at point {i}")
+        i = next(i for i, point in enumerate(points) if np.array_equal(mat, point))
+        called.append(i)
+        if i in failing:
+            raise ConditioningError(f"flow orbit cannot be reduced at point {i}")
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(dioph, "flow_trace", flow)
+    return called
 
 
-@pytest.mark.parametrize("shares, failing, first", [
-    (2, [4, 7], 4),  # both in the parent's share 0
-    (2, [6, 3], 3),  # share 1, a worker's, fails first
-    (3, [7, 5], 5),  # two workers: share 2 fails before share 1
-    (3, [8, 6], 6),  # the parent's share before a worker's
+@pytest.mark.parametrize("failing, first", [
+    ([4, 7], 4),
+    ([6, 3], 3),
+    ([7, 5], 5),
+    ([8, 6], 6),
+    ([0, 1], 0),
 ])
-def test_census_raises_the_lowest_failing_point(monkeypatch, shares, failing, first):
-    _failing_flow(monkeypatch, failing)
-    monkeypatch.setattr(dioph, "_share_count", lambda n: 1)
-    with pytest.raises(ConditioningError) as sequential:
+def test_census_raises_the_lowest_failing_point(monkeypatch, failing, first):
+    called = _failing_flow(monkeypatch, failing)
+    with pytest.raises(ConditioningError) as raised:
         _carpet_census(9)
-    assert str(sequential.value) == f"flow orbit cannot be reduced at point {first}"
-    monkeypatch.setattr(dioph, "_share_count", lambda n: min(n, shares))
-    with pytest.raises(ConditioningError) as split:
-        _carpet_census(9)
-    assert str(split.value) == str(sequential.value)
-    assert multiprocessing.active_children() == []
-
-
-def test_census_worker_that_dies_names_its_share(monkeypatch):
-    parent = os.getpid()
-    real = dioph.flow_trace
-
-    def flow(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dioph, "flow_trace", flow)
-    monkeypatch.setattr(dioph, "_share_count", lambda n: min(n, 2))
-    with pytest.raises(RuntimeError, match=r"census share 1 of 2 \(points 1, 3, \.\.\) was lost"):
-        _carpet_census(5)
-    assert multiprocessing.active_children() == []
-
-
-def test_share_count_follows_the_affinity_in_a_single_threaded_process():
-    cores = len(os.sched_getaffinity(0))
-    assert dioph._share_count(1) == 1
-    assert dioph._share_count(10**6) == cores
-    # a fork would copy any lock another thread holds: no workers then
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert dioph._share_count(10**6) == 1
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert dioph._share_count(10**6) == cores
+    assert str(raised.value) == f"flow orbit cannot be reduced at point {first}"
+    assert called == list(range(first + 1))  # in point order, and no later point flowed
 
 
 def test_flow_grid_error_factor_covers_midpoints():
