@@ -20,11 +20,14 @@ steps), and expanding-cone membership on criterion 02's (2,1,1) parabolic
 and on a four-block one, at seeded interior and generic points.  A walk
 step is timed with the three observables of the benchmark's short walks
 (``walk_step.d2``) and with criterion 05's Siegel count alone
-(``walk_step.d2.siegel``); the stacked R-factor of the walk's observables
-is timed per member of 512-member stacks of the seeded walk bases
-(``rfactor_stack.d2``, ``rfactor_stack.d4``), beside the scalar
-``rfactor`` rows.  The flow's stacked sup-systole search is timed the
-same way, on the reduced snapshots of census flows: the 50-digit golden
+(``walk_step.d2.siegel``).  R has one kernel, the stacked R-factor: the
+``rfactor`` rows time one lattice's R, a stack of one, and the
+``rfactor_stack`` rows time it per member of 512-member stacks of the
+seeded walk bases, as the walk's observables read it.  The Siegel-count
+and shortest-vector rows take their lattices' R from one stack of their
+inputs, as the walk and the flow hand R over, so they time the
+enumeration alone.  The flow's stacked sup-systole search is timed per
+member too, on the reduced snapshots of census flows: the 50-digit golden
 ratio and 0.37 to t = 30 (``sup_systole_stack.d2``) and the carpet points
 to t = 20 (``sup_systole_stack.d3``), dt 0.05, R-factors given.  A whole
 fractal census of the benchmark's larger
@@ -173,12 +176,17 @@ def _snapshot_stacks(mats, weights, t_max, dt=0.05, size=512):
         snaps += islice(_flow_orbit(entries, weights, dt, bits), _grid_points(t_max, dt))
     k = -(-len(snaps) // size)
     bases = np.array([snaps[i % len(snaps)] for i in range(k * size)])
-    return [(b, _rfactor_stack(b)) for b in bases.reshape(k, size, *bases.shape[1:])]
+    return [(b, *_rfactor_stack(b)) for b in bases.reshape(k, size, *bases.shape[1:])]
 
 
 def _systoles(stack):
-    bases, rs = stack
-    return _sup_systole_stack(bases, rs)
+    return _sup_systole_stack(*stack)
+
+
+def _given_r(lats):
+    """Copies of ``lats`` holding the R of one ``_rfactor_stack`` of their bases."""
+    bases = np.array([x.reduced for x in lats])
+    return [UnimodularLattice(b, _rfactor=r) for b, r in zip(bases, _rfactor_stack(bases)[0])]
 
 
 def _fresh(lats):
@@ -312,9 +320,11 @@ def main(argv=None) -> int:
         ("lll_reduce.d4", reduce, in4, False, 1),
         ("margulis_height.d2", height, lat2, False, 1),
         ("margulis_height.d4", height, lat4, False, 1),
-        ("siegel_count.d2", lambda x: siegel_count(x, 3.0), lat2, True, 1),
-        ("siegel_count.d3", lambda x: siegel_count(x, 3.0), lat3, True, 1),
-        ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), lat2, True, 1),
+        # R given, as the walk and the flow hand it over from their chunk stacks
+        ("siegel_count.d2", lambda x: siegel_count(x, 3.0), _given_r(lat2), False, 1),
+        ("siegel_count.d3", lambda x: siegel_count(x, 3.0), _given_r(lat3), False, 1),
+        ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), _given_r(lat2), False,
+         1),
         # per member of 512-member stacks of census flow snapshots, R given;
         # the flow reads its systoles over chunks of at most lattices.WALK_CHUNK
         ("sup_systole_stack.d2", _systoles, flow2, False, 512),
@@ -330,6 +340,7 @@ def main(argv=None) -> int:
         ("flow_trace.d3.t40", carpet_flow(40.0), carpet_points, False, 1),
         ("flow_trace.d2.golden.t30", scalar_flow, [GOLDEN_50], False, 1),
         ("flow_trace.d2.zero.t360", zero_flow, [0.0], False, 1),
+        # one lattice's R: a stack of one
         ("rfactor.d2", lambda x: x.rfactor(), lat2, True, 1),
         ("rfactor.d3", lambda x: x.rfactor(), lat3, True, 1),
         ("rfactor.d4", lambda x: x.rfactor(), lat4, True, 1),

@@ -123,7 +123,8 @@ def _coerce(spec, value, where: str):
 
 
 def _matrix(value, where: str) -> np.ndarray:
-    """A row-major matrix of finite numbers or decimal strings, entries kept as given.
+    """A row-major matrix of finite numbers or decimal strings (not booleans),
+    entries kept as given.
 
     Kinds that compute in floats convert it themselves; ``dioph-flow``
     reads the digits of a decimal string past a double.
@@ -134,6 +135,8 @@ def _matrix(value, where: str) -> np.ndarray:
         finite = all(isfinite(float(mp.mpf(v))) for v in arr.flat)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: not a numeric array: {err}") from err
+    if any(isinstance(v, bool) for v in arr.flat):  # float() reads true as 1.0
+        raise ConfigError(f"{where}: entries must be numbers or decimal strings, not booleans")
     if not finite:
         raise ConfigError(f"{where}: entries must be finite")
     if arr.ndim == 1:

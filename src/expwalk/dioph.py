@@ -281,8 +281,8 @@ def flow_trace(
         except (LatticeError, OverflowError) as err:  # raised after the points before it
             failure = err
         bases = buf[:n]
-        rs = _rfactor_stack(bases)
-        minima[start:start + n], errors = _sup_systole_stack(bases, rs)
+        rs, r_errors = _rfactor_stack(bases)
+        minima[start:start + n], errors = _sup_systole_stack(bases, rs, r_errors)
         if errors:  # the lowest failing point comes before the orbit's failure
             n = min(errors)
             failure = errors[n]

@@ -12,18 +12,18 @@ under averaging.
 
 Shortest vectors and Siegel counts share one depth-first Fincke-Pohst
 enumerator on the cached R-factor of the reduced basis, in every
-dimension.  R comes from one scalar Gram-Schmidt path for every d
-(``_rfactor``), on columns each scaled by its own power of two, so that
-no square overflows deep in the cusp; ``_rfactor_stack`` takes the same
-steps elementwise on a stack of bases, with the bits of ``_rfactor`` for
-each member.  The enumerator's node cap counts integer coordinates
-visited at every level, leaves included: each level's whole range is
-charged before it is walked, so a range past the cap (deep in the cusp)
-fails at once.  ``_sup_systole_stack`` is the sup-norm search of
-``shortest_vector`` on a stack of lattices, breadth-first and returning
-the lengths alone, for the diagonal flow: it does the depth-first
-search's arithmetic elementwise, so each member gets its bits and its
-refusals.
+dimension.  R has one kernel, ``_rfactor_stack``: Gram-Schmidt done
+elementwise on a stack of bases, on columns each scaled by its own power
+of two, so that no square overflows deep in the cusp.  Like
+``_lll_stack`` it returns the failed members' errors beside the result,
+and one lattice's R (``UnimodularLattice.rfactor``) is a stack of one.
+The enumerator's node cap counts integer coordinates visited at every
+level, leaves included: each level's whole range is charged before it is
+walked, so a range past the cap (deep in the cusp) fails at once.
+``_sup_systole_stack`` is the sup-norm search of ``shortest_vector`` on a
+stack of lattices, breadth-first and returning the lengths alone, for the
+diagonal flow: it does the depth-first search's arithmetic elementwise,
+so each member gets its bits and its refusals.
 
 Reduction is one scalar LLL kernel for every dimension (``_lll``), on
 Python floats and ints (numpy's per-call overhead dominates on 2x2 to 4x4
@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
-from math import ceil, floor, frexp, inf, isfinite, ldexp, sqrt
+from math import ceil, floor, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -115,10 +115,12 @@ class UnimodularLattice:
         return self._shortest[norm]
 
     def rfactor(self) -> list:
-        """Rows of the upper-triangular R with positive diagonal, reduced = Q R
-        (:func:`_rfactor`), computed once."""
+        """Rows of the upper-triangular R with positive diagonal, reduced = Q R:
+        :func:`_rfactor_stack` of this one basis, computed once."""
         if self._rfactor is None:
-            self._rfactor = _rfactor(self.reduced.T.tolist())
+            rs, errors = _rfactor_stack(self.reduced[None])
+            _raise_first(errors)
+            self._rfactor = rs[0]
         return self._rfactor
 
 
@@ -149,37 +151,6 @@ def _gso(cols):
         mu.append(row)
         norms.append(s)
     return mu, norms
-
-
-def _rfactor(columns) -> list:
-    """Rows of the upper-triangular R with positive diagonal, basis = Q R.
-
-    Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
-    scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
-    the scaling is exact, and no square overflows deep in the cusp.  Then
-    R_kj = mu_jk sqrt(n_k) 2^e_j and R_jj = sqrt(n_j) 2^e_j, with
-    ConditioningError when an entry overflows or is not finite, or a
-    diagonal entry is not positive.
-    """
-    cols, exps = [], []
-    for col in columns:
-        e = frexp(max(map(abs, col)))[1]
-        cols.append([ldexp(v, -e) for v in col])
-        exps.append(e)
-    mu, norms = _gso(cols)
-    roots = [sqrt(n) for n in norms]
-    d = len(norms)
-    r = [[0.0] * d for _ in range(d)]
-    try:
-        for j, e in enumerate(exps):
-            for k in range(j):
-                r[k][j] = ldexp(mu[j][k] * roots[k], e)
-            r[j][j] = ldexp(roots[j], e)
-    except OverflowError:
-        raise ConditioningError("reduced basis degenerate in enumeration") from None
-    if not all(r[j][j] > 0.0 and all(map(isfinite, r[j])) for j in range(d)):
-        raise ConditioningError("reduced basis degenerate in enumeration")
-    return r
 
 
 def _lll(cols: list):
@@ -236,12 +207,9 @@ def lll_reduce(basis, renormalize: bool = True) -> UnimodularLattice:
     noisy to validate against, and repeated renormalization by a noisy
     determinant would corrupt the lattice.
 
-    The scalar kernel :func:`_lll` reduces float-list columns; its
-    Python-int transform is read only by the flow orbit, and Gram-Schmidt
-    data is recomputed on each swap.
-    BLAS dots may fuse multiply-adds, so numpy's Gram-Schmidt data can
-    differ in the last bit; that moves the reduced basis only if a
-    coefficient rounds within it of a half-integer or the Lovasz test ties.
+    The scalar kernel :func:`_lll` reduces float-list columns in pure
+    Python (module docstring); its Python-int transform is read only by
+    the flow orbit, and Gram-Schmidt data is recomputed on each swap.
     """
     b = np.asarray(basis, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -288,27 +256,37 @@ def _gso_stack(c):
     return mu, norms, ~((norms > 0.0) & np.isfinite(norms)).all(axis=1)
 
 
-def _rfactor_stack(bases) -> list:
-    """:func:`_rfactor` of each basis of a (n, d, d) stack, as a list of R's
-    rows per member, or None for a member whose scalar R raises.
+def _rfactor_stack(bases):
+    """Rows of the upper-triangular R with positive diagonal, basis = Q R, of
+    each basis of a (n, d, d) stack, as (rs, errors): R's rows per member,
+    None for a failed one, and a dict from each failed member to its
+    ConditioningError.
 
-    The same steps, elementwise: ``np.frexp`` exponents of each column's
-    largest entry, exact ``np.ldexp`` scaling, :func:`_gso_stack`, then the
-    assembly of :func:`_rfactor`, where an overflow reads inf.  A
-    collapsed norm (zero or not finite) gives a diagonal entry that is zero
-    or not finite, so the assembly's check refuses that member too.
+    Column j is scaled by 2^-e_j, e_j the ``np.frexp`` exponent of its
+    largest entry (exact, and no square overflows deep in the cusp), then
+    :func:`_gso_stack`, R_kj = mu_jk sqrt(n_k) 2^e_j and R_jj = sqrt(n_j)
+    2^e_j.  A member fails when an entry overflows or is not finite or a
+    diagonal entry is not positive, as one whose Gram-Schmidt data
+    collapsed always does; its error names a collapse as :func:`_gso`
+    does, and any other failure as degenerate.
     """
+    bases = np.asarray(bases, dtype=float)
     d = bases.shape[1]
     cols = np.swapaxes(bases, 1, 2)
     e = np.frexp(np.abs(cols).max(axis=2))[1]
     with np.errstate(all="ignore"):
-        mu, norms, _ = _gso_stack(np.ldexp(cols, -e[:, :, None]))
+        mu, norms, collapsed = _gso_stack(np.ldexp(cols, -e[:, :, None]))
         roots = np.sqrt(norms)
         # R_kj = mu_jk sqrt(n_k) 2^e_j; mu_jk = 0 for k >= j
         r = np.ldexp(np.swapaxes(mu, 1, 2) * roots[:, :, None], e[:, None, :])
         diag = r[:, range(d), range(d)] = np.ldexp(roots, e)
         ok = (diag > 0.0).all(axis=1) & np.isfinite(r).all(axis=(1, 2))
-    return [rows if good else None for rows, good in zip(r.tolist(), ok.tolist())]
+    failed = np.flatnonzero(~ok)
+    collapse = ConditioningError("Gram-Schmidt collapsed; basis near-singular")
+    degenerate = ConditioningError("reduced basis degenerate in enumeration")
+    errors = {k: collapse if c else degenerate
+              for k, c in zip(failed.tolist(), collapsed[failed].tolist())}
+    return [rows if good else None for rows, good in zip(r.tolist(), ok.tolist())], errors
 
 
 def _lll_stack(bases):
@@ -464,38 +442,35 @@ def _sup(v) -> float:
     return max(map(abs, v))
 
 
-def _sup_systole_stack(bases, rs):
+def _sup_systole_stack(bases, rs, r_errors):
     """``shortest_vector(x, "sup")[1]`` of each lattice of a (n, d, d) stack
     of bases, without the vectors, as (minima, errors): a float array (NaN
     for a failed member) and a dict from each failed member to the error
     its scalar search raises.
 
-    ``rs`` are the R-factors as :func:`_rfactor_stack` gives them; a member
-    without one computes it alone, and fails as it would alone.  The search
-    is breadth-first over the levels d - 1 .. 0, with the arithmetic of
-    :func:`_search_radius` and :func:`_enumerate` done elementwise on every
-    node: shifts accumulate left to right, ranges are ``np.ceil`` and
-    ``np.floor`` of the same quotients, and a node is kept if its partial
-    norm is at most the squared radius.  Each level's ranges are charged to
-    their member before it is expanded, so a member passes
-    ``SEARCH_CAP`` nodes here exactly when its depth-first search does (an
-    infinite range is past the cap, as there).  Leaf sup norms
-    are dots accumulated left to right from 0.0, and each member takes the
-    least; the searches are symmetric under z -> -z, so that is the least
-    over the candidates of ``shortest_vector``.
+    ``rs`` and ``r_errors`` are the R-factors and their errors as
+    :func:`_rfactor_stack` gives them; a member without R fails with its R
+    error, as the scalar search does.  The search is breadth-first over the
+    levels d - 1 .. 0, with the arithmetic of :func:`_search_radius` and
+    :func:`_enumerate` done elementwise on every node: shifts accumulate
+    left to right, ranges are ``np.ceil`` and ``np.floor`` of the same
+    quotients, and a node is kept if its partial norm is at most the
+    squared radius.  Each level's ranges are charged to their member before
+    it is expanded, so a member passes ``SEARCH_CAP`` nodes here exactly
+    when its depth-first search does (an infinite range is past the cap, as
+    there).  Leaf sup norms are dots accumulated left to right from 0.0,
+    and each member takes the least; the searches are symmetric under
+    z -> -z, so that is the least over the candidates of
+    ``shortest_vector``.
     """
     n, d, _ = bases.shape
-    rs, errors = list(rs), {}
+    errors = dict(r_errors)
 
     def fail(members, exc):
         errors.update({k: exc for k in members.tolist() if k not in errors})
 
-    for k in [k for k, r in enumerate(rs) if r is None]:
-        try:
-            rs[k] = _rfactor(bases[k].T.tolist())
-        except ConditioningError as err:
-            errors[k], rs[k] = err, np.eye(d)
-    r = np.array(rs, dtype=float).reshape(n, d, d)
+    eye = np.eye(d)  # the R of a failed member, which is not searched
+    r = np.array([rows or eye for rows in rs], dtype=float).reshape(n, d, d)
     radius = np.abs(bases).max(axis=1).min(axis=1) * sqrt(d) * (1.0 + 1e-12)
     bound = np.ones(n)
     for j in range(d):
@@ -746,8 +721,10 @@ def parse_observable(spec: str, height: HeightSpec | None = None):
     ``height`` is one :func:`_heights` of their stacked bases, the others
     run lattice by lattice on each one's cached R and shortest vectors.
     """
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
     if name == "height":
+        if sep:
+            raise ValueError(f"observable {spec!r}: height takes no argument")
         if height is None:
             raise ValueError("height observable requires a HeightSpec")
         return spec, lambda xs: _heights(np.array([x.reduced for x in xs]), height)
@@ -859,7 +836,19 @@ def _observe(obs, xs) -> list:
         raise
 
 
+def _check_atoms(mu: GroupMeasure) -> None:
+    """Refuse a measure with an atom outside SL_d^+-: its walk would leave
+    the space of unimodular lattices."""
+    dets = np.linalg.det(mu.matrices)
+    bad = np.flatnonzero(~(np.abs(np.abs(dets) - 1.0) < DET_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"atom {k} {mu.matrices[k].tolist()} has determinant "
+                         f"{float(dets[k])!r}, not within {DET_TOL} of +-1")
+
+
 def _check_start(mu: GroupMeasure, x0: UnimodularLattice) -> None:
+    _check_atoms(mu)
     if x0.dim != mu.dim:
         raise ValueError(
             f"the start x0 is {x0.dim}x{x0.dim}, but the measure acts in dimension {mu.dim}"
@@ -882,7 +871,8 @@ def walk_simulate(
     The observables are read over chunks of at most ``WALK_CHUNK`` steps:
     the reduced bases of a chunk fill one (n, d, d) buffer, and its
     lattices take their R from one :func:`_rfactor_stack` (a member
-    without one computes it alone, and fails as it would alone).  The observables of x0 are read
+    without one computes it again, as a stack of one, when an observable
+    reads it, and fails as it would alone).  The observables of x0 are read
     before the first reduction, so a bad argument fails at once.  A chunk
     raises the error the step-by-step loop meets first: an observable's at
     the lowest step, in the order of ``observables``, then the reduction
@@ -914,7 +904,8 @@ def walk_simulate(
             failure = err
         if n:
             bases = buf[:n]
-            xs = [UnimodularLattice(b, _rfactor=r) for b, r in zip(bases, _rfactor_stack(bases))]
+            rs = _rfactor_stack(bases)[0]  # a lattice without R raises its error when read
+            xs = [UnimodularLattice(b, _rfactor=r) for b, r in zip(bases, rs)]
             for (label, _), vals in zip(obs, _observe(obs, xs)):
                 values[label][step:step + n] = vals
         if failure is not None:
@@ -1057,6 +1048,7 @@ def contraction_fit(
         raise ValueError("averaging length m must be at least 1")
     if sample_points < 1:
         raise ValueError(f"sample_points must be at least 1, got {sample_points}")
+    _check_atoms(mu)
     try:
         conv = convolution_support(mu, m, cap=4096)
     except ConvolutionCapError:

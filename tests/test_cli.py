@@ -854,6 +854,62 @@ def test_start_of_the_wrong_dimension_is_exit_2(tmp_path, capsys, monkeypatch, k
     assert list(tmp_path.iterdir()) == [mpath]
 
 
+NOT_UNIMODULAR = [
+    # exited 0 with a shortest:sup running average of 13.0, past Minkowski's bound of 1
+    pytest.param([[[3.0, 0.0], [0.0, 3.0]]], 0, "[[3.0, 0.0], [0.0, 3.0]]", "9.000000000000002",
+                 id="diag-3-3"),
+    # determinants 1 and 3: the walk exited 0 with an average of 30,793, recur exited 3
+    pytest.param([[[2.0, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]], 1,
+                 "[[2.0, 1.0], [1.0, 2.0]]", "2.9999999999999996", id="det-1-and-3"),
+]
+
+
+@pytest.mark.parametrize("kind", ["walk", "recur"])
+@pytest.mark.parametrize("atoms, k, matrix, det", NOT_UNIMODULAR)
+def test_atom_outside_sl_d_is_exit_2_naming_it(tmp_path, capsys, monkeypatch, kind, atoms, k,
+                                                matrix, det):
+    from expwalk import lattices
+
+    monkeypatch.setattr(lattices, "sample_indices", lambda *a, **kw: pytest.fail("walk sampled"))
+    monkeypatch.setattr(lattices, "convolution_support", lambda *a, **kw: pytest.fail("fit ran"))
+    doc = {"dim": 2, "atoms": [{"matrix": np.ravel(g).tolist(), "weight": 1.0 / len(atoms)}
+                               for g in atoms]}
+    if kind == "walk":
+        params = {"measure": doc, "n_steps": 40, "observables": ["shortest:sup"]}
+    else:
+        params = {"measure": doc, "height": {"epsilon": 0.1, "delta": 0.3}, "delta": 0.1,
+                  "n_grid": [2, 4]}
+    assert cli.run({"kind": kind, "parameters": params, "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {kind}: atom {k} {matrix} has determinant {det}, "
+        "not within 1e-06 of +-1\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_contraction_fit_refuses_an_atom_outside_sl_d():
+    from expwalk import lattices
+    from expwalk.measures import GroupMeasure
+
+    mu = GroupMeasure.dirac(np.diag([3.0, 3.0]))
+    with pytest.raises(ValueError, match=r"atom 0 .* has determinant 9.000000000000002, not"):
+        lattices.contraction_fit(mu, lattices.HeightSpec(0.1, 0.3), m=2, sample_points=10)
+
+
+@pytest.mark.parametrize("observable", ["height:3", "height:"])
+def test_height_observable_with_an_argument_is_exit_2(tmp_path, capsys, observable):
+    # it exited 0 with the height series labelled "height:3"
+    mpath = tmp_path / "pair.json"
+    save_measure(catalog.positive_pair_sl2(), str(mpath))
+    params = {"measure": str(mpath), "n_steps": 5, "observables": [observable],
+              "height": {"epsilon": 0.1}}
+    assert cli.run({"kind": "walk", "parameters": params, "output": str(tmp_path / "o")}) == 2
+    assert capsys.readouterr().err == (
+        f"config error: walk: observable {observable!r}: height takes no argument\n"
+    )
+    assert list(tmp_path.iterdir()) == [mpath]
+
+
 @pytest.mark.parametrize("observable, reason", [
     ("siegel:inf", "observable 'siegel:inf': radius must be finite"),  # was exit 3 on the cap
     ("siegel:-inf", "radius must be positive"),

@@ -1,5 +1,6 @@
 """The config schema: every kind's keys, types and defaults in ``cli.SCHEMA``."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,13 @@ CASES = (
         ("cone", {"blocks": [True, 3]}, {}, "cone.blocks[0]: expected an integer"),
         ("height", {"epsilon": True}, {}, "height.epsilon: expected a number, got True"),
         ("dioph-flow", {"t_max": True}, {}, "dioph-flow.t_max: expected a number"),
+        # booleans in a matrix read as 1.0 and 0.0: quality 0.0, a height of the identity
+        ("dioph-brute", {"M": [[True]]}, {},
+         "dioph-brute.M: entries must be numbers or decimal strings, not booleans"),
+        ("height", {"basis": [[True, False], [False, True]]}, {}, "height.basis: entries must"),
+        ("dioph-flow", {"M": [[0.5, False]], "r": [1.0], "s": [1.0, 1.0]}, {},
+         "dioph-flow.M: entries must be numbers"),
+        ("walk", {"x0": [[1, 0], [0, True]]}, {}, "walk.x0: entries must be numbers"),
         # numeric strings were converted
         ("dioph-brute", {"T_max": "10"}, {}, "dioph-brute.T_max: expected a number, got '10'"),
         ("expand-cert", {"sphere_samples": "20"}, {}, "expand-cert.sphere_samples"),
@@ -244,3 +252,53 @@ def test_readme_tables_match_the_schema():
     assert list(objects) == list(nested)
     for name, schema in nested.items():
         assert normalized(objects[name]) == normalized(schema_rows(schema)), name
+
+
+def readme_outputs():
+    """{kind: (summary keys, data.csv columns)} of the README output table,
+    each the list of backquoted names in its cell."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| kind | `summary.json` keys | `data.csv` columns |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        kind, keys, columns = (cell.strip() for cell in line.strip("|").split("|"))
+        table[kind.strip("`")] = (re.findall(r"`([^`]+)`", keys), re.findall(r"`([^`]+)`", columns))
+    return table
+
+
+def table_name(name, names):
+    """The name in the table that ``name`` is, ``<i>`` and ``<j>`` standing
+    for an index."""
+    for pattern in names:
+        if re.fullmatch(re.escape(pattern).replace("<i>", r"\d+").replace("<j>", r"\d+"), name):
+            return pattern
+    raise AssertionError(f"{name!r} is not in the README output table {names}")
+
+
+# the base configs, and a cone outside and a flow with Siegel counts for the
+# keys and columns they alone write
+OUTPUT_RUNS = [(kind, {}) for kind in BASE] + [
+    ("cone", {"logs": [-1, -1, 1, 1]}),
+    ("dioph-flow", {"siegel_radius": 3.0}),
+]
+
+
+def test_readme_output_table_matches_what_each_kind_writes(tmp_path):
+    table = readme_outputs()
+    assert list(table) == list(cli.KINDS)
+    written = {kind: (set(), set()) for kind in table}
+    for n, (kind, changes) in enumerate(OUTPUT_RUNS):
+        out = tmp_path / f"run{n}"
+        params = {**BASE[kind], **changes}
+        assert cli.run({"kind": kind, "parameters": params, "output": str(out)}) == 0
+        keys = list(json.loads(Path(f"{out}.summary.json").read_text()))
+        header = Path(f"{out}.data.csv").read_text().splitlines()[0].split(",")
+        key_names, column_names = table[kind]
+        written[kind][0].update(table_name(key, key_names) for key in keys)
+        columns = list(dict.fromkeys(table_name(col, column_names) for col in header))
+        assert columns == sorted(columns, key=column_names.index), kind  # in table order
+        written[kind][1].update(columns)
+    for kind, (keys, columns) in table.items():
+        assert written[kind] == (set(keys), set(columns)), kind

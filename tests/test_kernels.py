@@ -16,7 +16,7 @@ the R the flow reads from the LLL's Gram-Schmidt data, must agree byte
 for byte; and the representations must agree byte for byte.
 """
 from itertools import combinations, product
-from math import frexp
+from math import frexp, isfinite, ldexp, sqrt
 from operator import mul
 
 import numpy as np
@@ -28,8 +28,10 @@ from expwalk.dioph import SearchCapError, brute_force_quality, flow_trace
 from expwalk.fractal import coding_sample
 from expwalk.kau import WeightPair, flow_element, unipotent
 from expwalk.lattices import (
+    ConditioningError,
     HeightSpec,
     UnimodularLattice,
+    _gso,
     lll_reduce,
     margulis_height,
     margulis_height_profile,
@@ -278,6 +280,39 @@ def rfactor_ref(x):
     return (signs[:, None] * r).tolist()
 
 
+# R one basis at a time, by scalar Gram-Schmidt: the bit reference of the
+# stacked kernel ``_rfactor_stack``
+def _rfactor(columns) -> list:
+    """Rows of the upper-triangular R with positive diagonal, basis = Q R.
+
+    Scalar Gram-Schmidt (:func:`_gso`) of the columns, column j first
+    scaled by 2^-e_j, e_j the ``frexp`` exponent of its largest entry:
+    the scaling is exact, and no square overflows deep in the cusp.  Then
+    R_kj = mu_jk sqrt(n_k) 2^e_j and R_jj = sqrt(n_j) 2^e_j, with
+    ConditioningError when an entry overflows or is not finite, or a
+    diagonal entry is not positive.
+    """
+    cols, exps = [], []
+    for col in columns:
+        e = frexp(max(map(abs, col)))[1]
+        cols.append([ldexp(v, -e) for v in col])
+        exps.append(e)
+    mu, norms = _gso(cols)
+    roots = [sqrt(n) for n in norms]
+    d = len(norms)
+    r = [[0.0] * d for _ in range(d)]
+    try:
+        for j, e in enumerate(exps):
+            for k in range(j):
+                r[k][j] = ldexp(mu[j][k] * roots[k], e)
+            r[j][j] = ldexp(roots[j], e)
+    except OverflowError:
+        raise ConditioningError("reduced basis degenerate in enumeration") from None
+    if not all(r[j][j] > 0.0 and all(map(isfinite, r[j])) for j in range(d)):
+        raise ConditioningError("reduced basis degenerate in enumeration")
+    return r
+
+
 def _bench_lattices(d):
     """The lattices ``scripts/bench_kernels.py`` times: seeded walk bases for
     d = 2 and 4, a float-carried carpet orbit (dt 0.05) for d = 3."""
@@ -317,12 +352,14 @@ def test_rfactor_matches_numpy_qr_reference(d):
 
 
 def _assert_stack_matches_rfactor(bases):
-    """``_rfactor_stack`` against the scalar ``_rfactor``, member by member."""
-    rs = lattices._rfactor_stack(np.array(bases))
-    assert len(rs) == len(bases)
+    """``_rfactor_stack`` against the scalar ``_rfactor``, member by member,
+    and a lattice's ``rfactor``, the stack of one, against it too."""
+    rs, errors = lattices._rfactor_stack(np.array(bases))
+    assert len(rs) == len(bases) and errors == {}
     for b, r in zip(bases, rs):
-        ref = lattices._rfactor(b.T.tolist())
+        ref = _rfactor(b.T.tolist())
         assert r == ref and np.array(r).tobytes() == np.array(ref).tobytes()
+        assert UnimodularLattice(b).rfactor() == ref
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -336,31 +373,50 @@ def test_rfactor_stack_matches_rfactor_deep_in_the_cusp():
     _assert_stack_matches_rfactor([np.diag([np.exp(-t), np.exp(t)]) for t in ts])
 
 
-def test_rfactor_stack_leaves_a_near_singular_member_to_the_scalar_path():
+FAILING_R = [
+    [[1.0, 1.0], [1.0, 1.0 + 1e-17]],  # exactly singular in floats
+    [[1.5e308, 1.0], [1.5e308, 0.0]],  # R_00 = sqrt(2) 1.5e308 overflows
+    [[0.0, 1.0], [0.0, 0.0]],  # a zero column
+    # subnormal: R_11 = 5e-324 / sqrt(5) rounds to 0
+    [[1.0, 1e-310], [2.0, 2e-310 + 5e-324]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [np.nan, 1.0]],
+]
+
+
+def test_rfactor_stack_names_each_failing_member_as_the_scalar_rfactor():
     good = [x.reduced for x in _bench_lattices(2)[:3]]
-    collapsed = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])  # exactly singular in floats
-    overflow = np.array([[1.5e308, 1.0], [1.5e308, 0.0]])  # R_00 = sqrt(2) 1.5e308
-    bases = [good[0], collapsed, good[1], overflow, good[2]]
-    rs = lattices._rfactor_stack(np.array(bases))
-    assert [r is None for r in rs] == [False, True, False, True, False]
-    for b, r in zip(bases, rs):
+    bases = [good[0], FAILING_R[0], good[1], *FAILING_R[1:], good[2]]
+    rs, errors = lattices._rfactor_stack(np.array(bases))
+    assert sorted(errors) == [1, 3, 4, 5, 6, 7]
+    assert [r is None for r in rs] == [k in errors for k in range(len(bases))]
+    messages = []
+    for k, (b, r) in enumerate(zip(np.array(bases), rs)):
         if r is not None:
-            assert r == lattices._rfactor(b.T.tolist())
+            assert r == _rfactor(b.T.tolist())
             continue
-        with pytest.raises(lattices.ConditioningError) as scalar:
-            lattices._rfactor(b.T.tolist())
+        with pytest.raises(ConditioningError) as scalar:
+            _rfactor(b.T.tolist())
+        assert type(errors[k]) is ConditioningError and str(errors[k]) == str(scalar.value)
+        messages.append(str(scalar.value))
         # a lattice without R computes it alone, and its step fails as the scalar R fails
-        for observable in (lambda x: siegel_count(x, 3.0), lambda x: x.shortest("sup")):
-            with pytest.raises(lattices.ConditioningError) as info:
+        for observable in (lambda x: siegel_count(x, 3.0), lambda x: x.shortest("sup"),
+                           lambda x: x.rfactor()):
+            with pytest.raises(ConditioningError) as info:
                 observable(UnimodularLattice(b, _rfactor=r))
             assert str(info.value) == str(scalar.value)
+    collapse, degenerate = ("Gram-Schmidt collapsed; basis near-singular",
+                            "reduced basis degenerate in enumeration")
+    assert messages == [collapse, degenerate, collapse, degenerate, collapse, collapse]
+    with pytest.raises(ConditioningError, match="Gram-Schmidt collapsed"):
+        lattices._raise_first(errors)  # the lowest failing member's
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sup_systole_matches_shortest_vector(d):
     lats = _bench_lattices(d)
     bases = np.array([x.reduced for x in lats])
-    minima, errors = lattices._sup_systole_stack(bases, lattices._rfactor_stack(bases))
+    minima, errors = lattices._sup_systole_stack(bases, *lattices._rfactor_stack(bases))
     assert errors == {} and minima.shape == (len(lats),)
     for x, length in zip(lats, minima.tolist()):
         assert repr(length) == repr(shortest_vector(x, "sup")[1])
@@ -382,7 +438,7 @@ def test_sup_systole_stack_reports_each_failing_member_as_the_scalar_search():
     over_cap = [[256.0, 0.0, 256.0], [0.0, 256.0, 256.0], [0.0, 0.0, 2.0**-16]]
     collapsed = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-17, 0.0], [0.0, 0.0, 1.0]]
     bases = np.array([good[0], over_cap, good[1], blowup, collapsed, good[2]])
-    minima, errors = lattices._sup_systole_stack(bases, lattices._rfactor_stack(bases))
+    minima, errors = lattices._sup_systole_stack(bases, *lattices._rfactor_stack(bases))
     assert sorted(errors) == [1, 3, 4]
     assert type(errors[1]) is lattices.CountCapError
     assert type(errors[3]) is lattices.ConditioningError
@@ -405,7 +461,7 @@ def test_sup_systole_stack_node_cap_matches_the_depth_first_search(monkeypatch, 
     lats = _bench_lattices(3)[::10] + _bench_lattices(2)[::100]
     for group in (lats[:40], lats[40:]):
         bases = np.array([x.reduced for x in group])
-        minima, errors = lattices._sup_systole_stack(bases, lattices._rfactor_stack(bases))
+        minima, errors = lattices._sup_systole_stack(bases, *lattices._rfactor_stack(bases))
         for k, x in enumerate(group):
             try:
                 ref = shortest_vector(UnimodularLattice(x.reduced), "sup")[1]
@@ -563,8 +619,8 @@ def test_flow_trace_raises_the_lowest_failing_point_of_a_chunk(monkeypatch):
     # come before the orbit's own failure at t = 364
     real, chunks = dioph._sup_systole_stack, []
 
-    def failing(bases, rs):
-        minima, errors = real(bases, rs)
+    def failing(bases, rs, r_errors):
+        minima, errors = real(bases, rs, r_errors)
         if chunks:
             errors = {7: lattices.LatticeError("second"), 3: lattices.CountCapError("first")}
         chunks.append(len(bases))
@@ -595,12 +651,13 @@ def test_flow_rfactor_reuse_matches_fresh_rfactor(monkeypatch, mat, weights, t_m
     stack, chunks = dioph._rfactor_stack, []
 
     def checked_stack(bases):
-        rs = stack(bases)
+        rs, errors = stack(bases)
+        assert errors == {}
         for b, r in zip(bases, rs):
-            ref = lattices._rfactor(b.T.tolist())
+            ref = _rfactor(b.T.tolist())
             assert r == ref and np.array(r).tobytes() == np.array(ref).tobytes()
         chunks.append(len(bases))
-        return rs
+        return rs, errors
 
     monkeypatch.setattr(dioph, "_rfactor_stack", checked_stack)
     points = len(flow_trace(mat, weights, t_max, dt=dt).minima)
