@@ -323,8 +323,8 @@ def main(argv=None) -> int:
         # R given, as the walk and the flow hand it over from their chunk stacks
         ("siegel_count.d2", lambda x: siegel_count(x, 3.0), _given_r(lat2), False, 1),
         ("siegel_count.d3", lambda x: siegel_count(x, 3.0), _given_r(lat3), False, 1),
-        ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), _given_r(lat2), False,
-         1),
+        ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), _given_r(lat2),
+         False, 1),
         # per member of 512-member stacks of census flow snapshots, R given;
         # the flow reads its systoles over chunks of at most lattices.WALK_CHUNK
         ("sup_systole_stack.d2", _systoles, flow2, False, 512),

@@ -270,7 +270,6 @@ def _rfactor_stack(bases):
     collapsed always does; its error names a collapse as :func:`_gso`
     does, and any other failure as degenerate.
     """
-    bases = np.asarray(bases, dtype=float)
     d = bases.shape[1]
     cols = np.swapaxes(bases, 1, 2)
     e = np.frexp(np.abs(cols).max(axis=2))[1]
