@@ -16,10 +16,7 @@ from .kau import (
 from .measures import (
     GroupMeasure,
     convolution_support,
-    exp_moment_estimate,
-    lambda_average,
     load_measure,
-    sample_stream,
     sample_word,
     save_measure,
 )
@@ -27,7 +24,6 @@ from .expansion import (
     ConeMembership,
     ConeSpec,
     ExpansionCertificate,
-    a_expanding_check,
     expanding_cone_membership,
     expansion_certificate,
     fk_exponent_estimate,

@@ -23,10 +23,9 @@ word matrices wherever OpenBLAS rounds that like one gemv per word
 objective bit for bit.
 
 Also decides membership in the expanding cone of a block parabolic of
-sl_d in closed form (:func:`expanding_cone_membership`), and checks
-a-expansion of the unipotent radical in exterior powers of the standard
-representation.  No computation here loads scipy; the normal quantile of
-the Monte-Carlo confidence bound is mpmath's.
+sl_d in closed form (:func:`expanding_cone_membership`).  No computation
+here loads scipy; the normal quantile of the Monte-Carlo confidence bound
+is mpmath's.
 """
 from __future__ import annotations
 
@@ -455,24 +454,17 @@ def moment_contraction_estimate(
     return -neg_ratio, best_v
 
 
-def _stacked_rank(blocks):
-    """SVD of the row-stacked ``blocks``: (rank, Vt), the rank counting the
-    singular values above ``SVD_TOL * max(1, s_max)``; the rows of Vt past
-    the rank span the joint kernel."""
-    _, s, vt = np.linalg.svd(np.vstack(blocks), full_matrices=True)
-    return int(np.sum(s > SVD_TOL * max(1.0, s.max(initial=0.0)))), vt
-
-
 def _fixed_subspace_complement(rep_elements):
     """Orthonormal basis of the complement of the joint fixed space.
 
     ``rep_elements`` are representation images whose joint fixed space is
-    removed: the kernel of the stacked rows of (R - I)
-    (:func:`_stacked_rank`).
+    removed: the kernel of the stacked rows of (R - I), whose rank counts
+    the singular values above ``SVD_TOL * max(1, s_max)``.
     Returns (Q, fixed_dim) with Q of shape (dim, dim - fixed_dim).
     """
     dim = rep_elements[0].shape[0]
-    rank, vt = _stacked_rank([r - np.eye(dim) for r in rep_elements])
+    _, s, vt = np.linalg.svd(np.vstack([r - np.eye(dim) for r in rep_elements]))
+    rank = int(np.sum(s > SVD_TOL * max(1.0, s.max(initial=0.0))))
     return vt[:rank].T.copy(), dim - rank
 
 
@@ -631,30 +623,3 @@ def expanding_cone_membership(
     y = np.zeros(d)
     y[order[: n + 1]] = 1.0 / den[n]
     return ConeMembership(False, tau, None, y - y[-1])
-
-
-def a_expanding_check(spec: ConeSpec, logs, k: int) -> bool:
-    """Does exp(diag(logs)) expand the u-fixed vectors in the k-th wedge?
-
-    The fixed space of the unipotent radical is the joint kernel of its
-    log-nilpotent generators acting on the exterior power
-    (:func:`_stacked_rank`); the check passes when every weight
-    of exp(diag(logs)) present on that kernel exceeds 1, i.e. every
-    log-weight is above ``CONE_TOL``.
-    """
-    logs = linalg.cartan_vector(logs, tol=1e-9)
-    d = spec.dim
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"grade k={k} out of range 1..{d - 1}")
-    gens = []
-    for i, j in spec.root_pairs:
-        e = np.zeros((d, d))
-        e[i, j] = 1.0
-        gens.append(linalg.wedge_derivation(e, k))
-    rank, vt = _stacked_rank(gens)
-    kernel = vt[rank:].T  # columns span the u-fixed subspace
-    if kernel.shape[1] == 0:
-        return True  # vacuous: no u-fixed vectors to expand
-    subset_weights = np.array([sum(logs[i] for i in s_) for s_ in linalg.k_subsets(d, k)])
-    present = np.abs(kernel).max(axis=1) > SVD_TOL
-    return bool(np.all(subset_weights[present] > CONE_TOL))

@@ -225,7 +225,7 @@ def lll_reduce(basis, renormalize: bool = True) -> UnimodularLattice:
         if abs(det) <= 1e-12:
             raise ConditioningError("basis is numerically singular")
         if abs(abs(det) - 1.0) >= DET_TOL:
-            raise ValueError(f"basis determinant {det!r} is not within {DET_TOL} of +-1")
+            raise ValueError(f"basis determinant {float(det)!r} is not within {DET_TOL} of +-1")
         b = b / abs(det) ** (1.0 / d)
         cols = b.T.tolist()
     cols = _lll(cols)[0]

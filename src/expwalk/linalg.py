@@ -1,13 +1,12 @@
 """Dense linear algebra for small matrix groups.
 
-Exterior powers of the standard representation, weight-space splittings
-under diagonal (Cartan) elements, and spectral norms.  Everything is plain
-numpy on small matrices: the standard representation up to d = 6, and the
-adjoint of sl_4 (15 x 15) with its low wedge powers.  Wedge coordinates
-are indexed by the lexicographically sorted k-element subsets of
-{0, .., d-1} (``itertools.combinations`` order); this ordering is part of
-the contract of every function below.  Norms are Euclidean/spectral
-throughout.
+Exterior powers of the standard representation, the adjoint
+representation of sl_d, and checks of diagonal (Cartan) log vectors.
+Everything is plain numpy on small matrices: the standard representation
+up to d = 6, and the adjoint of sl_4 (15 x 15) with its low wedge powers.
+Wedge coordinates are indexed by the lexicographically sorted k-element
+subsets of {0, .., d-1} (``itertools.combinations`` order); this ordering
+is part of the contract of every function below.
 """
 from __future__ import annotations
 
@@ -78,80 +77,6 @@ def wedge_power(g, k: int) -> np.ndarray:
         gc = g[:, cols]
         out[:, j] = np.linalg.det(gc[rows_idx])
     return out
-
-
-def _insertion_sign(rest: tuple[int, ...], i: int, pos: int) -> int:
-    # Sign of sorting (rest[:pos], i, rest[pos:]) where rest is sorted and
-    # i not in rest: i moves from slot pos to its sorted slot.
-    target = sum(1 for r in rest if r < i)
-    return -1 if (pos - target) % 2 else 1
-
-
-def wedge_derivation(x, k: int) -> np.ndarray:
-    """Matrix of the induced Lie-algebra action on the k-th exterior power.
-
-    X acts as a derivation: X.(v1 ^ .. ^ vk) = sum_i v1 ^ .. ^ X vi ^ .. ^ vk.
-    This is the exact derivative at t = 0 of wedge_power(exp(tX), k).
-    """
-    x = as_square(x)
-    d = x.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError(f"grade k={k} out of range 1..{d}")
-    if k == 1:
-        return x.copy()
-    subsets = k_subsets(d, k)
-    index = {s: i for i, s in enumerate(subsets)}
-    out = np.zeros((len(subsets), len(subsets)))
-    for j, s in enumerate(subsets):
-        for pos, a in enumerate(s):
-            rest = s[:pos] + s[pos + 1:]
-            rest_set = set(rest)
-            for i in range(d):
-                c = x[i, a]
-                if c == 0.0:
-                    continue
-                if i == a:
-                    out[j, j] += c
-                elif i not in rest_set:
-                    target = tuple(sorted(rest + (i,)))
-                    out[index[target], j] += c * _insertion_sign(rest, i, pos)
-    return out
-
-
-def weight_decomposition(logs, k: int):
-    """Split the grade-k wedge basis by the eigenvalue of exp(diag(logs)).
-
-    Weights are reported in log scale (the eigenvalue on e_S is
-    exp(sum of logs over S)).  Returns a list of (weight, subsets) pairs
-    sorted by descending weight; ``subsets`` lists the wedge basis elements
-    in that eigenspace.  Weights closer than 1e-9 are merged.
-    """
-    a = cartan_vector(logs)
-    d = len(a)
-    if not 1 <= k <= d:
-        raise ValueError(f"grade k={k} out of range 1..{d}")
-    pairs = sorted(
-        ((float(sum(a[i] for i in s)), s) for s in k_subsets(d, k)),
-        key=lambda p: (-p[0], p[1]),
-    )
-    groups: list[tuple[float, list[tuple[int, ...]]]] = []
-    for w, s in pairs:
-        if groups and abs(groups[-1][0] - w) <= 1e-9:
-            groups[-1][1].append(s)
-        else:
-            groups.append((w, [s]))
-    return [(w, members) for w, members in groups]
-
-
-def operator_norms(g) -> tuple[float, float, float]:
-    """Spectral norms (|g|, |g^-1|, N(g)) with N(g) = max of the two."""
-    g = as_square(g)
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= ABS_TOL:
-        raise np.linalg.LinAlgError(
-            "matrix is numerically singular; inverse norm undefined"
-        )
-    return float(s[0]), float(1.0 / s[-1]), float(max(s[0], 1.0 / s[-1]))
 
 
 @lru_cache(maxsize=None)

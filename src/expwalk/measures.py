@@ -4,9 +4,6 @@ A measure is a list of invertible atom matrices with positive weights
 summing to one; it carries no seed.  Every sampling call takes its seed,
 one per call, and draws from the splittable streams in :mod:`expwalk.rng`,
 so words are reproducible given (seed, path).
-Continuous laws can be plugged in behind the same sampling interface by
-passing generators to the word-based routines; atoms are the first-class
-representation.
 
 :func:`_word_products` is the one builder of N-letter word products, exact
 (enumerated and merged) or Monte Carlo.  :func:`convolution_support`
@@ -21,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kau import ParabolicProfile, WeightPair, kau_factorize
-from .linalg import NumericalError, operator_norms
+from .kau import ParabolicProfile, WeightPair
+from .linalg import NumericalError
 from .rng import substream
 
 WEIGHT_SUM_TOL = 1e-12
@@ -116,12 +113,6 @@ def _index_stream(rng, weights):
         yield from rng.choice(len(weights), size=256, p=weights)
 
 
-def sample_stream(mu: GroupMeasure, seed: int, path=()):
-    """Infinite generator of i.i.d. atom draws (same law as sample_word)."""
-    for i in _index_stream(substream(seed, *path), mu.weights):
-        yield mu.matrices[i]
-
-
 def _merge_atoms(mats: np.ndarray, wts: np.ndarray, tol: float):
     # Grid quantization at resolution tol: atoms in the same cell merge
     # (they differ by at most tol per entry).  Near-duplicates straddling a
@@ -196,26 +187,6 @@ def convolution_support(mu: GroupMeasure, n: int, cap: int = 10**6) -> GroupMeas
         raise ValueError("convolution order must be nonnegative")
     mats, wts, _ = _word_products(mu.matrices, mu.weights, n, cap=cap)
     return GroupMeasure(mats, wts, profile=mu.profile)
-
-
-def exp_moment_estimate(mu: GroupMeasure, delta: float) -> float:
-    """The exponential moment sum of weights * N(atom)**delta (exact)."""
-    if delta <= 0.0:
-        raise ValueError("moment exponent must be positive")
-    total = 0.0
-    for g, w in zip(mu.matrices, mu.weights):
-        total += w * operator_norms(g)[2] ** delta
-    return float(total)
-
-
-def lambda_average(mu: GroupMeasure) -> float:
-    """Average diagonal-flow parameter of the K'A'U factorization of atoms,
-    for the measure's parabolic profile."""
-    if mu.profile is None:
-        raise ValueError("a parabolic profile is required")
-    return float(
-        sum(w * kau_factorize(g, mu.profile).t for g, w in zip(mu.matrices, mu.weights))
-    )
 
 
 def save_measure(mu: GroupMeasure, path: str) -> None:

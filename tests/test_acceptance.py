@@ -230,7 +230,7 @@ def test_criterion_07_kau_identities():
         "unipotent limit",
         ok,
         f"equiv={worst_equiv:.2e} lambda={worst_lambda:.2e} "
-        f"u_limit={m_lim[0, 0]!r}",
+        f"u_limit={float(m_lim[0, 0])!r}",
     )
 
 
@@ -311,7 +311,7 @@ def test_criterion_10_fractal_coding():
         10,
         "coding map fixed point and the middle-third gap",
         ok_point and ok_gap,
-        f"pi(1010..)={point!r} middle-third mass={frac_mid:.4f}",
+        f"pi(1010..)={float(point)!r} middle-third mass={frac_mid:.4f}",
     )
 
 

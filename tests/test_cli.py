@@ -11,7 +11,7 @@ import expwalk
 from expwalk import catalog, cli, dioph
 from expwalk.dioph import FlowTrace, SearchCapError, flow_trace
 from expwalk.expansion import ExpansionFailure
-from expwalk.fractal import CodingDepthError, coding_sample, ifs_to_dict
+from expwalk.fractal import CodingDepthError, coding_sample, ifs_to_dict, load_ifs, save_ifs
 from expwalk.kau import FactorizationError, PrefixProductError, UnipotentLimitError, WeightPair
 from expwalk.lattices import (
     ConditioningError,
@@ -696,6 +696,20 @@ def test_dioph_fractal_without_points_is_exit_2(tmp_path, capsys, n_points):
     err = capsys.readouterr().err
     assert f"config error: dioph-fractal: n_points must be at least 1, got {n_points}" in err
     assert not (tmp_path / "o.summary.json").exists()
+
+
+def test_saved_ifs_loads_back_and_runs_as_the_inline_document(tmp_path):
+    carpet = catalog.bm_carpet(2, 3)
+    for name, ifs in (("carpet", carpet), ("cantor", catalog.cantor_ifs())):
+        save_ifs(ifs, str(tmp_path / f"{name}.json"))
+        assert ifs_to_dict(load_ifs(str(tmp_path / f"{name}.json"))) == ifs_to_dict(ifs)
+    for name, ifs in (("file", str(tmp_path / "carpet.json")), ("inline", ifs_to_dict(carpet))):
+        params = {"ifs": ifs, "n_points": 2, "t_max": 2.0, "brute_T": 10}
+        assert cli.run({"kind": "dioph-fractal", "seed": 3, "parameters": params,
+                        "output": str(tmp_path / name)}) == 0
+    for suffix in ("data.csv", "summary.json"):
+        written = (tmp_path / f"file.{suffix}").read_bytes()
+        assert written == (tmp_path / f"inline.{suffix}").read_bytes()
 
 
 def _census_doc(tmp_path, name, n_points):

@@ -83,6 +83,8 @@ CASES = (
         # a zero radius counted as absent
         ("dioph-flow", {"siegel_radius": 0}, {}, "dioph-flow: siegel_radius must be positive"),
         ("cone", {"tol": None}, {}, "cone.tol: expected a number, got None"),
+        # the determinant was printed as "np.float64(2.0)"
+        ("height", {"basis": [[2.0, 0.0], [0.0, 1.0]]}, {}, "basis determinant 2.0 is not within"),
         # a missing measure file escaped as a traceback
         ("walk", {"measure": "no/such/measure.json"}, {}, "walk.measure: FileNotFoundError"),
         ("expand-cert", {"measure": {"dim": 2}}, {}, "expand-cert.measure: KeyError: 'atoms'"),
@@ -92,6 +94,17 @@ CASES = (
         ("cone", {}, {"parameters": None}, "cone.parameters: expected an object"),
     ]
 )
+
+
+def text_ids(texts):
+    """Each row's expected text as its test id; a text that repeats an earlier
+    row's gets its occurrence number, so a new row renames no existing test."""
+    seen = {}
+    ids = []
+    for text in texts:
+        seen[text] = seen.get(text, 0) + 1
+        ids.append(text if seen[text] == 1 else f"{text} #{seen[text]}")
+    return ids
 
 
 def config(tmp_path, kind, changes=None, top=None):
@@ -113,7 +126,7 @@ def test_base_configs_run(tmp_path, kind):
     assert cli.main([kind, "--config", config(tmp_path, kind)]) == 0
 
 
-@pytest.mark.parametrize("kind, changes, top, expected", CASES, ids=[c[3] for c in CASES])
+@pytest.mark.parametrize("kind, changes, top, expected", CASES, ids=text_ids([c[3] for c in CASES]))
 def test_schema_rejects_with_kind_and_key(tmp_path, capsys, kind, changes, top, expected):
     assert cli.main([kind, "--config", config(tmp_path, kind, changes, top)]) == 2
     assert expected in capsys.readouterr().err
@@ -132,7 +145,7 @@ WRITES_NOTHING = [
 
 
 @pytest.mark.parametrize("kind, changes, expected", WRITES_NOTHING,
-                         ids=[c[2] for c in WRITES_NOTHING])
+                         ids=text_ids([c[2] for c in WRITES_NOTHING]))
 def test_config_error_writes_no_file(tmp_path, capsys, kind, changes, expected):
     assert cli.main([kind, "--config", config(tmp_path, kind, changes)]) == 2
     assert expected in capsys.readouterr().err

@@ -9,7 +9,6 @@ from scipy.optimize import linprog, minimize
 from expwalk import catalog, expansion
 from expwalk.expansion import (
     ConeSpec,
-    a_expanding_check,
     expanding_cone_membership,
     expansion_certificate,
     fk_exponent_estimate,
@@ -443,14 +442,6 @@ def test_cone_matches_closed_form_for_two_blocks(seed):
     assert expanding_cone_membership(spec, v).inside == closed
 
 
-def test_a_expanding_examples():
-    spec = ConeSpec(4, (2, 2))
-    assert a_expanding_check(spec, [1, 1, -1, -1], 1)
-    assert not a_expanding_check(spec, [-1, -1, 1, 1], 1)
-    for k in (1, 2, 3):
-        assert not a_expanding_check(spec, [0, 0, 0, 0], k)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_cone_membership_implies_a_expansion_all_grades(seed):
@@ -465,8 +456,6 @@ def test_cone_membership_implies_a_expansion_all_grades(seed):
         logs[i] += t
         logs[j] -= t
     assert expanding_cone_membership(spec, logs).inside
-    for k in range(1, d):
-        assert a_expanding_check(spec, logs, k)
 
 
 def test_certificate_exact_mode_signals_fallback():

@@ -16,7 +16,8 @@ from expwalk.kau import (
     unipotent,
     word_factors,
 )
-from expwalk.measures import sample_word
+from expwalk.measures import _index_stream, sample_word
+from expwalk.rng import substream
 
 
 def random_parabolic(rng, profile, scale=1.0):
@@ -244,11 +245,9 @@ def test_u_limit_distribution_is_cantor_like():
     # [0, 1] and none in the middle-third gap
     mu = catalog.cantor_measure()
     prof = mu.profile
-    from expwalk.measures import sample_stream
-
     values = []
     for i in range(150):
-        stream = sample_stream(mu, seed=900, path=(i,))
+        stream = (mu.matrices[j] for j in _index_stream(substream(900, i), mu.weights))
         m_lim, _ = u_limit(stream, prof, tol=1e-11)
         values.append(m_lim[0, 0])
     values = np.array(values)

@@ -56,78 +56,6 @@ def test_wedge_grade_out_of_range():
         linalg.wedge_power(np.eye(3), 0)
 
 
-def test_wedge_derivation_matches_numeric_derivative():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(4, 4))
-    h = 1e-6
-    for k in (1, 2, 3):
-        num = (
-            linalg.wedge_power(np.eye(4) + h * x, k)
-            - linalg.wedge_power(np.eye(4) - h * x, k)
-        ) / (2 * h)
-        assert np.abs(linalg.wedge_derivation(x, k) - num).max() < 1e-5
-
-
-def test_weight_decomposition_standard_rep():
-    groups = linalg.weight_decomposition([1.0, -1.0], 1)
-    assert groups == [(1.0, [(0,)]), (-1.0, [(1,)])]
-
-
-def test_weight_decomposition_wedge():
-    groups = linalg.weight_decomposition([1.0, 1.0, -2.0], 2)
-    assert groups[0] == (2.0, [(0, 1)])
-    assert groups[1][0] == -1.0
-    assert groups[1][1] == [(0, 2), (1, 2)]
-
-
-def test_weight_decomposition_zero_is_single_group():
-    for k in (1, 2, 3):
-        groups = linalg.weight_decomposition([0.0, 0.0, 0.0], k)
-        assert len(groups) == 1
-        assert groups[0][0] == 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 5), st.integers(1, 5))
-def test_weight_decomposition_dimensions(seed, d, k):
-    from math import comb
-
-    if k > d:
-        k = d
-    rng = np.random.default_rng(seed)
-    logs = rng.normal(size=d)
-    logs -= logs.mean()
-    groups = linalg.weight_decomposition(logs, k)
-    assert sum(len(members) for _, members in groups) == comb(d, k)
-
-
-def test_operator_norms_examples():
-    assert linalg.operator_norms(np.diag([2.0, 0.5])) == (2.0, 2.0, 2.0)
-    assert linalg.operator_norms(np.eye(2)) == (1.0, 1.0, 1.0)
-    # largest singular value of [[2,1],[1,1]] solves x^2 - 7x + 1 = 0 in x = s^2
-    top = np.sqrt((7 + np.sqrt(45)) / 2)
-    norms = linalg.operator_norms(np.array([[2.0, 1.0], [1.0, 1.0]]))
-    assert abs(norms[0] - top) < 1e-12
-    assert abs(norms[0] - (3 + np.sqrt(5)) / 2) < 1e-12
-
-
-def test_operator_norms_singular_errors():
-    with pytest.raises(np.linalg.LinAlgError):
-        linalg.operator_norms(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 4))
-def test_norm_of_special_linear_at_least_one(seed, d):
-    rng = np.random.default_rng(seed)
-    g = rng.uniform(-2, 2, (d, d))
-    det = np.linalg.det(g)
-    if abs(det) < 1e-3:
-        return
-    g = g / abs(det) ** (1.0 / d)
-    assert linalg.operator_norms(g)[2] >= 1.0 - 1e-12
-
-
 def test_adjoint_rep_is_homomorphism():
     rng = np.random.default_rng(3)
     g = rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3)

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expwalk import catalog
-from expwalk.kau import ParabolicProfile, flow_element, unipotent
+from expwalk.kau import ParabolicProfile
 from expwalk.measures import (
     ConvolutionCapError,
     GroupMeasure,
     _merge_atoms,
     _word_products,
     convolution_support,
-    exp_moment_estimate,
-    lambda_average,
     load_measure,
     sample_word,
     save_measure,
@@ -146,44 +144,6 @@ def test_convolution_weights_sum_to_one(seed, n):
     mu = GroupMeasure.uniform(list(mats))
     nu = convolution_support(mu, n)
     assert abs(nu.weights.sum() - 1.0) <= 1e-10
-
-
-def test_exp_moment_examples():
-    assert exp_moment_estimate(GroupMeasure.dirac(np.eye(2)), 0.5) == 1.0
-    mu = GroupMeasure.uniform([np.diag([np.e, 1 / np.e]), np.eye(2)])
-    assert abs(exp_moment_estimate(mu, 1.0) - (np.e + 1) / 2) < 1e-12
-    # delta -> 0 limit is 1
-    assert abs(exp_moment_estimate(catalog.positive_pair_sl2(), 1e-9) - 1.0) < 1e-6
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6))
-def test_exp_moment_monotone_in_delta(seed):
-    rng = np.random.default_rng(seed)
-    mats = rng.uniform(-1, 1, (3, 2, 2)) + 2 * np.eye(2)
-    mu = GroupMeasure.uniform(list(mats))
-    deltas = [0.1, 0.5, 1.0, 2.0]
-    vals = [exp_moment_estimate(mu, d) for d in deltas]
-    assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
-
-
-def test_lambda_average_flow_atom():
-    prof = ParabolicProfile(1, 1)
-    mu = GroupMeasure.dirac(flow_element(prof.weights, 0.7), profile=prof)
-    assert abs(lambda_average(mu) - 0.7) < 1e-12
-
-
-def test_lambda_average_cantor():
-    mu = catalog.cantor_measure()
-    assert abs(lambda_average(mu) - 0.5 * np.log(3)) < 1e-10
-
-
-def test_lambda_average_unipotent_only():
-    prof = ParabolicProfile(1, 1)
-    mu = GroupMeasure.uniform(
-        [unipotent(np.array([[0.3]])), unipotent(np.array([[-1.0]]))], profile=prof
-    )
-    assert abs(lambda_average(mu)) < 1e-12
 
 
 @settings(max_examples=15, deadline=None)
