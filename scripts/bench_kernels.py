@@ -26,10 +26,15 @@ step is timed with the three observables of the benchmark's short walks
 seeded walk bases, as the walk's observables read it.  The Siegel-count
 and shortest-vector rows take their lattices' R from one stack of their
 inputs, as the walk and the flow hand R over, so they time the
-enumeration alone.  The flow's stacked sup-systole search is timed per
-member too, on the reduced snapshots of census flows: the 50-digit golden
-ratio and 0.37 to t = 30 (``sup_systole_stack.d2``) and the carpet points
-to t = 20 (``sup_systole_stack.d3``), dt 0.05, R-factors given.  A whole
+enumeration alone.  Systoles have one search, the stacked
+``_systole_stack``: ``shortest_vector.sup.d2`` times it on a stack of
+one, with the vector's tie-break.  It is timed per member of 512-member
+stacks too, R-factors given: in the sup norm on the reduced snapshots of
+census flows, the 50-digit golden ratio and 0.37 to t = 30
+(``sup_systole_stack.d2``) and the carpet points to t = 20
+(``sup_systole_stack.d3``), dt 0.05, and in the Euclidean norm on the
+seeded d=4 walk bases (``euclid_systole_stack.d4``), as the walk's
+``shortest:euclid`` reads them.  A whole
 fractal census of the benchmark's larger
 carpet op (16 points to t = 20, brute-force boxes to T = 100) is timed
 as ``fractal_experiment.carpet.16x20``, its points one after another in
@@ -87,7 +92,7 @@ from expwalk.lattices import (  # noqa: E402
     HeightSpec,
     UnimodularLattice,
     _rfactor_stack,
-    _sup_systole_stack,
+    _systole_stack,
     contraction_fit,
     lll_reduce,
     margulis_height,
@@ -164,6 +169,11 @@ def _stacks(lats, size=512):
     return list(bases.reshape(k, size, *bases.shape[1:]))
 
 
+def _with_r(stacks):
+    """Each stack of bases with its R-factors and their errors."""
+    return [(b, *_rfactor_stack(b)) for b in stacks]
+
+
 def _snapshot_stacks(mats, weights, t_max, dt=0.05, size=512):
     """The reduced snapshots the flows of ``mats`` read their observables
     from, cycled to fill whole (size, d, d) stacks, each with its R-factors."""
@@ -176,11 +186,11 @@ def _snapshot_stacks(mats, weights, t_max, dt=0.05, size=512):
         snaps += islice(_flow_orbit(entries, weights, dt, bits), _grid_points(t_max, dt))
     k = -(-len(snaps) // size)
     bases = np.array([snaps[i % len(snaps)] for i in range(k * size)])
-    return [(b, *_rfactor_stack(b)) for b in bases.reshape(k, size, *bases.shape[1:])]
+    return _with_r(bases.reshape(k, size, *bases.shape[1:]))
 
 
-def _systoles(stack):
-    return _sup_systole_stack(*stack)
+def _systoles(norm):
+    return lambda stack: _systole_stack(*stack, norm)
 
 
 def _given_r(lats):
@@ -190,7 +200,7 @@ def _given_r(lats):
 
 
 def _fresh(lats):
-    """Copies without cached R-factors or shortest vectors."""
+    """Copies without cached R-factors."""
     return [UnimodularLattice(x.reduced) for x in lats]
 
 
@@ -323,12 +333,16 @@ def main(argv=None) -> int:
         # R given, as the walk and the flow hand it over from their chunk stacks
         ("siegel_count.d2", lambda x: siegel_count(x, 3.0), _given_r(lat2), False, 1),
         ("siegel_count.d3", lambda x: siegel_count(x, 3.0), _given_r(lat3), False, 1),
+        # the stacked systole search on a stack of one
         ("shortest_vector.sup.d2", lambda x: shortest_vector(x, "sup"), _given_r(lat2),
          False, 1),
         # per member of 512-member stacks of census flow snapshots, R given;
         # the flow reads its systoles over chunks of at most lattices.WALK_CHUNK
-        ("sup_systole_stack.d2", _systoles, flow2, False, 512),
-        ("sup_systole_stack.d3", _systoles, flow3, False, 512),
+        ("sup_systole_stack.d2", _systoles("sup"), flow2, False, 512),
+        ("sup_systole_stack.d3", _systoles("sup"), flow3, False, 512),
+        # per member of 512-member stacks of walk bases, R given, as the
+        # walk's shortest:euclid reads its chunks
+        ("euclid_systole_stack.d4", _systoles("euclid"), _with_r(_stacks(lat4)), False, 512),
         ("walk_step.d2", walk_steps, lat2[:1], True, n_walk),
         ("walk_step.d2.siegel", siegel_walk_steps, lat2[:1], True, n_walk),
         ("contraction_fit.pair.m6",

@@ -19,7 +19,8 @@ Nothing is written until the kind returns.  Exit codes and what each writes:
   ``<prefix>.ifs.json`` for ``sponge``;
 * 2, config or validation error: no file, a named reason on stderr;
 * 3, numerical failure (a ``linalg.NumericalError`` such as conditioning,
-  non-convergence or an enumeration cap, or a ``LinAlgError``):
+  non-convergence or an enumeration cap, a ``LinAlgError``, or a
+  ``MemoryError`` from an allocation past the machine's memory):
   ``<prefix>.config.json`` and a ``<prefix>.summary.json`` holding the
   ``error`` and, where the error carries one, the ``partial`` value.
 
@@ -502,8 +503,10 @@ def run(config: dict) -> int:
         resolved = _parse(CONFIG, config, kind)
         params = _parse(SCHEMA[kind], resolved["parameters"], kind)
         summary, cols, extra = HANDLERS[kind](params, resolved["seed"])
-    except (NumericalError, np.linalg.LinAlgError) as err:
-        summary, extra, code = {"error": f"{kind}: {type(err).__name__}: {err}"}, {}, 3
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as err:
+        # numpy raises a private subclass of MemoryError
+        name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
+        summary, extra, code = {"error": f"{kind}: {name}: {err}"}, {}, 3
         partial = getattr(err, "partial", None)
         if partial is not None:
             summary["partial"] = np.asarray(partial).ravel().tolist()

@@ -10,8 +10,8 @@ precision than a double.  One step is one path on Python lists: the float
 snapshot goes through the LLL kernel shared with ``lll_reduce``.  The
 observables are read over chunks of up to ``WALK_CHUNK`` snapshots, as the
 walk's are: one stacked R-factor pass and one stacked search for the
-length of the sup-norm systole per chunk, with the bits of the scalar
-kernels for each snapshot.  The fractal census runs its points in this
+length of the sup-norm systole per chunk, each snapshot getting the bits
+that a stack of its own gives.  The fractal census runs its points in this
 process, one after another in point order.  Finite-horizon results are
 reported as evidence scores, never as verdicts: the dichotomies they
 probe are asymptotic.
@@ -37,7 +37,7 @@ from .lattices import (
     WALK_CHUNK,
     _lll,
     _rfactor_stack,
-    _sup_systole_stack,
+    _systole_stack,
     siegel_count,
 )
 
@@ -282,7 +282,7 @@ def flow_trace(
             failure = err
         bases = buf[:n]
         rs, r_errors = _rfactor_stack(bases)
-        minima[start:start + n], errors = _sup_systole_stack(bases, rs, r_errors)
+        minima[start:start + n], errors, _ = _systole_stack(bases, rs, r_errors, "sup")
         if errors:  # the lowest failing point comes before the orbit's failure
             n = min(errors)
             failure = errors[n]

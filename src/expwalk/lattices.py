@@ -10,20 +10,21 @@ Siegel lattice-point counts, the cusp height built from wedge norms of
 basis subsets, and the random-walk harnesses checking its contraction
 under averaging.
 
-Shortest vectors and Siegel counts share one depth-first Fincke-Pohst
-enumerator on the cached R-factor of the reduced basis, in every
-dimension.  R has one kernel, ``_rfactor_stack``: Gram-Schmidt done
-elementwise on a stack of bases, on columns each scaled by its own power
-of two, so that no square overflows deep in the cusp.  Like
-``_lll_stack`` it returns the failed members' errors beside the result,
-and one lattice's R (``UnimodularLattice.rfactor``) is a stack of one.
-The enumerator's node cap counts integer coordinates visited at every
-level, leaves included: each level's whole range is charged before it is
-walked, so a range past the cap (deep in the cusp) fails at once.
-``_sup_systole_stack`` is the sup-norm search of ``shortest_vector`` on a
-stack of lattices, breadth-first and returning the lengths alone, for the
-diagonal flow: it does the depth-first search's arithmetic elementwise,
-so each member gets its bits and its refusals.
+Lattice points are enumerated by Fincke-Pohst on the cached R-factor of
+the reduced basis, in every dimension.  R has one kernel,
+``_rfactor_stack``: Gram-Schmidt done elementwise on a stack of bases, on
+columns each scaled by its own power of two, so that no square overflows
+deep in the cusp.  Like ``_lll_stack`` it returns the failed members'
+errors beside the result, and one lattice's R
+(``UnimodularLattice.rfactor``) is a stack of one.  Systoles have one
+search, ``_systole_stack``: breadth-first over a stack of lattices, in
+the sup or the Euclidean norm, each member with its own errors.  The
+walk's ``shortest`` and ``mahler`` observables and the flow's minima read
+it once per chunk, and ``shortest_vector`` is a stack of one that keeps
+the leaves for its tie-break.  Siegel counts stay one lattice at a time,
+depth-first (``_enumerate``).  Both charge each level's whole integer
+range to the node count before it is walked, leaves included, so a range
+past the cap (deep in the cusp) fails at once.
 
 Reduction is one scalar LLL kernel for every dimension (``_lll``), on
 Python floats and ints (numpy's per-call overhead dominates on 2x2 to 4x4
@@ -54,9 +55,9 @@ member's.  A stack of one costs several times a scalar call, so the
 reductions of the flow and of ``walk_simulate``, where each step depends
 on the last, keep the scalar kernel.  Their observables are read over
 chunks of at most ``WALK_CHUNK`` steps: the walk's with one stacked
-R-factor and height pass per chunk, the flow's with one stacked R-factor
-and sup-systole pass.  The
-height reads a plan cached per (spec, d): grade exponents and each subset's
+R-factor pass per chunk and one height or systole pass per observable,
+the flow's with one stacked R-factor and sup-systole pass.  The height
+reads a plan cached per (spec, d): grade exponents and each subset's
 minor as indices into the flat Gram matrix, so a stack is one Gram product
 and one batched determinant per grade (``margulis_height``: a stack of 1).
 """
@@ -101,18 +102,11 @@ class UnimodularLattice:
     """Lattice g Z^d with |det g| = 1, held as the columns of its reduced basis."""
 
     reduced: np.ndarray
-    _shortest: dict = field(default_factory=dict, repr=False)
     _rfactor: list | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.reduced.shape[0]
-
-    def shortest(self, norm: str = "sup"):
-        """Cached exact shortest nonzero vector as (vector, length)."""
-        if norm not in self._shortest:
-            self._shortest[norm] = shortest_vector(self, norm)
-        return self._shortest[norm]
 
     def rfactor(self) -> list:
         """Rows of the upper-triangular R with positive diagonal, reduced = Q R:
@@ -358,19 +352,18 @@ def _raise_first(errors: dict):
         raise errors[min(errors)]
 
 
-def _enumerate(r: list, radius: float, cap: int, rows: bool):
-    """Depth-first Fincke-Pohst walk over the integer z with |R z|_2 <= radius.
+def _enumerate(r: list, radius: float, cap: int) -> int:
+    """Depth-first Fincke-Pohst count of the nonzero integer z with
+    |R z|_2 <= radius.
 
     ``r`` is R as rows of floats (:meth:`UnimodularLattice.rfactor`).
     Levels run from d - 1 down to 0; each level's integer range is added
     to the node count before it is visited, and the count passing ``cap``
-    raises CountCapError.  Returns the number of nonzero z, or with
-    ``rows`` the nonzero z themselves as integer lists.
+    raises CountCapError.
     """
     d = len(r)
     rad2 = radius * radius
     z = [0] * d
-    found = []
     nodes = count = 0
     too_many = f"enumeration exceeded the cap of {cap} nodes"
 
@@ -390,11 +383,7 @@ def _enumerate(r: list, radius: float, cap: int, rows: bool):
         if nodes > cap:
             raise CountCapError(too_many)
         if level == 0:
-            origin = lo <= 0 <= hi and not any(z)
-            if rows:
-                found.extend([zi] + z[1:] for zi in range(lo, hi + 1) if zi or not origin)
-            else:
-                count += hi - lo + 1 - origin
+            count += hi - lo + 1 - (lo <= 0 <= hi and not any(z))
             return
         for zi in range(lo, hi + 1):
             z[level] = zi
@@ -405,7 +394,7 @@ def _enumerate(r: list, radius: float, cap: int, rows: bool):
         z[level] = 0
 
     visit(d - 1, 0.0)
-    return found if rows else count
+    return count
 
 
 def _canonical_sign(v: list) -> list:
@@ -415,52 +404,42 @@ def _canonical_sign(v: list) -> list:
     return v
 
 
-def _search_radius(rows: list, r: list, length, scale: float) -> float:
-    """Enumeration radius for :func:`shortest_vector`: the shortest basis
-    column under ``length``, times ``scale``, times 1 + 1e-12.  Refused
-    when the search tree bound prod_j (1 + 2 radius / R_jj) passes 1e12."""
-    radius = min(map(length, zip(*rows))) * scale * (1.0 + 1e-12)
-    bound = 1.0
-    for j in range(len(r)):
-        bound *= 1.0 + 2.0 * radius / r[j][j]
-    if bound > 1e12:
-        raise ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12")
-    return radius
+def _lengths(v, norm: str):
+    """The sup or Euclidean length of each row of a (..., d) array.  A
+    Euclidean length is the square root of its row's dot as a batched
+    ``v @ v`` on contiguous rows, which takes the BLAS dot of
+    ``np.linalg.norm`` and so its bits; strided rows (the columns of a
+    basis) take another summation order from d = 4 on."""
+    if norm == "sup":
+        return np.abs(v).max(axis=-1)
+    v = np.ascontiguousarray(v)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
-def _search(r: list, radius: float) -> list:
-    """The nonzero z of :func:`_enumerate` within ``radius``, at the node
-    cap of the shortest-vector search."""
-    zs = _enumerate(r, radius, cap=SEARCH_CAP, rows=True)
-    if not zs:
-        raise LatticeError("enumeration returned no vectors; radius too small")
-    return zs
-
-
-def _sup(v) -> float:
-    return max(map(abs, v))
-
-
-def _sup_systole_stack(bases, rs, r_errors):
-    """``shortest_vector(x, "sup")[1]`` of each lattice of a (n, d, d) stack
-    of bases, without the vectors, as (minima, errors): a float array (NaN
-    for a failed member) and a dict from each failed member to the error
-    its scalar search raises.
+def _systole_stack(bases, rs, r_errors, norm: str):
+    """The systole under ``norm`` ("sup" or "euclid") of each lattice of a
+    (n, d, d) stack of bases, as (minima, errors, leaves): a float array
+    (NaN for a failed member), a dict from each failed member to its error,
+    and the search's leaves (owner, vectors, lengths): every nonzero lattice
+    vector z B within the radius, with its member and its length.
 
     ``rs`` and ``r_errors`` are the R-factors and their errors as
     :func:`_rfactor_stack` gives them; a member without R fails with its R
-    error, as the scalar search does.  The search is breadth-first over the
-    levels d - 1 .. 0, with the arithmetic of :func:`_search_radius` and
-    :func:`_enumerate` done elementwise on every node: shifts accumulate
-    left to right, ranges are ``np.ceil`` and ``np.floor`` of the same
-    quotients, and a node is kept if its partial norm is at most the
-    squared radius.  Each level's ranges are charged to their member before
-    it is expanded, so a member passes ``SEARCH_CAP`` nodes here exactly
-    when its depth-first search does (an infinite range is past the cap, as
-    there).  Leaf sup norms are dots accumulated left to right from 0.0,
-    and each member takes the least; the searches are symmetric under
-    z -> -z, so that is the least over the candidates of
-    ``shortest_vector``.
+    error.  The radius is the shortest basis column under the norm, times
+    sqrt(d) for the sup norm (a sup-norm minimizer has Euclidean length at
+    most sqrt(d) times its sup norm), times 1 + 1e-12; a member whose search
+    tree bound prod_j (1 + 2 radius / R_jj) passes 1e12 is refused.
+
+    The Fincke-Pohst search is breadth-first over the levels d - 1 .. 0,
+    every member's nodes at once: shifts accumulate left to right, a
+    level's range is ``np.ceil`` and ``np.floor`` of the quotients of the
+    depth-first :func:`_enumerate`, and a node is kept if its partial norm
+    is at most the squared radius.  Each level's ranges are charged to
+    their member before it is expanded, and a member whose count passes
+    ``SEARCH_CAP`` nodes fails there (an infinite range is past the cap), as
+    in the depth-first search.  Nodes expand in increasing z at each level,
+    so a member's leaves come in depth-first order.  Vectors z B are dots
+    accumulated left to right from 0.0, measured by :func:`_lengths`.
     """
     n, d, _ = bases.shape
     errors = dict(r_errors)
@@ -470,7 +449,9 @@ def _sup_systole_stack(bases, rs, r_errors):
 
     eye = np.eye(d)  # the R of a failed member, which is not searched
     r = np.array([rows or eye for rows in rs], dtype=float).reshape(n, d, d)
-    radius = np.abs(bases).max(axis=1).min(axis=1) * sqrt(d) * (1.0 + 1e-12)
+    scale = sqrt(d) if norm == "sup" else 1.0
+    with np.errstate(over="ignore"):  # an infinite radius is refused below
+        radius = _lengths(np.swapaxes(bases, 1, 2), norm).min(axis=1) * scale * (1.0 + 1e-12)
     bound = np.ones(n)
     for j in range(d):
         bound *= 1.0 + 2.0 * radius / r[:, j, j]
@@ -509,53 +490,45 @@ def _sup_systole_stack(bases, rs, r_errors):
     nonzero = z.any(axis=1)
     owner, z = owner[nonzero], z[nonzero]
     b = bases[owner]
-    length = np.zeros(owner.size)
+    vectors = np.empty((owner.size, d))
     for i in range(d):
         s = np.zeros(owner.size)
         for j in range(d):
             s += z[:, j] * b[:, i, j]
-        length = np.fmax(length, np.abs(s))
+        vectors[:, i] = s
+    lengths = _lengths(vectors, norm)
     minima = np.full(n, inf)
-    np.minimum.at(minima, owner, length)
+    np.minimum.at(minima, owner, lengths)
     fail(np.flatnonzero(np.bincount(owner, minlength=n) == 0),
          LatticeError("enumeration returned no vectors; radius too small"))
     minima[list(errors)] = np.nan
-    return minima, errors
+    return minima, errors, (owner, vectors, lengths)
+
+
+def _systoles(xs, norm: str):
+    """(minima as a list, leaves) of :func:`_systole_stack` on the lattices
+    ``xs`` and their R-factors.  Refuses an unknown norm first; a failure
+    raises the first R error, else the lowest failing member's error."""
+    if norm not in ("sup", "euclid"):
+        raise ValueError(f"unknown norm {norm!r}")
+    bases = np.array([x.reduced for x in xs])
+    minima, errors, leaves = _systole_stack(bases, [x.rfactor() for x in xs], {}, norm)
+    _raise_first(errors)
+    return minima.tolist(), leaves
 
 
 def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
-    """Exact shortest nonzero lattice vector in the sup or Euclidean norm.
+    """Exact shortest nonzero lattice vector in the sup or Euclidean norm,
+    as (vector, length): the search of :func:`_systole_stack` on this one
+    lattice and its R-factor.
 
-    Enumeration is seeded by the reduced basis: its best vector gives the
-    initial radius (scaled by sqrt(d) for the sup norm, since any sup-norm
-    minimizer has Euclidean length at most sqrt(d) times its sup norm).
     Ties within 1e-15 of the minimum go to the sparsest, then the
-    lexicographically smallest sign-canonical vector.  Works on Python
-    floats; candidates z B are dots accumulated left to right, and a
-    Euclidean length is ``np.linalg.norm`` of its candidate.
+    lexicographically smallest sign-canonical vector, then the first leaf
+    in depth-first order.
     """
-    if norm not in ("sup", "euclid"):
-        raise ValueError(f"unknown norm {norm!r}")
-    if norm == "euclid":
-        length, scale = lambda v: float(np.linalg.norm(v)), 1.0
-    else:
-        length, scale = _sup, sqrt(x.dim)
-    rows = x.reduced.tolist()
-    r = x.rfactor()
-    radius = _search_radius(rows, r, length, scale)
-    cands = []
-    for z in _search(r, radius):
-        v = []
-        for row in rows:
-            s = 0.0
-            for zj, bj in zip(z, row):
-                s += zj * bj
-            v.append(s)
-        cands.append(v)
-    lengths = list(map(length, cands))
-    best_len = min(lengths)
+    (best_len,), (_, vectors, lengths) = _systoles([x], norm)
     best_vec = best_key = None
-    for v, v_len in zip(cands, lengths):
+    for v, v_len in zip(vectors.tolist(), lengths.tolist()):
         if v_len <= best_len + 1e-15:
             v = _canonical_sign(v)
             key = (sum(1 for t in v if abs(t) > 1e-12), tuple(round(t, 12) for t in v))
@@ -564,24 +537,29 @@ def shortest_vector(x: UnimodularLattice, norm: str = "sup"):
     return np.array(best_vec), best_len
 
 
-def mahler_member(x: UnimodularLattice, epsilon: float) -> bool:
-    """Is every nonzero lattice vector of sup norm at least epsilon?
-
-    Empty for epsilon > 1 by Minkowski's theorem, so this returns False
-    there without enumerating.
-    """
+def _mahler(xs, epsilon: float) -> list:
+    """1.0 for each lattice of ``xs`` in the Mahler set K_epsilon, else 0.0:
+    the sup systoles of one stacked search against epsilon.  K_epsilon is
+    empty for epsilon > 1 by Minkowski's theorem, so that reads 0 without
+    a search."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if epsilon > 1.0:
-        return False
-    return x.shortest("sup")[1] >= epsilon
+        return [0.0] * len(xs)
+    return [float(m >= epsilon) for m in _systoles(xs, "sup")[0]]
+
+
+def mahler_member(x: UnimodularLattice, epsilon: float) -> bool:
+    """Is every nonzero lattice vector of sup norm at least epsilon?
+    :func:`_mahler` of this one lattice."""
+    return _mahler([x], epsilon)[0] == 1.0
 
 
 def siegel_count(x: UnimodularLattice, radius: float, cap: int = 10**7) -> int:
     """Number of nonzero lattice vectors of Euclidean norm <= radius."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    return _enumerate(x.rfactor(), radius * (1.0 + 1e-9), cap, rows=False)
+    return _enumerate(x.rfactor(), radius * (1.0 + 1e-9), cap)
 
 
 @dataclass(frozen=True)
@@ -717,8 +695,9 @@ def parse_observable(spec: str, height: HeightSpec | None = None):
     ``siegel:R``, ``shortest:sup`` or ``shortest:euclid``.
 
     Returns (spec, fn), fn mapping a list of lattices to their values:
-    ``height`` is one :func:`_heights` of their stacked bases, the others
-    run lattice by lattice on each one's cached R and shortest vectors.
+    ``height`` is one :func:`_heights` of their stacked bases, ``mahler``
+    and ``shortest`` one :func:`_systole_stack` on their bases and cached
+    R-factors, and ``siegel`` counts lattice by lattice on each one's R.
     """
     name, sep, arg = spec.partition(":")
     if name == "height":
@@ -732,13 +711,13 @@ def parse_observable(spec: str, height: HeightSpec | None = None):
         if np.isnan(value):
             raise ValueError(f"observable {spec!r}: argument is NaN")
         if name == "mahler":
-            return spec, _each(lambda x: float(mahler_member(x, value)))
+            return spec, lambda xs: _mahler(xs, value)
         if value == inf:  # the count would only hit its cap
             raise ValueError(f"observable {spec!r}: radius must be finite")
         return spec, _each(lambda x: float(siegel_count(x, value)))
     if name == "shortest":
         norm = arg or "sup"
-        return spec, _each(lambda x: x.shortest(norm)[1])
+        return spec, lambda xs: _systoles(xs, norm)[0]
     raise ValueError(f"unknown observable {spec!r}")
 
 

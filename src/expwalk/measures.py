@@ -181,11 +181,16 @@ def convolution_support(mu: GroupMeasure, n: int, cap: int = 10**6) -> GroupMeas
 
     Atoms are all length-n products with multiplied weights; products that
     coincide within ``MERGE_TOL`` (max-entry distance, grid semantics) are
-    merged after each step, which keeps commuting families polynomial.
+    merged after each step, which keeps commuting families polynomial.  A
+    product past the float range raises :class:`NumericalError`.
     """
     if n < 0:
         raise ValueError("convolution order must be nonnegative")
-    mats, wts, _ = _word_products(mu.matrices, mu.weights, n, cap=cap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats, wts, _ = _word_products(mu.matrices, mu.weights, n, cap=cap)
+    if not np.isfinite(mats).all():
+        raise NumericalError(f"the exact {n}-fold convolution overflows: "
+                             "a word product has an entry past the float range")
     return GroupMeasure(mats, wts, profile=mu.profile)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import expwalk
-from expwalk import catalog, cli, dioph
+from expwalk import catalog, cli, dioph, expansion, lattices
 from expwalk.dioph import FlowTrace, SearchCapError, flow_trace
 from expwalk.expansion import ExpansionFailure
 from expwalk.fractal import CodingDepthError, coding_sample, ifs_to_dict, load_ifs, save_ifs
@@ -175,6 +175,62 @@ def test_exit_3_classes_are_numerical_errors_and_not_value_errors():
     # an atom outside the parabolic is bad input
     assert issubclass(FactorizationError, ValueError)
     assert not issubclass(FactorizationError, NumericalError)
+
+
+def test_recur_convolution_overflow_is_exit_3_naming_the_order(tmp_path):
+    # diag(1e200, 1e-200) squared overflows, so the exact 2-fold convolution
+    # of the fit holds an infinite product; its measure refused that as bad
+    # input, and recur exited 2 with "atom entries must be finite"
+    atoms = [np.diag([1e200, 1e-200]), np.array([[1.0, 1.0], [0.0, 1.0]])]
+    measure = {"dim": 2, "atoms": [{"matrix": g.ravel().tolist(), "weight": 0.5} for g in atoms]}
+    params = {"measure": measure, "height": {"epsilon": 0.1, "delta": 0.3}, "delta": 0.1,
+              "n_grid": [2, 4], "m": 2}
+    assert cli.run({"kind": "recur", "parameters": params, "output": str(tmp_path / "o")}) == 3
+    summary = json.loads((tmp_path / "o.summary.json").read_text())
+    assert summary["error"] == ("recur: NumericalError: the exact 2-fold convolution overflows: "
+                                "a word product has an entry past the float range")
+    assert not (tmp_path / "o.data.csv").exists()
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's private subclass of MemoryError."""
+
+
+def _out_of_memory(*args, **kwargs):
+    # the failure of an allocation past the machine's memory, without allocating
+    raise _ArrayMemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                            "(1000000000000,) and data type float64")
+
+
+def _pair_atoms():
+    mu = catalog.positive_pair_sl2()
+    return {"dim": 2, "atoms": [{"matrix": g.ravel().tolist(), "weight": float(w)}
+                                for g, w in zip(mu.matrices, mu.weights)]}
+
+
+# each kind's first allocation that grows with a config number: the walk's
+# indices (n_steps), the certificate's sphere samples, the kau word (len)
+MEMORY_CASES = [
+    ("walk", lattices, "sample_indices", {"n_steps": 5, "observables": ["siegel:3.0"]}),
+    ("expand-cert", expansion, "_sphere_minimize", {"N": 1, "rep": "std"}),
+    ("kau", cli, "sample_word", {"profile": {"m": 1, "n": 1}, "len": 5}),
+]
+
+
+@pytest.mark.parametrize("kind, module, name, params", MEMORY_CASES,
+                         ids=[case[0] for case in MEMORY_CASES])
+def test_memory_exhaustion_is_exit_3_with_a_summary(tmp_path, capsys, monkeypatch, kind, module,
+                                                     name, params):
+    # before the check the MemoryError escaped cli.run as a bare traceback
+    monkeypatch.setattr(module, name, _out_of_memory)
+    doc = {"kind": kind, "parameters": {"measure": _pair_atoms(), **params},
+           "output": str(tmp_path / "o")}
+    assert cli.run(doc) == 3
+    error = (f"{kind}: MemoryError: Unable to allocate 7.28 TiB for an array with shape "
+             "(1000000000000,) and data type float64")
+    assert json.loads((tmp_path / "o.summary.json").read_text()) == {"error": error}
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.config.json", "o.summary.json"]
 
 
 def test_height_subcommand(tmp_path):

@@ -1,7 +1,8 @@
 """The scalar kernels against the numpy references they replaced.
 
 The references: LLL with numpy Gram-Schmidt and an integer transform,
-the height's per-subset determinant loop, R from numpy QR, the
+the height's per-subset determinant loop, R from numpy QR and from scalar
+Gram-Schmidt, the depth-first candidate search for shortest vectors, the
 brute-force search that built its box one tuple at a time, the flow step
 that built a lattice and its shortest vector at every grid point, the
 minor-by-minor wedge power and the adjoint built on a fresh sl basis.
@@ -10,13 +11,15 @@ of the scalar kernel ``_lll`` entry for entry with the reference's, on
 the inputs real walks and flows feed the kernel;
 heights and height profiles must agree in value and dtype; Siegel counts
 and shortest vectors must not move with R's bits, and the stacked R of the
-walk's observables must keep the scalar R's bits; the chunked search must
+walk's observables must keep the scalar R's bits; the stacked systole
+search must give the depth-first search's lengths, vectors and refusals
+under both norms; the chunked brute-force search must
 return the same quality bits, p and q; flow minima and Siegel counts, and
 the R the flow reads from the LLL's Gram-Schmidt data, must agree byte
 for byte; and the representations must agree byte for byte.
 """
-from itertools import combinations, product
-from math import frexp, isfinite, ldexp, sqrt
+from itertools import combinations, islice, product
+from math import ceil, floor, frexp, isfinite, ldexp, sqrt
 from operator import mul
 
 import numpy as np
@@ -29,8 +32,11 @@ from expwalk.fractal import coding_sample
 from expwalk.kau import WeightPair, flow_element, unipotent
 from expwalk.lattices import (
     ConditioningError,
+    CountCapError,
     HeightSpec,
+    LatticeError,
     UnimodularLattice,
+    _canonical_sign,
     _gso,
     lll_reduce,
     margulis_height,
@@ -400,7 +406,7 @@ def test_rfactor_stack_names_each_failing_member_as_the_scalar_rfactor():
         assert type(errors[k]) is ConditioningError and str(errors[k]) == str(scalar.value)
         messages.append(str(scalar.value))
         # a lattice without R computes it alone, and its step fails as the scalar R fails
-        for observable in (lambda x: siegel_count(x, 3.0), lambda x: x.shortest("sup"),
+        for observable in (lambda x: siegel_count(x, 3.0), lambda x: shortest_vector(x, "sup"),
                            lambda x: x.rfactor()):
             with pytest.raises(ConditioningError) as info:
                 observable(UnimodularLattice(b, _rfactor=r))
@@ -412,46 +418,222 @@ def test_rfactor_stack_names_each_failing_member_as_the_scalar_rfactor():
         lattices._raise_first(errors)  # the lowest failing member's
 
 
+# The depth-first candidate search, one lattice at a time: the bit reference
+# of the stacked search ``_systole_stack`` behind ``shortest_vector``, the
+# walk's systole observables and the flow's minima
+def _enumerate(r: list, radius: float, cap: int, rows: bool):
+    """Depth-first Fincke-Pohst walk over the integer z with |R z|_2 <= radius.
+
+    ``r`` is R as rows of floats (:meth:`UnimodularLattice.rfactor`).
+    Levels run from d - 1 down to 0; each level's integer range is added
+    to the node count before it is visited, and the count passing ``cap``
+    raises CountCapError.  Returns the number of nonzero z, or with
+    ``rows`` the nonzero z themselves as integer lists.
+    """
+    d = len(r)
+    rad2 = radius * radius
+    z = [0] * d
+    found = []
+    nodes = count = 0
+    too_many = f"enumeration exceeded the cap of {cap} nodes"
+
+    def visit(level, partial):
+        nonlocal nodes, count
+        # row `level` of R: sum over j > level of R[level][j] z_j, left to right
+        shift = 0.0
+        for j in range(level + 1, d):
+            shift += r[level][j] * z[j]
+        half = sqrt(rad2 - partial)
+        try:
+            lo = ceil((-half - shift) / r[level][level] - 1e-12)
+            hi = floor((half - shift) / r[level][level] + 1e-12)
+        except OverflowError:  # an infinite range
+            raise CountCapError(too_many) from None
+        nodes += hi - lo + 1
+        if nodes > cap:
+            raise CountCapError(too_many)
+        if level == 0:
+            origin = lo <= 0 <= hi and not any(z)
+            if rows:
+                found.extend([zi] + z[1:] for zi in range(lo, hi + 1) if zi or not origin)
+            else:
+                count += hi - lo + 1 - origin
+            return
+        for zi in range(lo, hi + 1):
+            z[level] = zi
+            val = r[level][level] * zi + shift
+            below = partial + val * val
+            if below <= rad2:
+                visit(level - 1, below)
+        z[level] = 0
+
+    visit(d - 1, 0.0)
+    return found if rows else count
+
+
+def _search_radius(rows: list, r: list, length, scale: float) -> float:
+    """Enumeration radius for :func:`shortest_vector`: the shortest basis
+    column under ``length``, times ``scale``, times 1 + 1e-12.  Refused
+    when the search tree bound prod_j (1 + 2 radius / R_jj) passes 1e12."""
+    radius = min(map(length, zip(*rows))) * scale * (1.0 + 1e-12)
+    bound = 1.0
+    for j in range(len(r)):
+        bound *= 1.0 + 2.0 * radius / r[j][j]
+    if bound > 1e12:
+        raise ConditioningError("enumeration radius blowup: the search tree bound exceeds 1e12")
+    return radius
+
+
+def _search(r: list, radius: float) -> list:
+    """The nonzero z of :func:`_enumerate` within ``radius``, at the node
+    cap of the shortest-vector search."""
+    zs = _enumerate(r, radius, cap=lattices.SEARCH_CAP, rows=True)
+    if not zs:
+        raise LatticeError("enumeration returned no vectors; radius too small")
+    return zs
+
+
+def _sup(v) -> float:
+    return max(map(abs, v))
+
+
+def shortest_vector_ref(x: UnimodularLattice, norm: str = "sup"):
+    """Exact shortest nonzero lattice vector in the sup or Euclidean norm.
+
+    Enumeration is seeded by the reduced basis: its best vector gives the
+    initial radius (scaled by sqrt(d) for the sup norm, since any sup-norm
+    minimizer has Euclidean length at most sqrt(d) times its sup norm).
+    Ties within 1e-15 of the minimum go to the sparsest, then the
+    lexicographically smallest sign-canonical vector.  Works on Python
+    floats; candidates z B are dots accumulated left to right, and a
+    Euclidean length is ``np.linalg.norm`` of its candidate.
+    """
+    if norm not in ("sup", "euclid"):
+        raise ValueError(f"unknown norm {norm!r}")
+    if norm == "euclid":
+        length, scale = lambda v: float(np.linalg.norm(v)), 1.0
+    else:
+        length, scale = _sup, sqrt(x.dim)
+    rows = x.reduced.tolist()
+    r = x.rfactor()
+    radius = _search_radius(rows, r, length, scale)
+    cands = []
+    for z in _search(r, radius):
+        v = []
+        for row in rows:
+            s = 0.0
+            for zj, bj in zip(z, row):
+                s += zj * bj
+            v.append(s)
+        cands.append(v)
+    lengths = list(map(length, cands))
+    best_len = min(lengths)
+    best_vec = best_key = None
+    for v, v_len in zip(cands, lengths):
+        if v_len <= best_len + 1e-15:
+            v = _canonical_sign(v)
+            key = (sum(1 for t in v if abs(t) > 1e-12), tuple(round(t, 12) for t in v))
+            if best_key is None or key < best_key:
+                best_key, best_vec = key, v
+    return np.array(best_vec), best_len
+
+
+def _assert_systoles_match_reference(bases):
+    """The stacked search on a stack of bases, R given, and ``shortest_vector``
+    of each lattice alone, against the depth-first reference, under both
+    norms: lengths and vectors bit for bit."""
+    bases = np.array(bases)
+    rs, r_errors = lattices._rfactor_stack(bases)
+    assert r_errors == {}
+    for norm in ("sup", "euclid"):
+        minima, errors, _ = lattices._systole_stack(bases, rs, r_errors, norm)
+        assert errors == {} and minima.shape == (len(bases),)
+        for b, length in zip(bases, minima.tolist()):
+            ref_v, ref_length = shortest_vector_ref(UnimodularLattice(b), norm)
+            v, v_length = shortest_vector(UnimodularLattice(b), norm)
+            assert repr(length) == repr(v_length) == repr(ref_length)
+            assert v.tobytes() == ref_v.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_euclidean_lengths_of_basis_columns_keep_the_norm_bits(d):
+    # the search radius reads the columns of each basis, strided rows in memory
+    rng = np.random.default_rng(d)
+    bases = rng.standard_normal((500, d, d)) * np.exp(rng.uniform(-30.0, 30.0, (500, d, d)))
+    lengths = lattices._lengths(np.swapaxes(bases, 1, 2), "euclid")
+    ref = np.array([[np.linalg.norm(b[:, j]) for j in range(d)] for b in bases])
+    assert lengths.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sup_systole_matches_shortest_vector(d):
+    # seeded walk bases (d = 2, 4) and a float-carried carpet orbit (d = 3)
     lats = _bench_lattices(d)
-    bases = np.array([x.reduced for x in lats])
-    minima, errors = lattices._sup_systole_stack(bases, *lattices._rfactor_stack(bases))
-    assert errors == {} and minima.shape == (len(lats),)
-    for x, length in zip(lats, minima.tolist()):
-        assert repr(length) == repr(shortest_vector(x, "sup")[1])
+    _assert_systoles_match_reference([x.reduced for x in lats])
+    # the Siegel count, depth-first, counts the rows of the reference walk
+    for x in lats[::50]:
+        r = x.rfactor()
+        assert lattices._enumerate(r, 3.0, 10**7) == len(_enumerate(r, 3.0, 10**7, rows=True))
 
 
-def _scalar_sup_error(basis):
+def test_systole_stack_matches_the_reference_deep_in_the_cusp():
+    ts = np.arange(0.0, 351.0, 0.5)
+    _assert_systoles_match_reference([np.diag([np.exp(-t), np.exp(t)]) for t in ts])
+
+
+def test_systole_stack_matches_the_reference_on_flow_snapshots():
+    # the reduced snapshots census flows read their minima from, dt 0.05
+    snaps = []
+    for mat, weights, t_max in [(GOLDEN_50, UNIT, 30.0), ([[0.37]], UNIT, 30.0),
+                                *[(m, CARPET.weightpair, 20.0)
+                                  for m in coding_sample(CARPET, 2, seed=1)]]:
+        bits = dioph._needed_bits(weights, t_max)
+        with mp.workprec(bits + 64):
+            entries = [[int(mp.nint(mp.ldexp(mp.mpf(v), bits))) for v in row]
+                       for row in np.atleast_2d(np.asarray(mat, dtype=object))]
+        orbit = dioph._flow_orbit(entries, weights, 0.05, bits)
+        snaps.append(list(islice(orbit, dioph._grid_points(t_max, 0.05))))
+    for group in snaps:
+        _assert_systoles_match_reference(group)
+
+
+def _reference_error(basis, norm):
     with pytest.raises(lattices.LatticeError) as info:
-        shortest_vector(UnimodularLattice(basis), "sup")
+        shortest_vector_ref(UnimodularLattice(basis), norm)
     return info.value
 
 
 def test_sup_systole_stack_reports_each_failing_member_as_the_scalar_search():
     good = [x.reduced for x in _bench_lattices(3)[:3]]
     # columns (N, 1, 0), (N - 1, 1, 0), (N, 1, 1) at N = 1e4: a radius of
-    # about sqrt(3) N against R_11 about 1 / N, a search tree bound of 5e13
+    # about N (sqrt(3) N for the sup norm) against R_11 about 1 / N, a
+    # search tree bound past 1e13
     blowup = [[1e4, 1e4 - 1, 1e4], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
-    # R = diag(N, N, N^-2) and radius sqrt(3) N at N = 256: a bound of 1.2e9,
-    # and a first range of 5.8e7 nodes at level 2
+    # R = diag(N, N, N^-2) and a radius of N (sqrt(3) N for the sup norm) at
+    # N = 256: a bound below 1e12, and a first range past 3e7 nodes at level 2
     over_cap = [[256.0, 0.0, 256.0], [0.0, 256.0, 256.0], [0.0, 0.0, 2.0**-16]]
     collapsed = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-17, 0.0], [0.0, 0.0, 1.0]]
     bases = np.array([good[0], over_cap, good[1], blowup, collapsed, good[2]])
-    minima, errors = lattices._sup_systole_stack(bases, *lattices._rfactor_stack(bases))
-    assert sorted(errors) == [1, 3, 4]
-    assert type(errors[1]) is lattices.CountCapError
-    assert type(errors[3]) is lattices.ConditioningError
-    assert type(errors[4]) is lattices.ConditioningError
-    for k, err in errors.items():
-        scalar = _scalar_sup_error(bases[k])
-        assert type(err) is type(scalar) and str(err) == str(scalar)
-        assert np.isnan(minima[k])
-    for k in (0, 2, 5):
-        assert repr(float(minima[k])) == repr(shortest_vector(UnimodularLattice(bases[k]))[1])
-    # the flow raises the lowest failing member's error, as its scalar loop did
-    with pytest.raises(lattices.CountCapError, match="exceeded the cap of 10000000 nodes"):
-        lattices._raise_first(errors)
+    for norm in ("sup", "euclid"):
+        minima, errors, _ = lattices._systole_stack(bases, *lattices._rfactor_stack(bases), norm)
+        assert sorted(errors) == [1, 3, 4]
+        assert type(errors[1]) is lattices.CountCapError
+        assert type(errors[3]) is lattices.ConditioningError
+        assert type(errors[4]) is lattices.ConditioningError
+        for k, err in errors.items():
+            ref = _reference_error(bases[k], norm)
+            assert type(err) is type(ref) and str(err) == str(ref)
+            assert np.isnan(minima[k])
+            # one lattice alone fails as its member of the stack does
+            with pytest.raises(lattices.LatticeError) as alone:
+                shortest_vector(UnimodularLattice(bases[k]), norm)
+            assert type(alone.value) is type(ref) and str(alone.value) == str(ref)
+        for k in (0, 2, 5):
+            ref = shortest_vector_ref(UnimodularLattice(bases[k]), norm)[1]
+            assert repr(float(minima[k])) == repr(ref)
+        # the flow raises the lowest failing member's error, as its scalar loop did
+        with pytest.raises(lattices.CountCapError, match="exceeded the cap of 10000000 nodes"):
+            lattices._raise_first(errors)
 
 
 @pytest.mark.parametrize("cap", [3, 5, 8, 12, 20, 30])
@@ -459,16 +641,18 @@ def test_sup_systole_stack_node_cap_matches_the_depth_first_search(monkeypatch, 
     # the breadth-first search passes the cap exactly where the depth-first one does
     monkeypatch.setattr(lattices, "SEARCH_CAP", cap)
     lats = _bench_lattices(3)[::10] + _bench_lattices(2)[::100]
-    for group in (lats[:40], lats[40:]):
-        bases = np.array([x.reduced for x in group])
-        minima, errors = lattices._sup_systole_stack(bases, *lattices._rfactor_stack(bases))
-        for k, x in enumerate(group):
-            try:
-                ref = shortest_vector(UnimodularLattice(x.reduced), "sup")[1]
-            except lattices.CountCapError as err:
-                assert str(errors[k]) == str(err)
-            else:
-                assert k not in errors and repr(float(minima[k])) == repr(ref)
+    for norm in ("sup", "euclid"):
+        for group in (lats[:40], lats[40:]):
+            bases = np.array([x.reduced for x in group])
+            minima, errors, _ = lattices._systole_stack(bases, *lattices._rfactor_stack(bases),
+                                                        norm)
+            for k, x in enumerate(group):
+                try:
+                    ref = shortest_vector_ref(UnimodularLattice(x.reduced), norm)[1]
+                except lattices.CountCapError as err:
+                    assert str(errors[k]) == str(err)
+                else:
+                    assert k not in errors and repr(float(minima[k])) == repr(ref)
 
 
 def brute_force_quality_ref(mat, weights, t_max, cap=10**8):
@@ -572,7 +756,7 @@ def flow_trace_ref(mat, weights, t_max, dt=0.05, siegel_radius=None, siegel_stri
         try:
             snap = next(orbit)
             x = UnimodularLattice(snap)
-            minima[k] = x.shortest("sup")[1]
+            minima[k] = shortest_vector_ref(x, "sup")[1]
         except (lattices.LatticeError, OverflowError) as err:
             raise lattices.ConditioningError(
                 f"flow orbit cannot be reduced at t={t:g}: {err}"
@@ -617,16 +801,16 @@ def test_flow_trace_refusal_matches_per_step_reference():
 def test_flow_trace_raises_the_lowest_failing_point_of_a_chunk(monkeypatch):
     # searches failing at points 3 and 7 of the second chunk (t = 259 and 263)
     # come before the orbit's own failure at t = 364
-    real, chunks = dioph._sup_systole_stack, []
+    real, chunks = dioph._systole_stack, []
 
-    def failing(bases, rs, r_errors):
-        minima, errors = real(bases, rs, r_errors)
+    def failing(bases, rs, r_errors, norm):
+        minima, errors, leaves = real(bases, rs, r_errors, norm)
         if chunks:
             errors = {7: lattices.LatticeError("second"), 3: lattices.CountCapError("first")}
         chunks.append(len(bases))
-        return minima, errors
+        return minima, errors, leaves
 
-    monkeypatch.setattr(dioph, "_sup_systole_stack", failing)
+    monkeypatch.setattr(dioph, "_systole_stack", failing)
     with pytest.raises(lattices.ConditioningError) as err:
         flow_trace(0.0, UNIT, 380.0, dt=1.0)
     assert str(err.value) == "flow orbit cannot be reduced at t=259: first"

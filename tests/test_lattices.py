@@ -19,6 +19,7 @@ from expwalk.lattices import (
     margulis_height,
     parse_observable,
     recurrence_experiment,
+    shortest_vector,
     siegel_count,
     standard_lattice,
     walk_simulate,
@@ -68,13 +69,13 @@ def test_lll_rejects_non_unimodular():
 
 
 def test_shortest_z3_sup():
-    v, length = standard_lattice(3).shortest("sup")
+    v, length = shortest_vector(standard_lattice(3), "sup")
     assert length == 1.0
 
 
 def test_shortest_explicit_lattice():
     x = lll_reduce(np.diag([0.3, 1 / 0.3]))
-    v, length = x.shortest("sup")
+    v, length = shortest_vector(x, "sup")
     assert abs(length - 0.3) < 1e-12
     assert np.abs(np.abs(v) - [0.3, 0.0]).max() < 1e-12
 
@@ -85,7 +86,7 @@ def test_shortest_flow_lattice():
     wp = WeightPair((1.0,), (1.0,))
     basis = flow_element(wp, 2.0) @ unipotent(np.array([[0.0]]))
     x = lll_reduce(basis)
-    assert abs(x.shortest("sup")[1] - np.exp(-2.0)) < 1e-12
+    assert abs(shortest_vector(x, "sup")[1] - np.exp(-2.0)) < 1e-12
 
 
 def test_mahler_examples():
@@ -250,8 +251,8 @@ def test_walk_bit_reproducible():
 # the observables of one lattice, as the step-by-step walk loop read them
 SCALAR_OBSERVABLES = {
     "siegel:3.0": lambda x: float(siegel_count(x, 3.0)),
-    "shortest:sup": lambda x: x.shortest("sup")[1],
-    "shortest:euclid": lambda x: x.shortest("euclid")[1],
+    "shortest:sup": lambda x: shortest_vector(x, "sup")[1],
+    "shortest:euclid": lambda x: shortest_vector(x, "euclid")[1],
     "mahler:0.3": lambda x: float(mahler_member(x, 0.3)),
     "height": lambda x: margulis_height(x, HeightSpec(0.1, 0.3)),
 }
@@ -513,15 +514,15 @@ def test_enumeration_matches_brute_force(d):
             continue
         x = lll_reduce(b / abs(det) ** (1 / d))
         # |z_i| <= |row i of B^-1|_2 |v|_2, and the sup minimizer has |v|_2 <= sqrt(d) sup
-        reach = max(radius, np.sqrt(d) * x.shortest("sup")[1])
+        reach = max(radius, np.sqrt(d) * shortest_vector(x, "sup")[1])
         k = int(np.ceil(np.linalg.norm(np.linalg.inv(x.reduced), axis=1).max() * reach))
         assert k <= 8
         grid = np.array(list(np.ndindex(*([2 * k + 1] * d)))) - k
         grid = grid[np.any(grid != 0, axis=1)]
         vecs = grid.astype(float) @ x.reduced.T
         euclid = np.linalg.norm(vecs, axis=1)
-        assert abs(x.shortest("euclid")[1] - euclid.min()) < 1e-9
-        assert abs(x.shortest("sup")[1] - np.abs(vecs).max(axis=1).min()) < 1e-9
+        assert abs(shortest_vector(x, "euclid")[1] - euclid.min()) < 1e-9
+        assert abs(shortest_vector(x, "sup")[1] - np.abs(vecs).max(axis=1).min()) < 1e-9
         assert siegel_count(x, radius) == int(np.sum(euclid <= radius))
         checked += 1
 
@@ -535,9 +536,9 @@ def test_shortest_not_longer_than_any_reduced_vector():
         if abs(det) < 0.05:
             continue
         x = lll_reduce(b / abs(det) ** (1 / d))
-        sup_len = x.shortest("sup")[1]
+        sup_len = shortest_vector(x, "sup")[1]
         assert sup_len <= np.abs(x.reduced).max(axis=0).min() + 1e-12
-        euc_len = x.shortest("euclid")[1]
+        euc_len = shortest_vector(x, "euclid")[1]
         assert euc_len <= np.linalg.norm(x.reduced, axis=0).min() + 1e-12
 
 
